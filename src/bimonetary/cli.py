@@ -22,6 +22,7 @@ from . import __version__, category, colimit, econometrics as econ, equilibrium
 from . import scenarios as scen
 from . import structural
 from .errors import BimonetaryError, InputError, MissingColumn, NumericalError
+from .errors import UnparseableValue
 from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
@@ -37,13 +38,20 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
 
-def _fail(stage: str, error: Exception, code: int) -> int:
+#: Failures reported as one JSON line on stderr instead of a traceback;
+#: ValueError covers np.linalg.LinAlgError and json.JSONDecodeError.
+HANDLED_ERRORS = (BimonetaryError, FileNotFoundError, ValueError)
+
+
+def _fail(stage: str, error: Exception) -> int:
+    """Print the error as one JSON line on stderr; return its exit code."""
+    numerical = isinstance(error, (NumericalError, np.linalg.LinAlgError))
     line = json.dumps(
         {"error": type(error).__name__, "stage": stage, "message": str(error)},
         sort_keys=True,
     )
     print(line, file=sys.stderr)
-    return code
+    return EXIT_NUMERICAL if numerical else EXIT_INPUT
 
 
 def _write_json(path: Path, payload) -> None:
@@ -65,6 +73,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
+#: Integer-valued config keys by section; ``None`` is the top level.
+INTEGER_KEYS = {
+    None: ("johansen_k_ar_diff", "granger_max_lag", "max_lags", "ljung_box_lags",
+           "irf_horizon", "fevd_horizon", "forecast_steps"),
+    "colimit": ("n_components", "corr_window", "corr_min_periods", "smooth_window"),
+    "sensitivity": ("max_lags",),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -72,6 +89,13 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
+    for section, keys in INTEGER_KEYS.items():
+        table = doc if section is None else doc.get(section, {})
+        if not isinstance(table, dict):
+            raise InputError(f"config section {section!r} must be a JSON object")
+        for key in keys:
+            if key in table and type(table[key]) is not int:  # JSON true is a bool
+                raise InputError(f"config key {key!r} must be an integer: {table[key]!r}")
     return doc
 
 
@@ -131,18 +155,21 @@ def cmd_validate(args) -> int:
 
         date_idx = header.index(DATE_COLUMN)
         idx = {name: header.index(name) for name in schema if name in header}
+        # a row must hold every cell load_csv reads: the schema when one is
+        # configured, else every header column
+        loaded = schema if "schema" in config else header
+        last_loaded = max(date_idx, *(header.index(n) for n in loaded if n in header))
         seen: set = set()
         ordered = True
         previous = None
         missing_counts = {name: 0 for name in idx}
         n_rows = 0
-        short_rows = 0
         for row_no, record in enumerate(reader, start=2):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
             n_rows += 1
-            if len(record) <= date_idx:
-                raise BimonetaryError(f"row {row_no} has no date cell")
+            if len(record) <= last_loaded:
+                raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
             when = parse_panel_date(record[date_idx], row_no)
             if when in seen:
                 print(f"duplicate date: {when.isoformat()}")
@@ -151,17 +178,13 @@ def cmd_validate(args) -> int:
             if previous is not None and when < previous:
                 ordered = False
             previous = when
-            if len(record) < len(header):
-                short_rows += 1
             for name, j in idx.items():
-                if j >= len(record) or record[j].strip() == "":
+                if record[j].strip() == "":
                     missing_counts[name] += 1
 
     for name, count in missing_counts.items():
         print(f"column {name!r}: {count} missing values")
     print(f"rows: {n_rows}")
-    if short_rows:
-        print(f"short rows: {short_rows} (trailing cells treated as missing)")
     print(f"date order: {'ascending' if ordered else 'UNSORTED (will be sorted on load)'}")
     if missing_columns:
         raise MissingColumn(missing_columns[0])
@@ -471,10 +494,8 @@ def cmd_pipeline(args) -> int:
             _stage_sensitivity(panel, out, config, args.scenarios)
         stage = "manifest"
         _write_manifest(out, args, config, "pipeline")
-    except InputError as error:
-        return _fail(stage, error, EXIT_INPUT)
-    except (NumericalError, np.linalg.LinAlgError) as error:
-        return _fail(stage, error, EXIT_NUMERICAL)
+    except HANDLED_ERRORS as error:
+        return _fail(stage, error)
     return EXIT_OK
 
 
@@ -657,21 +678,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as error:
-        return _fail(args.command, error, EXIT_INPUT)
-    except json.JSONDecodeError as error:
-        return _fail(args.command, error, EXIT_INPUT)
-    except InputError as error:
-        return _fail(args.command, error, EXIT_INPUT)
-    except NumericalError as error:
-        return _fail(args.command, error, EXIT_NUMERICAL)
-    except BimonetaryError as error:
-        return _fail(args.command, error, EXIT_INPUT)
-    except np.linalg.LinAlgError as error:
-        return _fail(args.command, error, EXIT_NUMERICAL)
-    except ValueError as error:
-        return _fail(args.command, error, EXIT_INPUT)
-    return EXIT_OK
+    except HANDLED_ERRORS as error:
+        return _fail(args.command, error)
 
 
 if __name__ == "__main__":

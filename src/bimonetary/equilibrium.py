@@ -1,11 +1,11 @@
 """Per-date equilibrium exchange rate as the minimizer of three squared
-penalty terms, with a derivative-free solver and its closed-form oracle.
+penalty terms, in closed form, with a derivative-free solver as its check.
 
 Each penalty ties the candidate rate to one consolidating relation: the
 US/Argentina GDP ratio, the risk-scaled observed rate, and the long-term
-dollar rate. The sum of squared deviations is minimized per row, starting
-from the observed rate; the analytic minimizer (the mean of the three
-targets) doubles as an independent check.
+dollar rate. The sum of squared deviations is minimized by the mean of the
+three targets, computed for every row at once; the one-dimensional
+Nelder-Mead solver is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -13,33 +13,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from itertools import compress
 from typing import Callable
+
+import numpy as np
 
 from .errors import EmptyResult, NonFiniteObjective
 from .panel import Panel
 
+#: A scalar for one date, or an aligned float64 column for many dates;
+#: the target formulas below act elementwise on either.
+Values = float | np.ndarray
+
 
 @dataclass(frozen=True)
 class EquilibriumTargets:
-    gdp_ratio: float            # gdp_usa / gdp_argentina
-    risk_scaled_rate: float     # embi * observed ars/usd
-    long_usd_rate: float        # percent
+    gdp_ratio: Values           # gdp_usa / gdp_argentina
+    risk_scaled_rate: Values    # embi * observed ars/usd
+    long_usd_rate: Values       # percent
 
     def __post_init__(self) -> None:
-        for value in (self.gdp_ratio, self.risk_scaled_rate, self.long_usd_rate):
-            if not math.isfinite(value):
-                raise ValueError("equilibrium targets must be finite")
+        values = (self.gdp_ratio, self.risk_scaled_rate, self.long_usd_rate)
+        if not np.isfinite(values).all():
+            raise ValueError("equilibrium targets must be finite")
 
     @staticmethod
     def from_values(
-        gdp_usa: float,
-        gdp_argentina: float,
-        embi: float,
-        ars_usd: float,
-        long_usd_rate: float,
+        gdp_usa: Values,
+        gdp_argentina: Values,
+        embi: Values,
+        ars_usd: Values,
+        long_usd_rate: Values,
         embi_in_percent: bool = False,
     ) -> "EquilibriumTargets":
-        if not gdp_argentina > 0:
+        if not np.all(gdp_argentina > 0):
             raise ValueError("gdp_argentina must be positive")
         spread = embi / 100.0 if embi_in_percent else embi
         return EquilibriumTargets(
@@ -47,7 +54,7 @@ class EquilibriumTargets:
         )
 
 
-def penalty(e: float, targets: EquilibriumTargets) -> float:
+def penalty(e: Values, targets: EquilibriumTargets) -> Values:
     """(e - t1)^2 + (e - t2)^2 + (e - t3)^2."""
     return (
         (e - targets.gdp_ratio) ** 2
@@ -56,7 +63,7 @@ def penalty(e: float, targets: EquilibriumTargets) -> float:
     )
 
 
-def analytic_equilibrium(targets: EquilibriumTargets) -> float:
+def analytic_equilibrium(targets: EquilibriumTargets) -> Values:
     """The minimizer of a sum of squared deviations is the target mean."""
     return (
         targets.gdp_ratio + targets.risk_scaled_rate + targets.long_usd_rate
@@ -88,9 +95,6 @@ class NelderMeadConfig:
         return max(0.05 * abs(x0), 0.1)
 
 
-DEFAULT_CONFIG = NelderMeadConfig()
-
-
 @dataclass(frozen=True)
 class NelderMeadResult:
     x_min: float
@@ -102,13 +106,15 @@ class NelderMeadResult:
 def nelder_mead_1d(
     objective: Callable[[float], float],
     x0: float,
-    config: NelderMeadConfig = DEFAULT_CONFIG,
+    config: NelderMeadConfig = NelderMeadConfig(),
 ) -> NelderMeadResult:
     """Simplex minimization in one dimension (a two-point simplex).
 
     Terminates when the simplex width is within ``x_tolerance`` and the
-    f-spread within ``f_tolerance``; hitting ``max_iterations`` is reported
-    through the ``converged`` flag rather than an exception.
+    f-spread within ``f_tolerance`` relative to ``max(1, |f_best|)``, a test
+    that large objectives can still meet (Lagarias et al., SIAM J. Optim.
+    9(1), 1998); hitting ``max_iterations`` is reported through the
+    ``converged`` flag rather than an exception.
     """
 
     def f(x: float) -> float:
@@ -128,7 +134,7 @@ def nelder_mead_1d(
     while iterations < config.max_iterations:
         if (
             abs(worst - best) <= config.x_tolerance
-            and abs(f_worst - f_best) <= config.f_tolerance
+            and abs(f_worst - f_best) <= config.f_tolerance * max(1.0, abs(f_best))
         ):
             return NelderMeadResult(best, f_best, iterations, True)
         iterations += 1
@@ -183,45 +189,35 @@ class EquilibriumSeries:
 
 def solve_panel(
     panel: Panel,
-    config: NelderMeadConfig = DEFAULT_CONFIG,
     embi_in_percent: bool = False,
 ) -> EquilibriumSeries:
-    """Row-by-row minimization starting at the observed exchange rate.
+    """Closed-form equilibrium for every row: the mean of the three targets.
 
     Rows missing any input are skipped and listed in the result. The risk
     spread multiplies the observed rate raw, exactly as the penalty is
     written; set ``embi_in_percent`` when the column stores percent instead
-    of basis points.
+    of basis points. Raises ``ValueError`` for a non-positive Argentine GDP
+    or a non-finite target, and :class:`NonFiniteObjective` when the
+    penalty at the minimizer overflows.
     """
-    columns = [panel.column(name) for name in REQUIRED_COLUMNS]
-    dates: list[Date] = []
-    e_star: list[float] = []
-    penalties: list[float] = []
-    observed: list[float] = []
-    gaps: list[float] = []
-    skipped: list[Date] = []
-    for i, when in enumerate(panel.dates):
-        cells = [col[i] for col in columns]
-        if any(v is None for v in cells):
-            skipped.append(when)
-            continue
-        gdp_usa, gdp_arg, embi, ars_usd, long_rate = cells
+    cells = panel.to_matrix(REQUIRED_COLUMNS)
+    present = ~np.isnan(cells).any(axis=1)
+    gdp_usa, gdp_arg, embi, ars_usd, long_rate = cells[present].T
+    with np.errstate(over="ignore", invalid="ignore"):
         targets = EquilibriumTargets.from_values(
             gdp_usa, gdp_arg, embi, ars_usd, long_rate, embi_in_percent
         )
-        solution = nelder_mead_1d(lambda e: penalty(e, targets), ars_usd, config)
-        dates.append(when)
-        e_star.append(solution.x_min)
-        penalties.append(solution.f_min)
-        observed.append(ars_usd)
-        gaps.append(solution.x_min - ars_usd)
+        e_star = analytic_equilibrium(targets)
+        penalties = penalty(e_star, targets)
+    if not np.isfinite(penalties).all():
+        raise NonFiniteObjective("penalty at the equilibrium rate overflows")
     return EquilibriumSeries(
-        tuple(dates),
-        tuple(e_star),
-        tuple(penalties),
-        tuple(observed),
-        tuple(gaps),
-        tuple(skipped),
+        tuple(compress(panel.dates, present)),
+        tuple(e_star.tolist()),
+        tuple(penalties.tolist()),
+        tuple(ars_usd.tolist()),
+        tuple((e_star - ars_usd).tolist()),
+        tuple(compress(panel.dates, ~present)),
     )
 
 
@@ -237,14 +233,9 @@ def gap_report(result: EquilibriumSeries) -> GapReport:
     if not result.gap:
         raise EmptyResult("no solved rows to report on")
     gaps = result.gap
-    runs = 0
-    previous = 0
-    for g in gaps:
-        sign = (g > 0) - (g < 0)
-        if sign != 0 and sign != previous:
-            runs += 1
-        if sign != 0:
-            previous = sign
+    signs = np.sign(gaps)
+    signs = signs[signs != 0]
+    runs = int(signs.size > 0) + int(np.count_nonzero(np.diff(signs)))
     return GapReport(
         sum(gaps) / len(gaps),
         max(abs(g) for g in gaps),

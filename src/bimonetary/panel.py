@@ -273,24 +273,15 @@ def linear_interpolate(series: Series) -> Series:
     The first and last entries must be present; a leading or trailing gap
     raises :class:`LeadingOrTrailingGap`.
     """
-    values = series.values
-    if not values:
+    arr = series.to_array()
+    gaps = np.isnan(arr)
+    if not gaps.any():
         return series
-    if values[0] is None or values[-1] is None:
+    if gaps[0] or gaps[-1]:
         raise LeadingOrTrailingGap("first and last entries must be present")
-    out = list(values)
-    left = 0
-    for i in range(1, len(values)):
-        if values[i] is None:
-            continue
-        span = i - left
-        if span > 1:
-            lo, hi = out[left], values[i]
-            step = (hi - lo) / span
-            for k in range(1, span):
-                out[left + k] = lo + step * k
-        left = i
-    return Series(tuple(out))
+    known = np.flatnonzero(~gaps)
+    arr[gaps] = np.interp(np.flatnonzero(gaps), known, arr[known])
+    return Series.from_array(arr)
 
 
 def difference(series: Series, order: int = 1) -> Series:

@@ -15,7 +15,7 @@ from datetime import date as Date
 import numpy as np
 
 from . import econometrics as econ
-from .errors import UnknownVariable
+from .errors import InputError, UnknownVariable
 from .panel import Panel, Series
 
 
@@ -253,16 +253,21 @@ def load_scenarios(path) -> list[ScenarioSpec]:
     magnitude, window?}]}]`` with window as a [start, end] ISO-date pair."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise InputError("scenario file must hold a JSON list")
     specs = []
-    for entry in doc:
-        shocks = tuple(
-            Shock(
-                s["variable"],
-                s["kind"],
-                float(s["magnitude"]),
-                _parse_window(s.get("window")),
+    for n, entry in enumerate(doc):
+        try:
+            shocks = tuple(
+                Shock(
+                    s["variable"],
+                    s["kind"],
+                    float(s["magnitude"]),
+                    _parse_window(s.get("window")),
+                )
+                for s in entry["shocks"]
             )
-            for s in entry["shocks"]
-        )
-        specs.append(ScenarioSpec(entry["name"], shocks))
+            specs.append(ScenarioSpec(entry["name"], shocks))
+        except (KeyError, TypeError) as error:
+            raise InputError(f"scenario entry {n} is malformed: {error!r}") from None
     return specs

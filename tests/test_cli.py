@@ -73,6 +73,59 @@ class TestValidate:
         assert code == 1
         assert "2018-01-01" in capsys.readouterr().err
 
+    def test_short_row_rejected_like_load_csv(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        rows = ["Date,x,y", "2018-01-01,1,2", "2018-01-02,3", "2018-01-03,4,5"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        errors = []
+        for argv in (
+            ["validate", "--input", str(path)],
+            ["pipeline", "--input", str(path), "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 1
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            doc = json.loads(line)
+            errors.append((doc["error"], doc["message"]))
+        assert errors[0] == errors[1] == (
+            "UnparseableValue",
+            "row 3, column 'y': cannot parse '<absent cell>'",
+        )
+
+
+@pytest.mark.parametrize(
+    "stage, config, scenarios",
+    [
+        ("sensitivity", {}, [{"name": "no shocks"}]),
+        ("core", {"variables": ["M2", "Ipc Argentina"], "max_lags": "ten"}, []),
+    ],
+    ids=["scenario-without-shocks", "max-lags-not-integer"],
+)
+def test_malformed_file_is_one_input_error_line(
+    canonical_csv, tmp_path, capsys, stage, config, scenarios
+):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config), encoding="utf-8")
+    scenario_file = tmp_path / "scenarios.json"
+    scenario_file.write_text(json.dumps(scenarios), encoding="utf-8")
+    code = main(
+        [
+            "pipeline",
+            "--input",
+            str(canonical_csv),
+            "--config",
+            str(config_file),
+            "--stages",
+            stage,
+            "--scenarios",
+            str(scenario_file),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "InputError"
+
 
 class TestPipeline:
     def test_core_artifacts_on_synthetic_panel(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimonetary.equilibrium import (
+    REQUIRED_COLUMNS,
     EquilibriumTargets,
     NelderMeadConfig,
     analytic_equilibrium,
@@ -19,6 +20,12 @@ from bimonetary.panel import Panel, Series
 from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 target_value = st.floats(min_value=-1e4, max_value=1e4)
+
+
+def row_targets(panel, i):
+    return EquilibriumTargets.from_values(
+        *(panel.column(name)[i] for name in REQUIRED_COLUMNS)
+    )
 
 
 class TestPenalty:
@@ -101,6 +108,18 @@ class TestNelderMead:
         scaled = nelder_mead_1d(lambda e: penalty(e, scaled_t), lam * 1.0)
         assert scaled.x_min == pytest.approx(lam * base.x_min, rel=1e-6)
 
+    def test_converges_on_every_canonical_row(self):
+        # penalties near 1e7 put an absolute f-spread of 1e-12 below one ulp
+        panel = make_canonical_panel(2500)
+        for i, observed in enumerate(panel.column("Historical Ars Usd")):
+            t = row_targets(panel, i)
+            result = nelder_mead_1d(lambda e: penalty(e, t), observed)
+            mean = analytic_equilibrium(t)
+            assert result.converged
+            assert result.x_min == pytest.approx(
+                mean, abs=1e-6 * max(1.0, abs(mean))
+            )
+
     @settings(max_examples=40, deadline=None)
     @given(target_value, target_value, target_value, target_value)
     def test_matches_analytic_oracle(self, a, b, c, x0):
@@ -120,19 +139,35 @@ class TestSolvePanel:
         result = solve_panel(canonical_panel)
         assert len(result) == canonical_panel.n_rows
         for i in range(len(result)):
-            t = EquilibriumTargets.from_values(
-                canonical_panel.column("Gdp_usa")[i],
-                canonical_panel.column("Gdp_argentina")[i],
-                canonical_panel.column("Embi+ARG")[i],
-                canonical_panel.column("Historical Ars Usd")[i],
-                canonical_panel.column("Long Term Usd Rate")[i],
-            )
-            mean = analytic_equilibrium(t)
+            mean = analytic_equilibrium(row_targets(canonical_panel, i))
             assert result.e_star[i] == pytest.approx(
                 mean, abs=1e-6 * max(1.0, abs(mean))
             )
             assert result.gap[i] == result.e_star[i] - result.observed[i]
             assert result.penalty_at_min[i] >= 0.0
+
+    def test_is_the_analytic_equilibrium_bitwise(self):
+        panel = make_canonical_panel(2500)
+        result = solve_panel(panel)
+        assert len(result) == panel.n_rows
+        for i in range(panel.n_rows):
+            assert result.e_star[i] == analytic_equilibrium(row_targets(panel, i))
+
+    @pytest.mark.parametrize(
+        "column, value, error",
+        [
+            ("Gdp_argentina", 0.0, ValueError),
+            ("Gdp_argentina", -5.0e11, ValueError),
+            ("Gdp_argentina", 1e-300, ValueError),      # infinite GDP ratio
+            ("Gdp_usa", 1e200, NonFiniteObjective),     # squares overflow
+        ],
+    )
+    def test_bad_row_raises(self, column, value, error):
+        panel = make_canonical_panel(5)
+        values = list(panel.column(column).values)
+        values[3] = value
+        with pytest.raises(error):
+            solve_panel(panel.with_columns({column: Series.of(values)}))
 
     def test_constructed_fixed_point_has_zero_gap(self):
         # all three targets equal the observed rate
