@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DivisionByZero,
     IncompatibleEndpoints,
@@ -19,8 +21,6 @@ from .errors import (
     UnmappedObject,
 )
 from .panel import Panel, Series
-
-Value = float | None
 
 
 @dataclass(frozen=True)
@@ -188,38 +188,28 @@ def _needs_input(kind: Kind) -> bool:
     return True
 
 
-def _apply_kind(kind: Kind, x: list[Value], panel: Panel, label: str) -> list[Value]:
+def _checked_divide(
+    num: np.ndarray, den: np.ndarray, present: np.ndarray, panel: Panel, label: str
+) -> np.ndarray:
+    zero = present & (den == 0.0)
+    if zero.any():
+        raise DivisionByZero(panel.dates[int(np.argmax(zero))], label)
+    return num / den
+
+
+def _apply_kind(kind: Kind, x: np.ndarray, panel: Panel, label: str) -> np.ndarray:
     if isinstance(kind, Affine):
-        return [None if v is None else kind.a * v + kind.b for v in x]
+        return kind.a * x + kind.b
     if isinstance(kind, ScaleBySeries):
-        s = panel.column(kind.variable)
-        return [
-            None if (v is None or w is None) else v * w
-            for v, w in zip(x, s.values)
-        ]
+        return x * panel.column(kind.variable).array
     if isinstance(kind, Ratio):
-        num = panel.column(kind.numerator)
-        den = panel.column(kind.denominator)
-        out: list[Value] = []
-        for t, (n, d) in enumerate(zip(num.values, den.values)):
-            if n is None or d is None:
-                out.append(None)
-            elif d == 0.0:
-                raise DivisionByZero(panel.dates[t], label)
-            else:
-                out.append(n / d)
-        return out
+        num = panel.column(kind.numerator).array
+        return _checked_divide(
+            num, panel.column(kind.denominator).array, ~np.isnan(num), panel, label
+        )
     if isinstance(kind, RiskDiscount):
-        rho = panel.column(kind.premium)
-        out = []
-        for t, (v, r) in enumerate(zip(x, rho.values)):
-            if v is None or r is None:
-                out.append(None)
-            elif 1.0 + r == 0.0:
-                raise DivisionByZero(panel.dates[t], label)
-            else:
-                out.append(v / (1.0 + r))
-        return out
+        rho = panel.column(kind.premium).array
+        return _checked_divide(x, 1.0 + rho, ~np.isnan(x), panel, label)
     if isinstance(kind, Chain):
         for part in kind.parts:
             x = _apply_kind(part.kind, x, panel, label)
@@ -232,13 +222,13 @@ def evaluate(m: MorphismSpec, panel: Panel) -> Series:
 
     Missing inputs propagate as missing outputs; a zero denominator in
     ``Ratio`` or ``RiskDiscount`` is a hard :class:`DivisionByZero` carrying
-    the offending date.
+    the first offending date.
     """
     if _needs_input(m.kind):
-        x: list[Value] = list(panel.column(m.source.id).values)
+        x = panel.column(m.source.id).array
     else:
-        x = [None] * panel.n_rows
-    return Series(tuple(_apply_kind(m.kind, x, panel, m.source.id)))
+        x = np.full(panel.n_rows, np.nan)
+    return Series(_apply_kind(m.kind, x, panel, m.source.id))
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -286,16 +276,12 @@ class CommutationReport:
 def _max_abs_deviation(a: Series, b: Series) -> tuple[float, float]:
     """Return (max |a-b|, max |values|) over slots where both are present;
     a present/missing mismatch counts as an infinite deviation."""
-    dev = 0.0
-    magnitude = 0.0
-    for u, v in zip(a.values, b.values):
-        if (u is None) != (v is None):
-            return math.inf, magnitude
-        if u is None:
-            continue
-        dev = max(dev, abs(u - v))
-        magnitude = max(magnitude, abs(u), abs(v))
-    return dev, magnitude
+    u, v = a.array, b.array
+    both = ~(np.isnan(u) | np.isnan(v))
+    magnitude = float(np.maximum(np.abs(u[both]), np.abs(v[both])).max(initial=0.0))
+    if (np.isnan(u) != np.isnan(v)).any():
+        return math.inf, magnitude
+    return float(np.abs(u[both] - v[both]).max(initial=0.0)), magnitude
 
 
 def check_commutes(

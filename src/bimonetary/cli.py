@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, category, colimit, econometrics as econ, equilibrium
 from . import scenarios as scen
 from . import structural
-from .errors import BimonetaryError, InputError, MissingColumn, NumericalError
-from .errors import UnparseableValue
+from .errors import BimonetaryError, DuplicateDate, InputError, MissingColumn
+from .errors import NumericalError, UnparseableValue
 from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
@@ -73,12 +73,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
+#: Config sections that must be JSON objects.
+OBJECT_SECTIONS = ("colimit", "sensitivity", "equilibrium", "proxies")
+
 #: Integer-valued config keys by section; ``None`` is the top level.
 INTEGER_KEYS = {
     None: ("johansen_k_ar_diff", "granger_max_lag", "max_lags", "ljung_box_lags",
            "irf_horizon", "fevd_horizon", "forecast_steps"),
     "colimit": ("n_components", "corr_window", "corr_min_periods", "smooth_window"),
     "sensitivity": ("max_lags",),
+}
+
+#: Config keys holding lists of column names, by section.
+NAME_LIST_KEYS = {
+    None: ("schema", "variables", "cholesky_order"),
+    "colimit": ("variables",),
+    "sensitivity": ("model_variables",),
 }
 
 
@@ -89,13 +99,30 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
+    for section in OBJECT_SECTIONS:
+        if not isinstance(doc.get(section, {}), dict):
+            raise InputError(f"config section {section!r} must be a JSON object")
     for section, keys in INTEGER_KEYS.items():
         table = doc if section is None else doc.get(section, {})
-        if not isinstance(table, dict):
-            raise InputError(f"config section {section!r} must be a JSON object")
         for key in keys:
             if key in table and type(table[key]) is not int:  # JSON true is a bool
                 raise InputError(f"config key {key!r} must be an integer: {table[key]!r}")
+    for section, keys in NAME_LIST_KEYS.items():
+        table = doc if section is None else doc.get(section, {})
+        for key in keys:
+            value = table.get(key, [])
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise InputError(f"config key {key!r} must be a list of strings: {value!r}")
+    window = doc.get("sensitivity", {}).get("window", [None, None])
+    if not (
+        isinstance(window, list)
+        and len(window) == 2
+        and all(end is None or isinstance(end, str) for end in window)
+    ):
+        raise InputError(
+            "config key 'window' must be a two-element list of dates or nulls: "
+            f"{window!r}"
+        )
     return doc
 
 
@@ -173,7 +200,7 @@ def cmd_validate(args) -> int:
             when = parse_panel_date(record[date_idx], row_no)
             if when in seen:
                 print(f"duplicate date: {when.isoformat()}")
-                raise BimonetaryError(f"duplicate date {when.isoformat()}")
+                raise DuplicateDate(when)
             seen.add(when)
             if previous is not None and when < previous:
                 ordered = False
@@ -244,7 +271,9 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
             if cause == effect:
                 continue
             result = econ.granger(
-                transformed.column(cause), transformed.column(effect), granger_lag
+                transformed.column(cause).array,
+                transformed.column(effect).array,
+                granger_lag,
             )
             for entry in result.per_lag:
                 rows.append(
@@ -371,6 +400,14 @@ def _colimit_config(config: dict) -> colimit.ColimitConfig:
 def _stage_colimit(panel: Panel, out: Path, config: dict) -> None:
     cfg = _colimit_config(config)
     indicator = colimit.build_indicator(panel, cfg)
+    columns = [
+        indicator.pca_aggregate,
+        indicator.weighted_aggregate,
+        indicator.scaled,
+        indicator.smoothed,
+        panel.column(cfg.reference),
+        panel.column(colimit.EXTERNAL_FACTOR),
+    ]
     _write_csv(
         out / "colimit.csv",
         [
@@ -383,16 +420,8 @@ def _stage_colimit(panel: Panel, out: Path, config: dict) -> None:
             colimit.EXTERNAL_FACTOR,
         ],
         [
-            [
-                panel.dates[i].isoformat(),
-                indicator.pca_aggregate[i],
-                indicator.weighted_aggregate[i],
-                indicator.scaled[i],
-                indicator.smoothed[i],
-                panel.column(cfg.reference)[i],
-                panel.column(colimit.EXTERNAL_FACTOR)[i],
-            ]
-            for i in range(panel.n_rows)
+            [when.isoformat(), *cells]
+            for when, *cells in zip(panel.dates, *(s.array.tolist() for s in columns))
         ],
     )
     _write_json(out / "colimit_weights.json", indicator.dynamic_weights)
@@ -458,9 +487,9 @@ def _stage_sensitivity(panel: Panel, out: Path, config: dict, scenario_path) -> 
             [i, b, s, d]
             for i, (b, s, d) in enumerate(
                 zip(
-                    comparison.baseline.values,
-                    comparison.shocked.values,
-                    comparison.difference.values,
+                    comparison.baseline.array.tolist(),
+                    comparison.shocked.array.tolist(),
+                    comparison.difference.array.tolist(),
                 )
             )
         ]

@@ -123,9 +123,9 @@ def dynamic_weights(
     ref = panel.column(reference)
     raw: dict[str, float] = {}
     for name in variables:
-        corr = rolling_corr(panel.column(name), ref, window, min_periods)
-        present = [v for v in corr.values if v is not None]
-        raw[name] = abs(sum(present) / len(present)) if present else 0.0
+        corr = rolling_corr(panel.column(name), ref, window, min_periods).array
+        present = corr[~np.isnan(corr)]
+        raw[name] = abs(float(present.mean())) if present.size else 0.0
     total = sum(raw.values())
     if total <= 0.0:
         raise AllZeroWeights(
@@ -154,7 +154,7 @@ def build_indicator(panel: Panel, config: ColimitConfig = ColimitConfig()) -> Co
     if np.isnan(matrix).any():
         raise ValueError("indicator variables contain missing values; clean first")
     model = pca_fit(matrix, config.n_components, config.standardize)
-    aggregate = Series.of(pca_aggregate(model, matrix))
+    aggregate = Series(pca_aggregate(model, matrix))
 
     weights = dynamic_weights(
         panel,
@@ -163,9 +163,7 @@ def build_indicator(panel: Panel, config: ColimitConfig = ColimitConfig()) -> Co
         config.corr_window,
         config.corr_min_periods,
     )
-    weighted = Series.of(
-        matrix @ np.array([weights[name] for name in config.variables])
-    )
+    weighted = Series(matrix @ np.array([weights[n] for n in config.variables]))
     scaled = minmax_rescale(aggregate, panel.column(config.reference))
     smoothed = rolling_mean(scaled, config.smooth_window, min_periods=1)
     return ColimitIndicator(aggregate, weights, weighted, scaled, smoothed)
@@ -181,13 +179,15 @@ def validate_and_forecast(
     [index, reference, risk spread] jointly with an AIC-selected VAR."""
     if len(indicator.smoothed) != panel.n_rows:
         raise ShapeMismatch("indicator is not aligned with the panel")
-    causality = econ.granger(indicator.smoothed, panel.column("E"), max_lag)
+    causality = econ.granger(
+        indicator.smoothed.array, panel.column("E").array, max_lag
+    )
     names = ("indicator", "E", EXTERNAL_FACTOR)
     matrix = np.column_stack(
         [
-            indicator.smoothed.to_array(),
-            panel.column("E").to_array(),
-            panel.column(EXTERNAL_FACTOR).to_array(),
+            indicator.smoothed.array,
+            panel.column("E").array,
+            panel.column(EXTERNAL_FACTOR).array,
         ]
     )
     model = econ.fit_var(matrix, max_lag, "aic", names)

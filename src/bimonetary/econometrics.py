@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     SingularMomentMatrix,
 )
-from .panel import Panel, Series
+from .panel import Panel, difference
 
 __all__ = [
     "AdfResult",
@@ -53,10 +53,7 @@ __all__ = [
 
 
 def _as_array(series) -> np.ndarray:
-    if isinstance(series, Series):
-        arr = series.to_array()
-    else:
-        arr = np.asarray(series, dtype=float)
+    arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
         raise ShapeMismatch("expected a one-dimensional series")
     if np.isnan(arr).any():
@@ -673,23 +670,15 @@ def stationarity_pipeline(
     dates aligned.
     """
     decisions = []
-    transformed: dict[str, Series] = {}
-    any_differenced = False
     for name in panel.variables:
-        series = panel.column(name)
-        result = adf_test(series, max_lags)
-        if result.is_stationary:
-            decisions.append(ColumnDecision(name, result, False))
-            transformed[name] = series
-        else:
-            decisions.append(ColumnDecision(name, result, True))
-            values = series.to_array()
-            diffed = np.concatenate([[np.nan], np.diff(values)])
-            transformed[name] = Series.from_array(diffed)
-            any_differenced = True
-    out = Panel(panel.dates, transformed)
-    if any_differenced:
-        out = out.drop_leading_rows(1)
+        result = adf_test(panel.column(name).array, max_lags)
+        decisions.append(ColumnDecision(name, result, not result.is_stationary))
+    differenced = {
+        d.variable: difference(panel.column(d.variable))
+        for d in decisions
+        if d.differenced
+    }
+    out = panel.drop_leading_rows(1).with_columns(differenced) if differenced else panel
     return out, StationarityReport(tuple(decisions))
 
 

@@ -1,15 +1,18 @@
 """Date-indexed economic data panel: ingestion, validation, transforms.
 
 A :class:`Panel` holds a strictly increasing date index plus named real-valued
-columns. Missing values are explicit ``None`` slots, never sentinel numbers,
-so windowed statistics can tell "not enough data" apart from zero. All
-operations are pure: they return new objects and never mutate their inputs.
+columns. Each column is one read-only float64 array in which NaN is the only
+missing marker; :func:`load_csv` rejects ``nan`` and ``inf`` tokens, so a NaN
+is never data. Windowed statistics can therefore tell "not enough data" apart
+from zero. All operations are pure: they return new objects and never mutate
+their inputs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -48,43 +51,54 @@ CANONICAL_VARIABLES: tuple[str, ...] = (
 
 DATE_COLUMN = "Date"
 
-Value = float | None
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """A column of optional floats aligned to a panel's dates."""
+    """A column aligned to a panel's dates: one float64 array, NaN for a
+    missing slot.
 
-    values: tuple[Value, ...]
+    The constructor copies its input and turns the copy's write flag off, so
+    panels can share a column without any holder being able to change it.
+    """
+
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.array, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("a series is one-dimensional")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @staticmethod
-    def of(values: Iterable[Value]) -> "Series":
-        return Series(tuple(None if v is None else float(v) for v in values))
+    def of(values: Iterable[float | None]) -> "Series":
+        """Series from plain numbers; ``None`` marks a missing slot."""
+        return Series(list(values))
 
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Series":
-        """NaN entries become missing slots."""
-        return Series(tuple(None if math.isnan(v) else float(v) for v in arr))
+    @property
+    def values(self) -> tuple[float | None, ...]:
+        """Tuple view with ``None`` for each missing slot."""
+        return tuple(None if math.isnan(v) else v for v in self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return bool(np.array_equal(self.array, other.array, equal_nan=True))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> Value:
-        return self.values[i]
+    def __getitem__(self, i: int) -> float | None:
+        v = float(self.array[i])
+        return None if math.isnan(v) else v
 
     @property
     def is_complete(self) -> bool:
-        return all(v is not None for v in self.values)
+        return not np.isnan(self.array).any()
 
     def to_array(self) -> np.ndarray:
-        """Missing slots become NaN (computation form only; NaN never leaks
-        back out except through :meth:`from_array`)."""
-        return np.array(
-            [math.nan if v is None else v for v in self.values], dtype=float
-        )
+        """A writable copy of the column."""
+        return self.array.copy()
 
 
 def _check_dates(dates: Sequence[Date]) -> None:
@@ -136,30 +150,28 @@ class Panel:
         merged.update(extra)
         return Panel(self.dates, merged)
 
-    def drop_leading_rows(self, k: int) -> "Panel":
+    def rows_between(self, start: Date | None, end: Date | None) -> slice:
+        """Rows dated within ``[start, end]``; ``None`` leaves a side open."""
+        lo = 0 if start is None else bisect_left(self.dates, start)
+        hi = self.n_rows if end is None else bisect_right(self.dates, end)
+        return slice(lo, hi)
+
+    def _rows(self, rows: slice) -> "Panel":
         return Panel(
-            self.dates[k:],
-            {n: Series(s.values[k:]) for n, s in self.columns.items()},
+            self.dates[rows],
+            {n: Series(s.array[rows]) for n, s in self.columns.items()},
         )
 
+    def drop_leading_rows(self, k: int) -> "Panel":
+        return self._rows(slice(k, None))
+
     def restrict_dates(self, start: Date | None, end: Date | None) -> "Panel":
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        return Panel(
-            tuple(self.dates[i] for i in keep),
-            {
-                n: Series(tuple(s.values[i] for i in keep))
-                for n, s in self.columns.items()
-            },
-        )
+        return self._rows(self.rows_between(start, end))
 
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack columns into a (T, K) float matrix; missing becomes NaN."""
         names = list(self.columns) if names is None else list(names)
-        return np.column_stack([self.column(n).to_array() for n in names])
+        return np.column_stack([self.column(n).array for n in names])
 
     def clean(self) -> "Panel":
         """Interpolate every interior gap; afterwards no column has missing
@@ -210,18 +222,18 @@ def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
         date_idx = header.index(DATE_COLUMN)
         col_idx = {name: header.index(name) for name in schema}
 
-        rows: list[tuple[Date, list[Value]]] = []
+        rows: list[tuple[Date, list[float]]] = []
         for row_no, record in enumerate(reader, start=2):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
             if len(record) <= max(date_idx, *col_idx.values(), 0):
                 raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
             when = parse_panel_date(record[date_idx], row_no)
-            cells: list[Value] = []
+            cells: list[float] = []
             for name in schema:
                 text = record[col_idx[name]].strip()
                 if text == "":
-                    cells.append(None)
+                    cells.append(math.nan)
                     continue
                 try:
                     value = float(text)
@@ -237,15 +249,14 @@ def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
     rows.sort(key=lambda item: item[0])
     dates = tuple(when for when, _ in rows)
     _check_dates(dates)
-    columns = {
-        name: Series(tuple(cells[j] for _, cells in rows))
-        for j, name in enumerate(schema)
-    }
-    return Panel(dates, columns)
+    matrix = np.array([cells for _, cells in rows], dtype=np.float64)
+    matrix = matrix.reshape(len(rows), len(schema))
+    return Panel(dates, {name: Series(matrix[:, j]) for j, name in enumerate(schema)})
 
 
-def format_cell(value: Value) -> str:
-    if value is None:
+def format_cell(value: float) -> str:
+    """CSV text of one number: empty for NaN, else the round-tripping repr."""
+    if math.isnan(value):
         return ""
     # plain-float repr round-trips exactly and is stable across numpy scalars
     return repr(float(value))
@@ -257,11 +268,9 @@ def write_csv(panel: Panel, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([DATE_COLUMN, *panel.variables])
-        for i, when in enumerate(panel.dates):
-            writer.writerow(
-                [when.isoformat()]
-                + [format_cell(panel.columns[n][i]) for n in panel.variables]
-            )
+        columns = [s.array.tolist() for s in panel.columns.values()]
+        for when, *cells in zip(panel.dates, *columns):
+            writer.writerow([when.isoformat(), *map(format_cell, cells)])
 
 
 # -- series transforms --------------------------------------------------------
@@ -281,7 +290,7 @@ def linear_interpolate(series: Series) -> Series:
         raise LeadingOrTrailingGap("first and last entries must be present")
     known = np.flatnonzero(~gaps)
     arr[gaps] = np.interp(np.flatnonzero(gaps), known, arr[known])
-    return Series.from_array(arr)
+    return Series(arr)
 
 
 def difference(series: Series, order: int = 1) -> Series:
@@ -292,13 +301,14 @@ def difference(series: Series, order: int = 1) -> Series:
         raise SeriesTooShort(
             f"need more than {order} observations, have {len(series)}"
         )
-    values = list(series.values)
-    for _ in range(order):
-        values = [
-            None if (a is None or b is None) else b - a
-            for a, b in zip(values, values[1:])
-        ]
-    return Series(tuple(values))
+    return Series(np.diff(series.array, n=order))
+
+
+def _trailing_offsets(n: int, window: int) -> Iterator[tuple[slice, slice]]:
+    """For each offset k of a trailing window, the slot slice ``[k:]`` and
+    the aligned element slice ``[:n-k]``: slot t meets element t - k."""
+    for k in range(min(window, n)):
+        yield slice(k, None), slice(None, n - k)
 
 
 def rolling_mean(series: Series, window: int, min_periods: int) -> Series:
@@ -311,14 +321,18 @@ def rolling_mean(series: Series, window: int, min_periods: int) -> Series:
         raise ValueError("min_periods must not exceed window")
     if window < 1 or min_periods < 1:
         raise ValueError("window and min_periods must be positive")
-    arr = series.to_array()
+    arr = series.array
+    present = ~np.isnan(arr)
+    values = np.where(present, arr, 0.0)
+    total = np.zeros(len(arr))
+    count = np.zeros(len(arr))
+    for slots, elements in _trailing_offsets(len(arr), window):
+        total[slots] += values[elements]
+        count[slots] += present[elements]
     out = np.full(len(arr), np.nan)
-    for t in range(len(arr)):
-        chunk = arr[max(0, t - window + 1) : t + 1]
-        present = chunk[~np.isnan(chunk)]
-        if len(present) >= min_periods:
-            out[t] = present.mean()
-    return Series.from_array(out)
+    ok = count >= min_periods
+    out[ok] = total[ok] / count[ok]
+    return Series(out)
 
 
 def rolling_corr(x: Series, y: Series, window: int, min_periods: int) -> Series:
@@ -326,28 +340,42 @@ def rolling_corr(x: Series, y: Series, window: int, min_periods: int) -> Series:
 
     Uses the sample (n-1) covariance in numerator and denominator so the
     factor cancels. A window with fewer than ``min_periods`` complete pairs,
-    or with either side constant, yields a missing slot.
+    or with either side constant (its smallest present value equals its
+    largest), yields a missing slot. Each window's means come first, then
+    the sums of centred products, as in a per-window two-pass computation.
     """
     if len(x) != len(y):
         raise ValueError("series lengths differ")
     if min_periods > window:
         raise ValueError("min_periods must not exceed window")
-    ax, ay = x.to_array(), y.to_array()
-    out = np.full(len(ax), np.nan)
-    for t in range(len(ax)):
-        lo = max(0, t - window + 1)
-        cx, cy = ax[lo : t + 1], ay[lo : t + 1]
-        ok = ~(np.isnan(cx) | np.isnan(cy))
-        n = int(ok.sum())
-        if n < min_periods or n < 2:
-            continue
-        vx, vy = cx[ok], cy[ok]
-        dx, dy = vx - vx.mean(), vy - vy.mean()
-        sxx, syy = float(dx @ dx), float(dy @ dy)
-        if sxx == 0.0 or syy == 0.0:
-            continue
-        out[t] = float(dx @ dy) / math.sqrt(sxx * syy)
-    return Series.from_array(out)
+    T = len(x)
+    ok = ~(np.isnan(x.array) | np.isnan(y.array))
+    # complete pairs only: NaN where either side is missing
+    px = np.where(ok, x.array, np.nan)
+    py = np.where(ok, y.array, np.nan)
+    vx, vy = np.where(ok, x.array, 0.0), np.where(ok, y.array, 0.0)
+    n, sx, sy = np.zeros(T), np.zeros(T), np.zeros(T)
+    lo_x, hi_x, lo_y, hi_y = (np.full(T, np.nan) for _ in range(4))
+    for slots, elements in _trailing_offsets(T, window):
+        n[slots] += ok[elements]
+        sx[slots] += vx[elements]
+        sy[slots] += vy[elements]
+        np.fmin(lo_x[slots], px[elements], out=lo_x[slots])
+        np.fmax(hi_x[slots], px[elements], out=hi_x[slots])
+        np.fmin(lo_y[slots], py[elements], out=lo_y[slots])
+        np.fmax(hi_y[slots], py[elements], out=hi_y[slots])
+    valid = (n >= max(min_periods, 2)) & (lo_x < hi_x) & (lo_y < hi_y)
+    mx, my = sx / np.maximum(n, 1.0), sy / np.maximum(n, 1.0)
+    sxx, syy, sxy = np.zeros(T), np.zeros(T), np.zeros(T)
+    for slots, elements in _trailing_offsets(T, window):
+        dx = np.where(ok[elements], vx[elements] - mx[slots], 0.0)
+        dy = np.where(ok[elements], vy[elements] - my[slots], 0.0)
+        sxx[slots] += dx * dx
+        syy[slots] += dy * dy
+        sxy[slots] += dx * dy
+    out = np.full(T, np.nan)
+    out[valid] = sxy[valid] / np.sqrt(sxx[valid] * syy[valid])
+    return Series(out)
 
 
 def minmax_rescale(series: Series, target: Series) -> Series:
@@ -357,20 +385,14 @@ def minmax_rescale(series: Series, target: Series) -> Series:
     attains exactly ``min(target)`` and ``max(target)`` at the source's
     argmin/argmax. Missing source slots stay missing.
     """
-    src = [v for v in series.values if v is not None]
-    tgt = [v for v in target.values if v is not None]
-    if not tgt:
+    src = series.array[~np.isnan(series.array)]
+    tgt = target.array[~np.isnan(target.array)]
+    if not tgt.size:
         raise ValueError("target series has no present values")
-    s_min, s_max = min(src), max(src)
+    s_min, s_max = src.min(), src.max()
     if s_max <= s_min:
         raise DegenerateRange("source series is constant")
-    t_min, t_max = min(tgt), max(tgt)
-
-    def remap(v: Value) -> Value:
-        if v is None:
-            return None
-        # convex-combination form: u=0 and u=1 hit the target endpoints exactly
-        u = (v - s_min) / (s_max - s_min)
-        return u * t_max + (1.0 - u) * t_min
-
-    return Series(tuple(remap(v) for v in series.values))
+    t_min, t_max = tgt.min(), tgt.max()
+    # convex-combination form: u=0 and u=1 hit the target endpoints exactly
+    u = (series.array - s_min) / (s_max - s_min)
+    return Series(u * t_max + (1.0 - u) * t_min)

@@ -61,11 +61,7 @@ class Shock:
         if self.kind == "multiplicative" and not self.magnitude > 0:
             raise ValueError("multiplicative magnitude must be positive")
 
-    def applies_on(self, when: Date) -> bool:
-        start, end = self.window
-        return (start is None or when >= start) and (end is None or when <= end)
-
-    def apply(self, value: float) -> float:
+    def apply(self, value: np.ndarray) -> np.ndarray:
         if self.kind == "multiplicative":
             return value * self.magnitude
         return value + self.magnitude
@@ -110,13 +106,13 @@ def learning_enrich(
     names = list(base.variables)
     if extra is not None:
         names += [v for v in extra.variables if v not in names]
-    columns: dict[str, Series] = {n: panel.column(n) for n in names}
+    T = panel.n_rows
+    columns = {n: Series(panel.column(n).array[lags:]) for n in names}
     for name in names:
-        values = panel.column(name).values
+        values = panel.column(name).array
         for k in range(1, lags + 1):
-            lagged = (None,) * k + values[: len(values) - k]
-            columns[f"{name}_lag{k}"] = Series(lagged)
-    return Panel(panel.dates, columns).drop_leading_rows(lags)
+            columns[f"{name}_lag{k}"] = Series(values[lags - k : T - k])
+    return Panel(panel.dates[lags:], columns)
 
 
 def adjunction_roundtrip_check(
@@ -134,15 +130,10 @@ def apply_scenario(panel: Panel, shocks: list[Shock] | tuple[Shock, ...]) -> Pan
     for shock in shocks:
         if shock.variable not in columns:
             raise UnknownVariable(shock.variable)
-        current = columns[shock.variable].values
-        columns[shock.variable] = Series(
-            tuple(
-                v
-                if v is None or not shock.applies_on(panel.dates[i])
-                else shock.apply(v)
-                for i, v in enumerate(current)
-            )
-        )
+        values = columns[shock.variable].to_array()
+        rows = panel.rows_between(*shock.window)
+        values[rows] = shock.apply(values[rows])
+        columns[shock.variable] = Series(values)
     return Panel(panel.dates, columns)
 
 
@@ -173,7 +164,7 @@ def run_sensitivity(
     idx = model_vars.variables.index(target)
     baseline_model = econ.fit_var_order(matrix, max_lags, model_vars.variables)
     baseline_fit = _fitted_target(baseline_model, matrix, idx)
-    residuals = Series.of(baseline_model.residuals[:, idx])
+    residuals = Series(baseline_model.residuals[:, idx])
 
     comparisons = []
     for name, shocks in specs:
@@ -189,9 +180,9 @@ def run_sensitivity(
         comparisons.append(
             ScenarioComparison(
                 name,
-                Series.of(baseline_fit),
-                Series.of(shocked_fit),
-                Series.of(diff),
+                Series(baseline_fit),
+                Series(shocked_fit),
+                Series(diff),
                 float(np.abs(diff).mean()) if len(diff) else 0.0,
                 float(np.abs(diff).max()) if len(diff) else 0.0,
                 residuals,
@@ -231,7 +222,7 @@ def dual_model_compare(
         model = econ.fit_var(sub.to_matrix(), max_lags, "aic", spec.variables)
         tail = forgetful_project(shocked, spec).to_matrix()[-max(model.p, 1) :]
         prediction = econ.forecast(model, tail, steps)
-        paths.append(Series.of(prediction[:, spec.variables.index(target)]))
+        paths.append(Series(prediction[:, spec.variables.index(target)]))
     return paths[0], paths[1]
 
 

@@ -102,12 +102,14 @@ def relative_demand(
     exponential: bool = False,
 ) -> float:
     """Peso/dollar demand ratio, optionally tilted by exp(i_ars - i_usd) to
-    express the rate-differential attraction of holding pesos."""
-    if l_usd == 0.0:
+    express the rate-differential attraction of holding pesos.
+
+    Accepts scalars or aligned arrays."""
+    if np.any(l_usd == 0.0):
         raise DivisionByZero(None, "relative demand denominator")
     ratio = l_ars / l_usd
     if exponential:
-        ratio *= math.exp(i_ars - i_usd)
+        ratio = ratio * np.exp(i_ars - i_usd)
     return ratio
 
 
@@ -215,7 +217,7 @@ class CalibrationResult:
 
 
 def _design(panel: Panel, names: list[str], intercept: bool) -> np.ndarray:
-    cols = [panel.column(n).to_array() for n in names]
+    cols = [panel.column(n).array for n in names]
     if intercept:
         cols.append(np.ones(panel.n_rows))
     X = np.column_stack(cols)
@@ -227,7 +229,7 @@ def _design(panel: Panel, names: list[str], intercept: bool) -> np.ndarray:
 def _fit_equation(
     panel: Panel, target: str, regressors: list[str], intercept: bool
 ) -> tuple[np.ndarray, float]:
-    y = panel.column(target).to_array()
+    y = panel.column(target).array
     if np.isnan(y).any():
         raise ValueError("calibration panel contains missing values; clean first")
     X = _design(panel, regressors, intercept)
@@ -321,74 +323,48 @@ def simulate(
     expectation, the inflation forecast and income per date.
     """
     px = proxies
-    y = panel.column(px.income)
-    i_ars = panel.column(px.peso_rate)
-    i_usd = panel.column(px.dollar_rate)
-    pi_ars = panel.column(px.peso_inflation_exp)
-    pi_usd = panel.column(px.dollar_inflation_exp)
-    short_ars = panel.column(px.peso_short_rate)
-    short_usd = panel.column(px.dollar_short_rate)
-    embi = panel.column(px.risk_spread)
-    m2 = panel.column(px.money_supply)
-    lending = panel.column(px.lending_borrowing)
-
-    l_ars: list[float | None] = []
-    l_usd: list[float | None] = []
-    rel: list[float | None] = []
-    e_model: list[float | None] = []
-    pi_model: list[float | None] = []
-    y_model: list[float | None] = []
-    for t in range(panel.n_rows):
-        row = (
-            y[t], i_ars[t], i_usd[t], pi_ars[t], pi_usd[t],
-            short_ars[t], short_usd[t], embi[t], m2[t], lending[t],
-        )
-        if any(v is None for v in row):
-            l_ars.append(None)
-            l_usd.append(None)
-            rel.append(None)
-            e_model.append(None)
-            pi_model.append(None)
-            y_model.append(None)
-            continue
-        la = demand_ars(y[t], i_ars[t], pi_ars[t], c)
-        lu = demand_usd(y[t], i_usd[t], pi_usd[t], c)
-        l_ars.append(la)
-        l_usd.append(lu)
-        if lu == 0.0:
-            raise DivisionByZero(panel.dates[t], "model dollar demand")
-        rel.append(
-            relative_demand(la, lu, i_ars[t], i_usd[t], exponential_relative)
-        )
-        e_model.append(
-            devaluation_expectation(
-                pi_ars[t], pi_usd[t], short_ars[t], short_usd[t], embi[t]
-            )
-        )
-        pi_model.append(inflation_forecast(pi_ars[t], m2[t], c))
-        y_model.append(income(m2[t], lending[t], c))
-
-    return panel.with_columns(
-        {
-            "model_L_ars": Series.of(l_ars),
-            "model_L_usd": Series.of(l_usd),
-            "model_relative_demand": Series.of(rel),
-            "model_E": Series.of(e_model),
-            "model_pi": Series.of(pi_model),
-            "model_Y": Series.of(y_model),
-        }
+    inputs = panel.to_matrix(
+        [
+            px.income, px.peso_rate, px.dollar_rate, px.peso_inflation_exp,
+            px.dollar_inflation_exp, px.peso_short_rate, px.dollar_short_rate,
+            px.risk_spread, px.money_supply, px.lending_borrowing,
+        ]
     )
+    present = ~np.isnan(inputs).any(axis=1)
+    (
+        y, i_ars, i_usd, pi_ars, pi_usd, short_ars, short_usd, embi, m2, lending
+    ) = inputs[present].T
+    l_ars = demand_ars(y, i_ars, pi_ars, c)
+    l_usd = demand_usd(y, i_usd, pi_usd, c)
+    if (l_usd == 0.0).any():
+        first = np.flatnonzero(present)[np.argmax(l_usd == 0.0)]
+        raise DivisionByZero(panel.dates[first], "model dollar demand")
+    model = {
+        "model_L_ars": l_ars,
+        "model_L_usd": l_usd,
+        "model_relative_demand": relative_demand(
+            l_ars, l_usd, i_ars, i_usd, exponential_relative
+        ),
+        "model_E": devaluation_expectation(
+            pi_ars, pi_usd, short_ars, short_usd, embi
+        ),
+        "model_pi": inflation_forecast(pi_ars, m2, c),
+        "model_Y": income(m2, lending, c),
+    }
+    columns = {}
+    for name, values in model.items():
+        full = np.full(panel.n_rows, np.nan)
+        full[present] = values
+        columns[name] = Series(full)
+    return panel.with_columns(columns)
 
 
 def real_interest_rate(panel: Panel, proxies: ProxyMap = DEFAULT_PROXIES) -> Series:
     """Fisher-approximation real rate: nominal peso rate minus expected
     inflation; feeds the expectation recursion."""
-    nominal = panel.column(proxies.peso_rate)
-    expected = panel.column(proxies.peso_inflation_exp)
-    return Series.of(
-        None if (n is None or e is None) else n - e
-        for n, e in zip(nominal.values, expected.values)
-    )
+    nominal = panel.column(proxies.peso_rate).array
+    expected = panel.column(proxies.peso_inflation_exp).array
+    return Series(nominal - expected)
 
 
 def with_proxy_overrides(base: ProxyMap, overrides: dict[str, str]) -> ProxyMap:

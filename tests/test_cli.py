@@ -67,11 +67,17 @@ class TestValidate:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"schema": ["x"]}), encoding="utf-8")
-        code = main(
-            ["validate", "--input", str(path), "--config", str(config)]
-        )
-        assert code == 1
-        assert "2018-01-01" in capsys.readouterr().err
+        common = ["--input", str(path), "--config", str(config)]
+        errors = []
+        for argv in (
+            ["validate", *common],
+            ["equilibrium", *common, "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 1
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            assert "2018-01-01" in line
+            errors.append(json.loads(line)["error"])
+        assert errors == ["DuplicateDate", "DuplicateDate"]
 
     def test_short_row_rejected_like_load_csv(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -97,8 +103,19 @@ class TestValidate:
     [
         ("sensitivity", {}, [{"name": "no shocks"}]),
         ("core", {"variables": ["M2", "Ipc Argentina"], "max_lags": "ten"}, []),
+        ("sensitivity", {"sensitivity": {"window": 5}}, []),
+        ("colimit", {"colimit": {"variables": 5}}, []),
+        ("equilibrium", {"equilibrium": 5}, []),
+        ("core", {"schema": 5}, []),
     ],
-    ids=["scenario-without-shocks", "max-lags-not-integer"],
+    ids=[
+        "scenario-without-shocks",
+        "max-lags-not-integer",
+        "sensitivity-window-not-list",
+        "colimit-variables-not-list",
+        "equilibrium-not-object",
+        "schema-not-list",
+    ],
 )
 def test_malformed_file_is_one_input_error_line(
     canonical_csv, tmp_path, capsys, stage, config, scenarios

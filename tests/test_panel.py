@@ -18,6 +18,7 @@ from bimonetary.panel import (
     Panel,
     Series,
     difference,
+    format_cell,
     linear_interpolate,
     load_csv,
     minmax_rescale,
@@ -127,6 +128,34 @@ class TestLoadCsv:
         assert load_csv(path, CANONICAL_VARIABLES) == panel
 
 
+    def test_gappy_round_trip_is_identity(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        write_lines(
+            path,
+            ["Date,x,y", "2018-01-01,1.5,", "2018-01-02,,-0.25", "2018-01-03,3.0,4.0"],
+        )
+        panel = load_csv(path)
+        assert panel.column("x").values == (1.5, None, 3.0)
+        copy = tmp_path / "copy.csv"
+        write_csv(panel, copy)
+        assert copy.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
+        assert load_csv(copy) == panel
+        assert format_cell(float("nan")) == ""
+
+
+class TestSeriesStorage:
+    def test_column_array_is_read_only(self):
+        source = np.array([1.0, 2.0, 3.0])
+        panel = Panel(daily_dates(3), {"x": Series(source)})
+        shared = panel.select(["x"]).with_columns({"y": Series.of([0, 0, 0])})
+        assert shared.column("x") is panel.column("x")
+        with pytest.raises(ValueError):
+            shared.column("x").array[0] = 9.0
+        source[0] = 9.0
+        assert panel.column("x").values == (1.0, 2.0, 3.0)
+        assert panel.column("x").array.dtype == np.float64
+
+
 class TestLinearInterpolate:
     def test_midpoint(self):
         out = linear_interpolate(Series.of([1, None, 3]))
@@ -200,10 +229,10 @@ class TestRollingCorr:
             assert v == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_window_is_missing(self):
-        x = Series.of([1, 1, 1, 1])
         y = Series.of([1, 2, 3, 4])
-        out = rolling_corr(x, y, window=3, min_periods=1)
-        assert out.values == (None,) * 4
+        for level in (1.0, 0.1):
+            out = rolling_corr(Series.of([level] * 4), y, window=3, min_periods=1)
+            assert out.values == (None,) * 4
 
     def test_full_window_matches_full_sample_pearson(self, rng):
         x = rng.standard_normal(60)
@@ -265,6 +294,43 @@ class TestPanel:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Panel(daily_dates(3), {"x": Series.of([1.0])})
+
+
+def _window_oracle(x, y, window, min_periods):
+    """Per-window reference: trailing windows over complete pairs, the mean
+    of ``x`` and the Pearson correlation of ``x`` with ``y``."""
+    means = np.full(len(x), np.nan)
+    corrs = np.full(len(x), np.nan)
+    for t in range(len(x)):
+        cx = x[max(0, t - window + 1) : t + 1]
+        cy = y[max(0, t - window + 1) : t + 1]
+        px = cx[~np.isnan(cx)]
+        if len(px) >= min_periods:
+            means[t] = px.mean()
+        ok = ~(np.isnan(cx) | np.isnan(cy))
+        vx, vy = cx[ok], cy[ok]
+        if len(vx) < max(min_periods, 2) or np.ptp(vx) == 0 or np.ptp(vy) == 0:
+            continue
+        dx, dy = vx - vx.mean(), vy - vy.mean()
+        corrs[t] = (dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy))
+    return means, corrs
+
+
+class TestRollingOracle:
+    @pytest.mark.parametrize("window, min_periods", [(1, 1), (7, 3), (40, 1), (250, 20)])
+    def test_matches_per_window_loop_with_gaps(self, window, min_periods):
+        rng = np.random.default_rng(20180101 + window)
+        x = rng.standard_normal(300)
+        y = 0.5 * x + rng.standard_normal(300)
+        x[rng.random(300) < 0.1] = np.nan
+        y[rng.random(300) < 0.1] = np.nan
+        means, corrs = _window_oracle(x, y, window, min_periods)
+        mean = rolling_mean(Series(x), window, min_periods).array
+        corr = rolling_corr(Series(x), Series(y), window, min_periods).array
+        np.testing.assert_array_equal(np.isnan(mean), np.isnan(means))
+        np.testing.assert_array_equal(np.isnan(corr), np.isnan(corrs))
+        np.testing.assert_allclose(mean, means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(corr, corrs, rtol=0, atol=1e-12)
 
 
 class TestRollingWithGaps:
