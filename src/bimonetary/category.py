@@ -7,7 +7,6 @@ through JSON. ``evaluate`` gives them data semantics over a :class:`Panel`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -17,10 +16,12 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     IncompatibleEndpoints,
+    InputError,
     UnmappedMorphism,
     UnmappedObject,
 )
 from .panel import Panel, Series
+from .typed_json import read_json
 
 
 @dataclass(frozen=True)
@@ -556,11 +557,17 @@ def functor_from_json(doc: dict) -> Functor:
     return Functor(doc.get("name", ""), object_map, morphism_map)
 
 
+def _load(path, from_json, kind: str):
+    doc = read_json(path)
+    try:
+        return from_json(doc)
+    except (KeyError, TypeError, AttributeError) as error:
+        raise InputError(f"{kind} file is malformed: {error!r}") from None
+
+
 def load_diagram(path) -> Diagram:
-    with open(path, encoding="utf-8") as fh:
-        return diagram_from_json(json.load(fh))
+    return _load(path, diagram_from_json, "diagram")
 
 
 def load_functor(path) -> Functor:
-    with open(path, encoding="utf-8") as fh:
-        return functor_from_json(json.load(fh))
+    return _load(path, functor_from_json, "functor")

@@ -13,7 +13,8 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from datetime import date as Date
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,19 @@ import numpy as np
 from . import __version__, category, colimit, econometrics as econ, equilibrium
 from . import scenarios as scen
 from . import structural
-from .errors import BimonetaryError, DuplicateDate, InputError, MissingColumn
-from .errors import NumericalError, UnparseableValue
+from .colimit import ColimitConfig
+from .errors import BimonetaryError, InputError, MissingColumn, NumericalError
 from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
     Panel,
     format_cell,
     load_csv,
-    parse_panel_date,
+    scan_csv,
     write_csv,
 )
+from .structural import ProxyMap, StructuralCoefficients
+from .typed_json import parse, read_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,68 +76,70 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
-#: Config sections that must be JSON objects.
-OBJECT_SECTIONS = ("colimit", "sensitivity", "equilibrium", "proxies")
-
-#: Integer-valued config keys by section; ``None`` is the top level.
-INTEGER_KEYS = {
-    None: ("johansen_k_ar_diff", "granger_max_lag", "max_lags", "ljung_box_lags",
-           "irf_horizon", "fevd_horizon", "forecast_steps"),
-    "colimit": ("n_components", "corr_window", "corr_min_periods", "smooth_window"),
-    "sensitivity": ("max_lags",),
-}
-
-#: Config keys holding lists of column names, by section.
-NAME_LIST_KEYS = {
-    None: ("schema", "variables", "cholesky_order"),
-    "colimit": ("variables",),
-    "sensitivity": ("model_variables",),
-}
+@dataclass(frozen=True)
+class EquilibriumSection:
+    embi_in_percent: bool = False
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError("config file must hold a JSON object")
-    for section in OBJECT_SECTIONS:
-        if not isinstance(doc.get(section, {}), dict):
-            raise InputError(f"config section {section!r} must be a JSON object")
-    for section, keys in INTEGER_KEYS.items():
-        table = doc if section is None else doc.get(section, {})
-        for key in keys:
-            if key in table and type(table[key]) is not int:  # JSON true is a bool
-                raise InputError(f"config key {key!r} must be an integer: {table[key]!r}")
-    for section, keys in NAME_LIST_KEYS.items():
-        table = doc if section is None else doc.get(section, {})
-        for key in keys:
-            value = table.get(key, [])
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise InputError(f"config key {key!r} must be a list of strings: {value!r}")
-    window = doc.get("sensitivity", {}).get("window", [None, None])
-    if not (
-        isinstance(window, list)
-        and len(window) == 2
-        and all(end is None or isinstance(end, str) for end in window)
-    ):
-        raise InputError(
-            "config key 'window' must be a two-element list of dates or nulls: "
-            f"{window!r}"
-        )
-    return doc
+@dataclass(frozen=True)
+class SensitivitySection:
+    target: str = "Ipc Argentina"
+    model_variables: tuple[str, ...] = (
+        "Ipc Argentina",
+        "M2",
+        "Long Interest",
+        "Short Interest",
+        "Embi+ARG",
+        "Historical Ars Usd",
+    )
+    max_lags: int = 4
+    window: tuple[Date | None, Date | None] = (None, None)
 
 
-def _load_panel(args, config: dict) -> Panel:
-    schema = config.get("schema")
-    panel = load_csv(args.input, schema)
-    if config.get("interpolate", True):
-        panel = panel.clean()
-    return panel
+@dataclass(frozen=True)
+class Config:
+    """The config file. Every key is optional and defaults to its field's
+    default; the README documents each key."""
+
+    schema: tuple[str, ...] | None = None      # None: every column in the file
+    variables: tuple[str, ...] = ()            # empty: every loaded column
+    cholesky_order: tuple[str, ...] = ()       # empty: the variables' order
+    max_lags: int = 10
+    criterion: str = "aic"
+    granger_max_lag: int = 5
+    johansen_k_ar_diff: int = 1
+    ljung_box_lags: int = 10
+    irf_horizon: int = 10
+    fevd_horizon: int = 10
+    forecast_steps: int = 10
+    interpolate: bool = True
+    include_intercepts: bool = True
+    proxies: ProxyMap = ProxyMap()
+    coefficients: str | None = None            # simulate: a calibrate output
+    equilibrium: EquilibriumSection = EquilibriumSection()
+    colimit: ColimitConfig = ColimitConfig()
+    sensitivity: SensitivitySection = SensitivitySection()
+
+    def __post_init__(self) -> None:
+        if self.criterion.lower() not in econ.CRITERIA:
+            raise InputError(
+                f"config.criterion must be one of {'|'.join(econ.CRITERIA)}: "
+                f"{self.criterion!r}"
+            )
 
 
-def _write_manifest(out: Path, args, config: dict, command: str) -> None:
+def _load_config(path: str | None) -> tuple[dict, Config]:
+    """The raw document, echoed into the manifest, and its typed reading."""
+    doc = {} if path is None else read_json(path)
+    return doc, parse(Config, doc, "config")
+
+
+def _load_panel(args, config: Config) -> Panel:
+    panel = load_csv(args.input, config.schema)
+    return panel.clean() if config.interpolate else panel
+
+
+def _write_manifest(out: Path, args, doc: dict, command: str) -> None:
     digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     _write_json(
         out / "run_manifest.json",
@@ -143,7 +148,7 @@ def _write_manifest(out: Path, args, config: dict, command: str) -> None:
             "input": Path(args.input).name,
             "input_sha256": digest,
             "seed": args.seed,
-            "config": config,
+            "config": doc,
             "versions": {
                 "bimonetary": __version__,
                 "numpy": np.__version__,
@@ -163,55 +168,21 @@ def _out_dir(args) -> Path:
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args.config)
-    schema = config.get("schema", list(CANONICAL_VARIABLES))
-    path = Path(args.input)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or DATE_COLUMN not in header:
-            raise MissingColumn(DATE_COLUMN)
-        missing_columns = [name for name in schema if name not in header]
-        for name in header:
-            if name == DATE_COLUMN:
-                continue
-            status = "present" if name in schema else "extra"
-            print(f"column {name!r}: {status}")
-        for name in missing_columns:
-            print(f"column {name!r}: MISSING")
-
-        date_idx = header.index(DATE_COLUMN)
-        idx = {name: header.index(name) for name in schema if name in header}
-        # a row must hold every cell load_csv reads: the schema when one is
-        # configured, else every header column
-        loaded = schema if "schema" in config else header
-        last_loaded = max(date_idx, *(header.index(n) for n in loaded if n in header))
-        seen: set = set()
-        ordered = True
-        previous = None
-        missing_counts = {name: 0 for name in idx}
-        n_rows = 0
-        for row_no, record in enumerate(reader, start=2):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            n_rows += 1
-            if len(record) <= last_loaded:
-                raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
-            when = parse_panel_date(record[date_idx], row_no)
-            if when in seen:
-                print(f"duplicate date: {when.isoformat()}")
-                raise DuplicateDate(when)
-            seen.add(when)
-            if previous is not None and when < previous:
-                ordered = False
-            previous = when
-            for name, j in idx.items():
-                if record[j].strip() == "":
-                    missing_counts[name] += 1
-
-    for name, count in missing_counts.items():
-        print(f"column {name!r}: {count} missing values")
-    print(f"rows: {n_rows}")
+    _, config = _load_config(args.config)
+    scan = scan_csv(args.input, config.schema)
+    schema = CANONICAL_VARIABLES if config.schema is None else config.schema
+    for name in scan.header:
+        if name != DATE_COLUMN:
+            print(f"column {name!r}: {'present' if name in schema else 'extra'}")
+    missing_columns = [name for name in schema if name not in scan.header]
+    for name in missing_columns:
+        print(f"column {name!r}: MISSING")
+    for name in schema:
+        if name in scan.columns:
+            count = int(np.isnan(scan.matrix[:, scan.columns.index(name)]).sum())
+            print(f"column {name!r}: {count} missing values")
+    print(f"rows: {len(scan.dates)}")
+    ordered = all(a < b for a, b in zip(scan.dates, scan.dates[1:]))
     print(f"date order: {'ascending' if ordered else 'UNSORTED (will be sorted on load)'}")
     if missing_columns:
         raise MissingColumn(missing_columns[0])
@@ -221,11 +192,8 @@ def cmd_validate(args) -> int:
 # -- pipeline stages ------------------------------------------------------------
 
 
-def _stage_core(panel: Panel, out: Path, config: dict) -> None:
-    variables = config.get("variables") or list(panel.variables)
-    order = config.get("cholesky_order")
-    if order:
-        variables = list(order)
+def _stage_core(panel: Panel, out: Path, config: Config) -> None:
+    variables = config.cholesky_order or config.variables or panel.variables
     working = panel.select(variables)
 
     transformed, report = econ.stationarity_pipeline(working)
@@ -246,7 +214,7 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
     matrix = transformed.to_matrix()
     K = matrix.shape[1]
     if 2 <= K <= 12:
-        joh = econ.johansen_trace(matrix, config.get("johansen_k_ar_diff", 1))
+        joh = econ.johansen_trace(matrix, config.johansen_k_ar_diff)
         _write_json(
             out / "johansen.json",
             {
@@ -264,7 +232,6 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
             {"skipped": f"K={K} outside the tabulated range 2..12"},
         )
 
-    granger_lag = config.get("granger_max_lag", 5)
     rows = []
     for cause in transformed.variables:
         for effect in transformed.variables:
@@ -273,7 +240,7 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
             result = econ.granger(
                 transformed.column(cause).array,
                 transformed.column(effect).array,
-                granger_lag,
+                config.granger_max_lag,
             )
             for entry in result.per_lag:
                 rows.append(
@@ -287,26 +254,22 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
 
     T = matrix.shape[0]
     cap = max(1, (T - 2) // (K + 1))
-    max_lags = min(config.get("max_lags", 10), cap)
-    model = econ.fit_var(
-        matrix, max_lags, config.get("criterion", "aic"), transformed.variables
-    )
+    max_lags = min(config.max_lags, cap)
+    model = econ.fit_var(matrix, max_lags, config.criterion, transformed.variables)
     (out / "var_summary.txt").write_text(
         econ.var_summary_text(model), encoding="utf-8"
     )
     _write_json(out / "var_summary.json", econ.var_summary_json(model))
 
-    lb_lags = config.get("ljung_box_lags", 10)
     lb = {}
     for j, name in enumerate(model.variable_order):
-        result = econ.ljung_box(model.residuals[:, j], lb_lags)
+        result = econ.ljung_box(model.residuals[:, j], config.ljung_box_lags)
         lb[name] = {"q_stat": result.q_stat, "p_value": result.p_value}
     _write_json(out / "ljung_box.json", lb)
 
-    horizon = config.get("irf_horizon", 10)
-    responses = econ.irf(model, horizon)
+    responses = econ.irf(model, config.irf_horizon)
     irf_rows = []
-    for h in range(horizon + 1):
+    for h in range(config.irf_horizon + 1):
         for i, response in enumerate(model.variable_order):
             for j, impulse in enumerate(model.variable_order):
                 irf_rows.append(
@@ -326,11 +289,10 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
         irf_rows,
     )
 
-    fevd_h = config.get("fevd_horizon", 10)
-    decomposition = econ.fevd(model, fevd_h)
+    decomposition = econ.fevd(model, config.fevd_horizon)
     fevd_rows = []
     for i, response in enumerate(model.variable_order):
-        for h in range(fevd_h):
+        for h in range(config.fevd_horizon):
             for j, shock in enumerate(model.variable_order):
                 fevd_rows.append(
                     [response, h, shock, float(decomposition.shares[i, h, j])]
@@ -339,7 +301,7 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
         out / "fevd.csv", ["response", "horizon", "shock", "share"], fevd_rows
     )
 
-    steps = config.get("forecast_steps", 10)
+    steps = config.forecast_steps
     prediction = econ.forecast(model, matrix[-max(model.p, 1) :], steps)
     _write_csv(
         out / "forecast.csv",
@@ -348,10 +310,9 @@ def _stage_core(panel: Panel, out: Path, config: dict) -> None:
     )
 
 
-def _stage_equilibrium(panel: Panel, out: Path, config: dict) -> None:
-    section = config.get("equilibrium", {})
+def _stage_equilibrium(panel: Panel, out: Path, config: Config) -> None:
     result = equilibrium.solve_panel(
-        panel, embi_in_percent=section.get("embi_in_percent", False)
+        panel, embi_in_percent=config.equilibrium.embi_in_percent
     )
     _write_csv(
         out / "equilibrium.csv",
@@ -379,26 +340,8 @@ def _stage_equilibrium(panel: Panel, out: Path, config: dict) -> None:
     )
 
 
-def _colimit_config(config: dict) -> colimit.ColimitConfig:
-    section = config.get("colimit", {})
-    kwargs = {}
-    if "variables" in section:
-        kwargs["variables"] = tuple(section["variables"])
-    for key in (
-        "n_components",
-        "corr_window",
-        "corr_min_periods",
-        "smooth_window",
-        "standardize",
-        "reference",
-    ):
-        if key in section:
-            kwargs[key] = section[key]
-    return colimit.ColimitConfig(**kwargs)
-
-
-def _stage_colimit(panel: Panel, out: Path, config: dict) -> None:
-    cfg = _colimit_config(config)
+def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
+    cfg = config.colimit
     indicator = colimit.build_indicator(panel, cfg)
     columns = [
         indicator.pca_aggregate,
@@ -444,43 +387,19 @@ def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
 
 
-def _stage_sensitivity(panel: Panel, out: Path, config: dict, scenario_path) -> None:
-    section = config.get("sensitivity", {})
+def _stage_sensitivity(panel: Panel, out: Path, config: Config, scenario_path) -> None:
+    section = config.sensitivity
     specs = scen.load_scenarios(scenario_path)
     if not specs:
         print("warning: scenario file lists no scenarios", file=sys.stderr)
         return
-    model_vars = scen.CategorySpec(
-        "model",
-        tuple(
-            section.get(
-                "model_variables",
-                [
-                    "Ipc Argentina",
-                    "M2",
-                    "Long Interest",
-                    "Short Interest",
-                    "Embi+ARG",
-                    "Historical Ars Usd",
-                ],
-            )
-        ),
-    )
-    target = section.get("target", "Ipc Argentina")
-    window = (None, None)
-    if "window" in section:
-        start, end = section["window"]
-        window = (
-            None if start is None else parse_panel_date(start, 0),
-            None if end is None else parse_panel_date(end, 0),
-        )
     comparisons = scen.run_sensitivity(
         panel,
-        target,
+        section.target,
         [(s.name, list(s.shocks)) for s in specs],
-        model_vars,
-        section.get("max_lags", 4),
-        window,
+        scen.CategorySpec("model", section.model_variables),
+        section.max_lags,
+        section.window,
     )
     for comparison in comparisons:
         rows = [
@@ -501,7 +420,7 @@ def _stage_sensitivity(panel: Panel, out: Path, config: dict, scenario_path) -> 
 
 
 def cmd_pipeline(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     stage = "load"
     try:
@@ -522,51 +441,44 @@ def cmd_pipeline(args) -> int:
                 raise InputError("--scenarios is required for the sensitivity stage")
             _stage_sensitivity(panel, out, config, args.scenarios)
         stage = "manifest"
-        _write_manifest(out, args, config, "pipeline")
+        _write_manifest(out, args, doc, "pipeline")
     except HANDLED_ERRORS as error:
         return _fail(stage, error)
     return EXIT_OK
 
 
 def cmd_scenario(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
     _stage_sensitivity(panel, out, config, args.scenarios)
-    _write_manifest(out, args, config, "scenario")
+    _write_manifest(out, args, doc, "scenario")
     return EXIT_OK
 
 
 def cmd_equilibrium(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
     _stage_equilibrium(panel, out, config)
-    _write_manifest(out, args, config, "equilibrium")
+    _write_manifest(out, args, doc, "equilibrium")
     return EXIT_OK
 
 
 def cmd_colimit(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
     _stage_colimit(panel, out, config)
-    _write_manifest(out, args, config, "colimit")
+    _write_manifest(out, args, doc, "colimit")
     return EXIT_OK
 
 
-def _proxies(config: dict) -> structural.ProxyMap:
-    overrides = config.get("proxies", {})
-    return structural.with_proxy_overrides(structural.DEFAULT_PROXIES, overrides)
-
-
 def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
-    result = structural.calibrate(
-        panel, _proxies(config), config.get("include_intercepts", True)
-    )
+    result = structural.calibrate(panel, config.proxies, config.include_intercepts)
     _write_json(
         out / "coefficients.json",
         {
@@ -574,32 +486,32 @@ def cmd_calibrate(args) -> int:
             "r_squared": result.r_squared,
         },
     )
-    _write_manifest(out, args, config, "calibrate")
+    _write_manifest(out, args, doc, "calibrate")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
-    if "coefficients" in config:
-        with open(config["coefficients"], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        coefficients = structural.StructuralCoefficients(
-            **doc.get("coefficients", doc)
-        )
-    else:
+    if config.coefficients is None:
         coefficients = structural.calibrate(
-            panel, _proxies(config), config.get("include_intercepts", True)
+            panel, config.proxies, config.include_intercepts
         ).coefficients
-    forecast_panel = structural.simulate(panel, coefficients, _proxies(config))
+    else:
+        coefficient_doc = read_json(config.coefficients)
+        # a calibrate output nests the coefficients beside their R²
+        if isinstance(coefficient_doc, dict) and "coefficients" in coefficient_doc:
+            coefficient_doc = coefficient_doc["coefficients"]
+        coefficients = parse(StructuralCoefficients, coefficient_doc, "coefficients")
+    forecast_panel = structural.simulate(panel, coefficients, config.proxies)
     write_csv(forecast_panel, out / "forecast_panel.csv")
-    _write_manifest(out, args, config, "simulate")
+    _write_manifest(out, args, doc, "simulate")
     return EXIT_OK
 
 
 def cmd_functor_check(args) -> int:
-    config = _load_config(args.config)
+    doc, config = _load_config(args.config)
     out = _out_dir(args)
     panel = _load_panel(args, config)
     diagram = category.load_diagram(args.diagram)
@@ -636,7 +548,7 @@ def cmd_functor_check(args) -> int:
         }
         all_passed = all_passed and laws.passed
     _write_json(out / "commutation.json", payload)
-    _write_manifest(out, args, config, "functor-check")
+    _write_manifest(out, args, doc, "functor-check")
     return EXIT_OK if all_passed else EXIT_INPUT
 
 

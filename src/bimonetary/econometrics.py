@@ -436,6 +436,10 @@ def fit_var_order(
     return VarModel(p, names, c, A, sigma, resid, T - p, stderr)
 
 
+#: Lag-selection criteria accepted by :func:`fit_var`, in lower case.
+CRITERIA = ("aic", "bic", "hqic", "fpe")
+
+
 def _criterion_value(
     sigma_ml: np.ndarray, p: int, K: int, T: int, criterion: str
 ) -> float:
@@ -725,7 +729,7 @@ def var_summary_json(model: VarModel) -> dict:
         "log_likelihood": _log_likelihood(model),
         "criteria": {
             name: _criterion_value(sigma_ml, model.p, K, T, name)
-            for name in ("aic", "bic", "hqic", "fpe")
+            for name in CRITERIA
         },
         "det_omega_mle": float(np.linalg.det(sigma_ml)),
         "sigma": model.sigma.tolist(),

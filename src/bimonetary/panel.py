@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,47 +191,56 @@ def parse_panel_date(text: str, row: int) -> Date:
         raise UnparseableValue(row, DATE_COLUMN, text) from None
 
 
-def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
-    """Read a comma-separated UTF-8 file with a header row into a Panel.
+class CsvScan(NamedTuple):
+    """One pass over a panel CSV, rows still in file order."""
 
-    Parameters
-    ----------
-    path : path-like
-        File with a ``Date`` column plus one column per variable. Empty
-        cells are missing values; decimals use a dot.
-    schema : sequence of str, optional
-        Columns that must be present; each missing one raises
-        :class:`MissingColumn`. When omitted, every non-Date column in the
-        header is loaded.
+    header: list[str]
+    columns: list[str]       # the loaded columns, in matrix order
+    dates: list[Date]
+    matrix: np.ndarray       # (rows, len(columns)) float64, NaN for missing
 
-    Rows are sorted by date; duplicate dates are an error.
+
+def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
+    """Parse a comma-separated UTF-8 file with a header row.
+
+    Loads the ``schema`` columns, or every non-Date header column when
+    ``schema`` is omitted; a schema column absent from the header raises
+    :class:`MissingColumn`. Blank rows are skipped. Empty cells are missing
+    values; a row too short for a loaded column, a cell that is not a finite
+    dot-decimal number (``nan`` and ``inf`` included) and a bad date raise
+    :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(DATE_COLUMN) from None
-        if DATE_COLUMN not in header:
+        header = next(reader, None)
+        if header is None or DATE_COLUMN not in header:
             raise MissingColumn(DATE_COLUMN)
-        if schema is None:
-            schema = [c for c in header if c != DATE_COLUMN]
-        for name in schema:
+        columns = (
+            [c for c in header if c != DATE_COLUMN] if schema is None else list(schema)
+        )
+        for name in columns:
             if name not in header:
                 raise MissingColumn(name)
         date_idx = header.index(DATE_COLUMN)
-        col_idx = {name: header.index(name) for name in schema}
+        col_idx = [header.index(name) for name in columns]
+        last = max([date_idx, *col_idx])
 
-        rows: list[tuple[Date, list[float]]] = []
+        dates: list[Date] = []
+        seen: set[Date] = set()
+        rows: list[list[float]] = []
         for row_no, record in enumerate(reader, start=2):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
-            if len(record) <= max(date_idx, *col_idx.values(), 0):
+            if len(record) <= last:
                 raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
             when = parse_panel_date(record[date_idx], row_no)
+            if when in seen:
+                raise DuplicateDate(when)
+            seen.add(when)
+            dates.append(when)
             cells: list[float] = []
-            for name in schema:
-                text = record[col_idx[name]].strip()
+            for name, j in zip(columns, col_idx):
+                text = record[j].strip()
                 if text == "":
                     cells.append(math.nan)
                     continue
@@ -244,14 +253,22 @@ def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
                 if not math.isfinite(value):
                     raise UnparseableValue(row_no, name, text)
                 cells.append(value)
-            rows.append((when, cells))
+            rows.append(cells)
 
-    rows.sort(key=lambda item: item[0])
-    dates = tuple(when for when, _ in rows)
-    _check_dates(dates)
-    matrix = np.array([cells for _, cells in rows], dtype=np.float64)
-    matrix = matrix.reshape(len(rows), len(schema))
-    return Panel(dates, {name: Series(matrix[:, j]) for j, name in enumerate(schema)})
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return CsvScan(header, columns, dates, matrix)
+
+
+def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
+    """The file as :func:`scan_csv` reads it, as a Panel with its rows sorted
+    by date."""
+    scan = scan_csv(path, schema)
+    order = sorted(range(len(scan.dates)), key=scan.dates.__getitem__)
+    matrix = scan.matrix[order]
+    return Panel(
+        tuple(scan.dates[i] for i in order),
+        {name: Series(matrix[:, j]) for j, name in enumerate(scan.columns)},
+    )
 
 
 def format_cell(value: float) -> str:
@@ -393,6 +410,7 @@ def minmax_rescale(series: Series, target: Series) -> Series:
     if s_max <= s_min:
         raise DegenerateRange("source series is constant")
     t_min, t_max = tgt.min(), tgt.max()
-    # convex-combination form: u=0 and u=1 hit the target endpoints exactly
+    # convex-combination form: u=0 and u=1 hit the target endpoints exactly;
+    # the clip stops an interior u rounding past them (constant targets)
     u = (series.array - s_min) / (s_max - s_min)
-    return Series(u * t_max + (1.0 - u) * t_min)
+    return Series(np.clip(u * t_max + (1.0 - u) * t_min, t_min, t_max))

@@ -8,15 +8,15 @@ re-forecast, matching how the scenario experiments are framed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
 
 from . import econometrics as econ
-from .errors import InputError, UnknownVariable
+from .errors import UnknownVariable
 from .panel import Panel, Series
+from .typed_json import parse, read_json
 
 
 @dataclass(frozen=True)
@@ -229,36 +229,8 @@ def dual_model_compare(
 # -- scenario file ------------------------------------------------------------
 
 
-def _parse_window(doc) -> tuple[Date | None, Date | None]:
-    if doc is None:
-        return (None, None)
-    start, end = doc
-    return (
-        None if start is None else Date.fromisoformat(start),
-        None if end is None else Date.fromisoformat(end),
-    )
-
-
 def load_scenarios(path) -> list[ScenarioSpec]:
     """Scenario list from JSON: ``[{name, shocks: [{variable, kind,
-    magnitude, window?}]}]`` with window as a [start, end] ISO-date pair."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise InputError("scenario file must hold a JSON list")
-    specs = []
-    for n, entry in enumerate(doc):
-        try:
-            shocks = tuple(
-                Shock(
-                    s["variable"],
-                    s["kind"],
-                    float(s["magnitude"]),
-                    _parse_window(s.get("window")),
-                )
-                for s in entry["shocks"]
-            )
-            specs.append(ScenarioSpec(entry["name"], shocks))
-        except (KeyError, TypeError) as error:
-            raise InputError(f"scenario entry {n} is malformed: {error!r}") from None
-    return specs
+    magnitude, window?}]}]`` with window as a [start, end] pair of ISO dates
+    or nulls."""
+    return list(parse(tuple[ScenarioSpec, ...], read_json(path), "scenarios"))

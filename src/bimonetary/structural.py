@@ -9,7 +9,7 @@ calibration of the coefficients against a panel and panel-wide simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -365,7 +365,3 @@ def real_interest_rate(panel: Panel, proxies: ProxyMap = DEFAULT_PROXIES) -> Ser
     nominal = panel.column(proxies.peso_rate).array
     expected = panel.column(proxies.peso_inflation_exp).array
     return Series(nominal - expected)
-
-
-def with_proxy_overrides(base: ProxyMap, overrides: dict[str, str]) -> ProxyMap:
-    return replace(base, **overrides)

@@ -1,0 +1,86 @@
+"""Typed reader for the JSON input files: config, scenarios, coefficients.
+
+A frozen dataclass states the accepted keys, their types and defaults once;
+:func:`parse` reads a JSON object into it by walking its annotations. An
+unknown key, a missing required key or a wrong JSON type is one
+:class:`InputError` naming the key path (``scenarios[0].shocks[1].window``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import types
+import typing
+from datetime import date as Date
+
+from .errors import InputError, UnparseableValue
+from .panel import parse_panel_date
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _wrong(where: str, kind: str, doc) -> InputError:
+    return InputError(f"{where} must be {kind}: {doc!r}")
+
+
+def parse(tp, doc, where: str):
+    """``doc`` as a value of type ``tp``: ``bool``, ``int`` (not a bool),
+    ``float`` (an int is accepted), ``str``, ``date`` (an ISO string),
+    ``X | None``, ``tuple[X, ...]`` or ``tuple[X, Y]`` (a list), or a
+    dataclass (an object; fields with a default may be left out)."""
+    if dataclasses.is_dataclass(tp):
+        return _parse_object(tp, doc, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if doc is None else parse(inner, doc, where)
+    if origin is tuple:
+        if not isinstance(doc, list):
+            raise _wrong(where, "a list", doc)
+        if args[1:] == (...,):
+            args = (args[0],) * len(doc)
+        elif len(doc) != len(args):
+            raise _wrong(where, f"a list of {len(args)} elements", doc)
+        return tuple(
+            parse(arg, item, f"{where}[{i}]")
+            for i, (arg, item) in enumerate(zip(args, doc))
+        )
+    if tp is Date:
+        if isinstance(doc, str):
+            try:
+                return parse_panel_date(doc, 0)
+            except UnparseableValue:
+                pass
+        raise _wrong(where, "an ISO date string", doc)
+    if tp is float and type(doc) is int:
+        return float(doc)
+    if type(doc) is not tp:
+        raise _wrong(where, _KINDS[tp], doc)
+    return doc
+
+
+def _parse_object(cls, doc, where: str):
+    if not isinstance(doc, dict):
+        raise _wrong(where, "an object", doc)
+    hints = typing.get_type_hints(cls)
+    for key in doc:
+        if key not in hints:
+            raise InputError(f"{where}.{key}: unknown key")
+    kwargs = {}
+    for spec in dataclasses.fields(cls):
+        if spec.name in doc:
+            kwargs[spec.name] = parse(
+                hints[spec.name], doc[spec.name], f"{where}.{spec.name}"
+            )
+        elif (
+            spec.default is dataclasses.MISSING
+            and spec.default_factory is dataclasses.MISSING
+        ):
+            raise InputError(f"{where}.{spec.name}: missing key")
+    return cls(**kwargs)

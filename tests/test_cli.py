@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bimonetary.category import (
     Affine,
@@ -79,9 +86,19 @@ class TestValidate:
             errors.append(json.loads(line)["error"])
         assert errors == ["DuplicateDate", "DuplicateDate"]
 
-    def test_short_row_rejected_like_load_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2018-01-02,3", "row 3, column 'y': cannot parse '<absent cell>'"),
+            ("2018-01-02,3,abc", "row 3, column 'y': cannot parse 'abc'"),
+            ("2018-01-02,nan,3", "row 3, column 'x': cannot parse 'nan'"),
+            ("2018-01-02,3,inf", "row 3, column 'y': cannot parse 'inf'"),
+        ],
+        ids=["short-row", "abc", "nan", "inf"],
+    )
+    def test_short_row_rejected_like_load_csv(self, tmp_path, capsys, row, message):
         path = tmp_path / "short.csv"
-        rows = ["Date,x,y", "2018-01-01,1,2", "2018-01-02,3", "2018-01-03,4,5"]
+        rows = ["Date,x,y", "2018-01-01,1,2", row, "2018-01-03,4,5"]
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         errors = []
         for argv in (
@@ -92,21 +109,27 @@ class TestValidate:
             (line,) = capsys.readouterr().err.strip().splitlines()
             doc = json.loads(line)
             errors.append((doc["error"], doc["message"]))
-        assert errors[0] == errors[1] == (
-            "UnparseableValue",
-            "row 3, column 'y': cannot parse '<absent cell>'",
-        )
+        assert errors[0] == errors[1] == ("UnparseableValue", message)
 
 
 @pytest.mark.parametrize(
-    "stage, config, scenarios",
+    "command, stage, config, scenarios",
     [
-        ("sensitivity", {}, [{"name": "no shocks"}]),
-        ("core", {"variables": ["M2", "Ipc Argentina"], "max_lags": "ten"}, []),
-        ("sensitivity", {"sensitivity": {"window": 5}}, []),
-        ("colimit", {"colimit": {"variables": 5}}, []),
-        ("equilibrium", {"equilibrium": 5}, []),
-        ("core", {"schema": 5}, []),
+        ("pipeline", "sensitivity", {}, [{"name": "no shocks"}]),
+        ("pipeline", "core", {"variables": ["M2", "Ipc Argentina"], "max_lags": "ten"}, []),
+        ("pipeline", "sensitivity", {"sensitivity": {"window": 5}}, []),
+        ("pipeline", "colimit", {"colimit": {"variables": 5}}, []),
+        ("pipeline", "equilibrium", {"equilibrium": 5}, []),
+        ("pipeline", "core", {"schema": 5}, []),
+        ("pipeline", "core", {"criterion": 5}, []),
+        ("pipeline", "core", {"criterion": "xyz"}, []),
+        ("pipeline", "colimit", {"colimit": {"standardize": "no"}}, []),
+        ("pipeline", "equilibrium", {"equilibrium": {"embi_in_percent": "yes"}}, []),
+        ("pipeline", "equilibrium", {"interpolate": "no"}, []),
+        ("calibrate", None, {"include_intercepts": 1}, []),
+        ("calibrate", None, {"proxies": {"bogus": "M2"}}, []),
+        ("simulate", None, {"coefficients": 5}, []),
+        ("pipeline", "core", {"max_lag": 3}, []),
     ],
     ids=[
         "scenario-without-shocks",
@@ -115,30 +138,95 @@ class TestValidate:
         "colimit-variables-not-list",
         "equilibrium-not-object",
         "schema-not-list",
+        "criterion-not-string",
+        "criterion-unknown",
+        "standardize-not-bool",
+        "embi-in-percent-not-bool",
+        "interpolate-not-bool",
+        "include-intercepts-not-bool",
+        "proxies-unknown-key",
+        "coefficients-not-string",
+        "unknown-top-level-key",
     ],
 )
 def test_malformed_file_is_one_input_error_line(
-    canonical_csv, tmp_path, capsys, stage, config, scenarios
+    canonical_csv, tmp_path, capsys, command, stage, config, scenarios
 ):
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps(config), encoding="utf-8")
     scenario_file = tmp_path / "scenarios.json"
     scenario_file.write_text(json.dumps(scenarios), encoding="utf-8")
-    code = main(
-        [
-            "pipeline",
-            "--input",
-            str(canonical_csv),
-            "--config",
-            str(config_file),
-            "--stages",
-            stage,
-            "--scenarios",
-            str(scenario_file),
-            "--out",
-            str(tmp_path / "out"),
-        ]
-    )
+    out = tmp_path / "out"
+    argv = [command, "--input", str(canonical_csv), "--config", str(config_file)]
+    if command == "pipeline":
+        argv += ["--stages", stage, "--scenarios", str(scenario_file)]
+    code = main([*argv, "--out", str(out)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "InputError"
+    if "criterion" in config:
+        assert not out.exists() or not any(out.iterdir())
+
+
+def _valid_shock(**change):
+    return {"variable": "M2", "kind": "additive", "magnitude": 1.0, **change}
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("coefficients", {"alpha9": 1.0}),
+        ("coefficients", {"alpha1": "x"}),
+        ("coefficients", [1, 2]),
+        ("scenarios", [{"name": 5, "shocks": [_valid_shock()]}]),
+        (
+            "scenarios",
+            [
+                {
+                    "name": "w",
+                    "shocks": [
+                        _valid_shock(window=["2018-01-01", "2018-02-01", "2018-03-01"])
+                    ],
+                }
+            ],
+        ),
+        ("scenarios", [{"name": "m", "shocks": [_valid_shock(magnitude=True)]}]),
+        ("diagram", []),
+        ("diagram", {}),
+        ("diagram", {"objects": 5}),
+        ("functor", {"object_map": 5}),
+    ],
+    ids=[
+        "coefficients-unknown-key",
+        "coefficient-not-number",
+        "coefficients-not-object",
+        "scenario-name-not-string",
+        "shock-window-three-elements",
+        "shock-magnitude-bool",
+        "diagram-list",
+        "diagram-empty-object",
+        "diagram-objects-not-list",
+        "functor-object-map-not-object",
+    ],
+)
+def test_malformed_input_file_is_one_input_error_line(
+    canonical_csv, tmp_path, capsys, kind, doc
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({"coefficients": str(path)}), encoding="utf-8")
+    diagram_file = tmp_path / "diagram.json"
+    diagram_file.write_text(json.dumps({"nodes": []}), encoding="utf-8")
+    argv = {
+        "coefficients": ["simulate", "--config", str(config_file)],
+        "scenarios": ["scenario", "--scenarios", str(path)],
+        "diagram": ["functor-check", "--diagram", str(path)],
+        "functor": [
+            "functor-check", "--diagram", str(diagram_file), "--functor", str(path)
+        ],
+    }[kind]
+    code = main([*argv, "--input", str(canonical_csv), "--out", str(tmp_path / "out")])
     assert code == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["error"] == "InputError"
@@ -432,3 +520,111 @@ class TestOtherCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.strip()
+
+
+# -- mutated input files --------------------------------------------------------
+
+FUZZ_CONFIG = {
+    "criterion": "aic",
+    "interpolate": True,
+    "equilibrium": {"embi_in_percent": False},
+    "colimit": {"corr_window": 20, "smooth_window": 5, "standardize": True},
+    "sensitivity": {"max_lags": 1, "window": [None, "2018-03-01"]},
+}
+FUZZ_SCENARIOS = [
+    {
+        "name": "m2 up",
+        "shocks": [
+            {
+                "variable": "M2",
+                "kind": "multiplicative",
+                "magnitude": 1.1,
+                "window": ["2018-01-10", "2018-02-10"],
+            }
+        ],
+    }
+]
+JUNK_VALUES = [None, True, 0, -1, 2.5, "x", "2018-01-01", [], {}, ["M2"]]
+JUNK_CELLS = ["", " ", "abc", "nan", "inf", "1e999", "2018-13-45", "1,5", "2018-01-02"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
+    write_csv(make_canonical_panel(60), path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, (*prefix, key))
+
+
+def _mutate_json(doc, draw):
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    junk = draw(st.sampled_from(JUNK_VALUES))
+    if not path:
+        return junk
+    doc = copy.deepcopy(doc)
+    parent = reduce(getitem, path[:-1], doc)
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return doc
+
+
+def _mutate_csv(lines, draw):
+    lines = list(lines)
+    row = draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    if draw(st.booleans()):
+        cells = cells[: draw(st.integers(0, len(cells) - 1))]
+    else:
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(JUNK_CELLS))
+    lines[row] = ",".join(cells)
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_at_most_one_json_line(fuzz_csv_lines, data):
+    """Whatever is dropped, retyped or corrupted in the CSV, config or
+    scenario file, the CLI exits 0, 1 or 2, and a failure is exactly one JSON
+    line on stderr (an escaping exception fails the test)."""
+    draw = data.draw
+    command = draw(st.sampled_from(["validate", "equilibrium", "colimit", "scenario"]))
+    target = draw(st.sampled_from(["csv", "config", "scenarios"]))
+    lines, config, scenarios = fuzz_csv_lines, FUZZ_CONFIG, FUZZ_SCENARIOS
+    if target == "csv":
+        lines = _mutate_csv(lines, draw)
+    elif target == "config":
+        config = _mutate_json(config, draw)
+    else:
+        scenarios = _mutate_json(scenarios, draw)
+    with tempfile.TemporaryDirectory() as work:
+        root = Path(work)
+        (root / "panel.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (root / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        (root / "scen.json").write_text(json.dumps(scenarios), encoding="utf-8")
+        argv = [command, "--input", str(root / "panel.csv")]
+        argv += ["--config", str(root / "cfg.json")]
+        if command != "validate":
+            argv += ["--out", str(root / "out")]
+        if command == "scenario":
+            argv += ["--scenarios", str(root / "scen.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        (line,) = err.getvalue().strip().splitlines()
+        assert set(json.loads(line)) == {"error", "stage", "message"}

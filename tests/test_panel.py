@@ -2,7 +2,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bimonetary.errors import (
@@ -268,6 +268,7 @@ class TestMinmaxRescale:
             max_size=30,
         ),
     )
+    @example(source=[1.0, 2.0, 10.0], target=[185.0, 185.0])
     def test_attains_target_extremes_exactly(self, source, target):
         if max(source) <= min(source):
             return
