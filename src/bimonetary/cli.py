@@ -96,6 +96,18 @@ class SensitivitySection:
     window: tuple[Date | None, Date | None] = (None, None)
 
 
+#: Smallest accepted value of each integer config key.
+_CONFIG_MINIMA = {
+    "max_lags": 0,
+    "granger_max_lag": 1,
+    "johansen_k_ar_diff": 0,
+    "ljung_box_lags": 1,
+    "irf_horizon": 0,
+    "fevd_horizon": 1,
+    "forecast_steps": 0,
+}
+
+
 @dataclass(frozen=True)
 class Config:
     """The config file. Every key is optional and defaults to its field's
@@ -122,10 +134,15 @@ class Config:
 
     def __post_init__(self) -> None:
         if self.criterion.lower() not in econ.CRITERIA:
-            raise InputError(
-                f"config.criterion must be one of {'|'.join(econ.CRITERIA)}: "
+            raise ValueError(
+                f"criterion must be one of {'|'.join(econ.CRITERIA)}: "
                 f"{self.criterion!r}"
             )
+        for name, least in _CONFIG_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be at least {least}: {getattr(self, name)}"
+                )
 
 
 def _load_config(path: str | None) -> tuple[dict, Config]:

@@ -10,13 +10,13 @@ incomplete gamma/beta tails, so there is no statistics dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
-from ._regression import qr_least_squares
+from ._regression import prefix_cross_products, qr_least_squares
 from .errors import (
     InsufficientObservations,
     NonPositiveDefiniteSigma,
@@ -153,14 +153,14 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         max_lags = min(int(math.floor(12.0 * (T / 100.0) ** 0.25)), cap)
     max_lags = max(0, min(max_lags, cap))
 
-    # lag search on the common sample so AICs are comparable
+    # lag search on the common sample so AICs are comparable; the candidate
+    # designs are the leading 2 + k columns of the largest one
     X_full, dy_full = _adf_design(y, max_lags)
     n_common = len(dy_full)
+    ssrs = prefix_cross_products(X_full, dy_full)
     best_k, best_aic = 0, math.inf
     for k in range(max_lags + 1):
-        X_k = X_full[:, : 2 + k]
-        fit = qr_least_squares(X_k, dy_full)
-        ssr = float(fit.ssr)
+        ssr = float(ssrs[2 + k])
         if ssr <= 0.0:
             aic = -math.inf
         else:
@@ -243,12 +243,8 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
     d0 = dy[t0 - 1 :]                      # dy_t
     lvl = data[t0 - 1 : T - 1]             # y_{t-1}
 
-    def residualize(mat: np.ndarray) -> np.ndarray:
-        coef, *_ = np.linalg.lstsq(z, mat, rcond=None)
-        return mat - z @ coef
-
-    r0 = residualize(d0)
-    rk = residualize(lvl)
+    residuals = qr_least_squares(z, np.hstack([d0, lvl])).residuals
+    r0, rk = residuals[:, :K], residuals[:, K:]
     s00 = r0.T @ r0 / rows
     skk = rk.T @ rk / rows
     sk0 = rk.T @ r0 / rows
@@ -308,7 +304,9 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
 
     The restricted model regresses y on its own lags (plus constant), the
     unrestricted one adds the lags of x;
-    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``.
+    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``. The restricted
+    design is a column prefix of the unrestricted one, so one factorization
+    per lag gives both SSRs.
     """
     x = _as_array(x_cause)
     y = _as_array(y_effect)
@@ -327,11 +325,9 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
         own = _lagged(y, lag, rows, lag)
         other = _lagged(x, lag, rows, lag)
         const = np.ones((rows, 1))
-        target = y[lag:]
-        restricted = qr_least_squares(np.hstack([const, own]), target)
-        unrestricted = qr_least_squares(np.hstack([const, own, other]), target)
+        ssrs = prefix_cross_products(np.hstack([const, own, other]), y[lag:])
         df_den = rows - 2 * lag - 1
-        ssr_r, ssr_u = float(restricted.ssr), float(unrestricted.ssr)
+        ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
         if ssr_u <= 0.0:
             raise RankDeficient("unrestricted regression fits exactly")
         f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
@@ -469,7 +465,9 @@ def fit_var(
 
     Candidate orders are compared on a common sample (the first ``max_lags``
     rows are withheld from every candidate) using the maximum-likelihood
-    residual covariance; the selected order is refit on all usable rows.
+    residual covariance; the selected order is refit on all usable rows. On
+    the common sample the order-p design is the leading ``1 + K*p`` columns
+    of the order-``max_lags`` one, so one factorization serves every order.
     """
     data = _as_matrix(data)
     T, K = data.shape
@@ -481,28 +479,15 @@ def fit_var(
             f"T={T} is too short to compare lag orders up to {max_lags}"
         )
     T_common = T - max_lags
+    cross = prefix_cross_products(*_var_design(data, max_lags))
     best_p, best_value = 0, math.inf
     for p in range(max_lags + 1):
-        X, Y = _var_design(data[max_lags - p :], p)
-        fit = qr_least_squares(X, Y)
-        resid = fit.residuals
-        sigma_ml = resid.T @ resid / T_common
+        sigma_ml = cross[1 + K * p] / T_common
         value = _criterion_value(sigma_ml, p, K, T_common, criterion)
         if value < best_value:
             best_value, best_p = value, p
     model = fit_var_order(data, best_p, names)
-    return VarModel(
-        model.p,
-        model.variable_order,
-        model.c,
-        model.A,
-        model.sigma,
-        model.residuals,
-        model.T_effective,
-        model.stderr,
-        criterion,
-        best_value,
-    )
+    return replace(model, criterion=criterion, criterion_value=best_value)
 
 
 # -- residual diagnostics --------------------------------------------------------

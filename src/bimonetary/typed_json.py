@@ -2,7 +2,8 @@
 
 A frozen dataclass states the accepted keys, their types and defaults once;
 :func:`parse` reads a JSON object into it by walking its annotations. An
-unknown key, a missing required key or a wrong JSON type is one
+unknown key, a missing required key, a wrong JSON type or a value that the
+dataclass's ``__post_init__`` rejects with a ``ValueError`` is one
 :class:`InputError` naming the key path (``scenarios[0].shocks[1].window``).
 """
 
@@ -83,4 +84,7 @@ def _parse_object(cls, doc, where: str):
             and spec.default_factory is dataclasses.MISSING
         ):
             raise InputError(f"{where}.{spec.name}: missing key")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as error:  # a range check in the dataclass's __post_init__
+        raise InputError(f"{where}: {error}") from None

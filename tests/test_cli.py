@@ -130,6 +130,25 @@ class TestValidate:
         ("calibrate", None, {"proxies": {"bogus": "M2"}}, []),
         ("simulate", None, {"coefficients": 5}, []),
         ("pipeline", "core", {"max_lag": 3}, []),
+        ("pipeline", "core", {"max_lags": -1}, []),
+        ("pipeline", "core", {"granger_max_lag": 0}, []),
+        ("pipeline", "core", {"johansen_k_ar_diff": -1}, []),
+        ("pipeline", "core", {"ljung_box_lags": 0}, []),
+        ("pipeline", "core", {"irf_horizon": -1}, []),
+        ("pipeline", "core", {"fevd_horizon": 0}, []),
+        ("pipeline", "core", {"forecast_steps": -1}, []),
+        ("pipeline", "colimit", {"colimit": {"n_components": 0}}, []),
+        (
+            "pipeline",
+            "sensitivity",
+            {},
+            [
+                {
+                    "name": "bad kind",
+                    "shocks": [{"variable": "M2", "kind": "bogus", "magnitude": 1.0}],
+                }
+            ],
+        ),
     ],
     ids=[
         "scenario-without-shocks",
@@ -147,6 +166,15 @@ class TestValidate:
         "proxies-unknown-key",
         "coefficients-not-string",
         "unknown-top-level-key",
+        "max-lags-negative",
+        "granger-max-lag-zero",
+        "johansen-k-ar-diff-negative",
+        "ljung-box-lags-zero",
+        "irf-horizon-negative",
+        "fevd-horizon-zero",
+        "forecast-steps-negative",
+        "n-components-zero",
+        "shock-kind-unknown",
     ],
 )
 def test_malformed_file_is_one_input_error_line(
@@ -164,8 +192,7 @@ def test_malformed_file_is_one_input_error_line(
     assert code == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["error"] == "InputError"
-    if "criterion" in config:
-        assert not out.exists() or not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 def _valid_shock(**change):

@@ -1,0 +1,147 @@
+import numpy as np
+import pytest
+
+from bimonetary import econometrics as econ
+from bimonetary._regression import prefix_cross_products, qr_least_squares
+from bimonetary.errors import InsufficientRows, RankDeficient
+from tests.conftest import SEED
+
+
+def mixed_design(rng, n, k):
+    """Intercept plus regressors whose magnitudes span nine decades."""
+    X = np.ones((n, k))
+    scales = np.logspace(-3, 6, k - 1)
+    X[:, 1:] = rng.standard_normal((n, k - 1)) * scales + scales
+    return X
+
+
+def oracle_cross_products(X, Y):
+    """E_j' E_j of Y on X[:, :j] for j = 0..k, one SVD solve per prefix."""
+    linalg = pytest.importorskip("scipy.linalg")
+    out = []
+    for j in range(X.shape[1] + 1):
+        residuals = Y if j == 0 else Y - X[:, :j] @ linalg.lstsq(X[:, :j], Y)[0]
+        out.append(residuals.T @ residuals)
+    return np.array(out)
+
+
+class TestPrefixCrossProducts:
+    @pytest.mark.parametrize("n", [200, 7], ids=["tall", "square"])
+    @pytest.mark.parametrize("m", [None, 3], ids=["vector", "matrix"])
+    def test_every_prefix_matches_lstsq_oracle(self, n, m):
+        rng = np.random.default_rng(SEED)
+        X = mixed_design(rng, n, 7)
+        shape = (n,) if m is None else (n, m)
+        Y = X @ rng.standard_normal((7,) + shape[1:]) * 1e-3 + rng.standard_normal(shape)
+        got = prefix_cross_products(X, Y)
+        want = oracle_cross_products(X, Y)
+        assert got.shape == want.shape == (8,) + (() if m is None else (m, m))
+        scale = np.abs(want[0]).max()
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
+
+    def test_nonincreasing_and_full_prefix_is_least_squares_ssr(self):
+        rng = np.random.default_rng(SEED)
+        X = mixed_design(rng, 300, 5)
+        y = rng.standard_normal(300)
+        ssr = prefix_cross_products(X, y)
+        assert (np.diff(ssr) <= 0).all()
+        assert ssr[0] == pytest.approx(y @ y, rel=1e-13)
+        assert ssr[-1] == pytest.approx(float(qr_least_squares(X, y).ssr), rel=1e-12)
+
+    def test_collinear_last_column_raises_like_the_prefix_loop(self):
+        rng = np.random.default_rng(SEED)
+        X = mixed_design(rng, 100, 4)
+        X = np.column_stack([X, X[:, 1] - 2.0 * X[:, 3]])
+        y = rng.standard_normal(100)
+        for j in range(1, X.shape[1]):
+            qr_least_squares(X[:, :j], y)
+        with pytest.raises(RankDeficient):
+            qr_least_squares(X, y)
+        with pytest.raises(RankDeficient):
+            prefix_cross_products(X, y)
+
+    def test_shape_and_zero_column_checks_match_qr_least_squares(self):
+        y = np.arange(4.0)
+        for X, error in (
+            (np.ones((4, 5)), InsufficientRows),
+            (np.column_stack([np.ones(4), np.zeros(4)]), RankDeficient),
+        ):
+            with pytest.raises(error):
+                qr_least_squares(X, y)
+            with pytest.raises(error):
+                prefix_cross_products(X, y)
+
+
+class TestFactorizationCount:
+    """One factorization per lag search, counted, so the old per-candidate
+    cost cannot come back unnoticed; counts repeat exactly, timings do not."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        inner = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        return calls
+
+    def test_adf_searches_then_refits(self, qr_calls):
+        walk = np.cumsum(np.random.default_rng(SEED).standard_normal(2000))
+        econ.adf_test(walk)
+        assert len(qr_calls) == 2
+
+    def test_fit_var_searches_then_refits(self, qr_calls):
+        rng = np.random.default_rng(SEED)
+        data = np.cumsum(rng.standard_normal((500, 3)), axis=0) * 0.1
+        data += rng.standard_normal((500, 3))
+        econ.fit_var(data, max_lags=8)
+        assert len(qr_calls) == 2
+
+    def test_granger_factors_once_per_lag(self, qr_calls):
+        rng = np.random.default_rng(SEED)
+        x, y = rng.standard_normal((2, 400))
+        econ.granger(x, y, max_lag=6)
+        assert len(qr_calls) == 6
+
+
+class TestMonteCarlo:
+    """Seeded size and recovery checks that need no statistics package."""
+
+    def test_adf_rejects_about_five_percent_of_random_walks(self):
+        rng = np.random.default_rng(SEED)
+        replicates = 400
+        rejections = sum(
+            econ.adf_test(np.cumsum(rng.standard_normal(250))).is_stationary
+            for _ in range(replicates)
+        )
+        # 5% +- three binomial standard errors (0.011 each)
+        assert 0.017 <= rejections / replicates <= 0.083
+
+    def test_var_order_is_recovered(self):
+        rng = np.random.default_rng(SEED)
+        A1 = np.array([[0.5, 0.1], [0.0, 0.3]])
+        A2 = np.array([[-0.3, 0.0], [0.2, -0.4]])
+        orders = []
+        for _ in range(20):
+            data = np.zeros((600, 2))
+            shocks = rng.standard_normal((600, 2))
+            for t in range(2, 600):
+                data[t] = A1 @ data[t - 1] + A2 @ data[t - 2] + shocks[t]
+            orders.append(econ.fit_var(data[100:], max_lags=6, criterion="bic").p)
+        assert orders.count(2) >= 18
+
+    def test_johansen_finds_one_cointegrating_relation(self):
+        # the trend drifts: with an unrestricted constant the K - r = 1 entry
+        # of the table is the chi-square(1) value, which assumes a drift
+        rng = np.random.default_rng(SEED)
+        ranks = []
+        for _ in range(40):
+            trend = np.cumsum(0.3 + rng.standard_normal(400))
+            pair = np.column_stack(
+                [trend + rng.standard_normal(400), 0.5 * trend + rng.standard_normal(400)]
+            )
+            ranks.append(econ.johansen_trace(pair, k_ar_diff=1).rank)
+        assert ranks.count(1) >= 36
