@@ -9,7 +9,6 @@ directories; nothing time- or locale-dependent is written.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -28,11 +27,13 @@ from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
     Panel,
-    format_cell,
     load_csv,
+    quote,
     scan_csv,
+    text_rows,
     write_csv,
 )
+from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
 from .typed_json import parse, read_json
 
@@ -61,19 +62,6 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    format_cell(cell) if isinstance(cell, float) else cell
-                    for cell in row
-                ]
-            )
 
 
 @dataclass(frozen=True)
@@ -249,24 +237,22 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
             {"skipped": f"K={K} outside the tabulated range 2..12"},
         )
 
-    rows = []
-    for cause in transformed.variables:
-        for effect in transformed.variables:
-            if cause == effect:
-                continue
-            result = econ.granger(
-                transformed.column(cause).array,
-                transformed.column(effect).array,
-                config.granger_max_lag,
-            )
-            for entry in result.per_lag:
-                rows.append(
-                    [cause, effect, entry.lag, entry.f_stat, entry.p_value]
-                )
+    tests = [
+        (quote(cause), quote(effect), entry.lag, entry.f_stat, entry.p_value)
+        for cause in transformed.variables
+        for effect in transformed.variables
+        if cause != effect
+        for entry in econ.granger(
+            transformed.column(cause).array,
+            transformed.column(effect).array,
+            config.granger_max_lag,
+        ).per_lag
+    ]
+    causes, effects, lags, f_stats, p_values = zip(*tests) if tests else [()] * 5
     _write_csv(
         out / "granger_matrix.csv",
         ["cause", "effect", "lag", "f_stat", "p_value"],
-        rows,
+        text_rows(causes, effects, lags, np.array(f_stats), np.array(p_values)),
     )
 
     T = matrix.shape[0]
@@ -284,38 +270,23 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
         lb[name] = {"q_stat": result.q_stat, "p_value": result.p_value}
     _write_json(out / "ljung_box.json", lb)
 
+    # one row per cell of the response arrays, in their C order
+    names = np.array([quote(name) for name in model.variable_order], dtype=object)
     responses = econ.irf(model, config.irf_horizon)
-    irf_rows = []
-    for h in range(config.irf_horizon + 1):
-        for i, response in enumerate(model.variable_order):
-            for j, impulse in enumerate(model.variable_order):
-                irf_rows.append(
-                    [
-                        h,
-                        impulse,
-                        response,
-                        float(responses.psi[h][i, j]),
-                        float(responses.theta[h][i, j])
-                        if responses.theta is not None
-                        else "",
-                    ]
-                )
+    psi, theta = np.stack(responses.psi), np.stack(responses.theta)
+    h, response, impulse = np.indices(psi.shape).reshape(3, -1)
     _write_csv(
         out / "irf.csv",
         ["horizon", "impulse", "response", "psi", "theta"],
-        irf_rows,
+        text_rows(h, names[impulse], names[response], psi.ravel(), theta.ravel()),
     )
 
-    decomposition = econ.fevd(model, config.fevd_horizon)
-    fevd_rows = []
-    for i, response in enumerate(model.variable_order):
-        for h in range(config.fevd_horizon):
-            for j, shock in enumerate(model.variable_order):
-                fevd_rows.append(
-                    [response, h, shock, float(decomposition.shares[i, h, j])]
-                )
+    shares = econ.fevd(model, config.fevd_horizon).shares
+    response, h, shock = np.indices(shares.shape).reshape(3, -1)
     _write_csv(
-        out / "fevd.csv", ["response", "horizon", "shock", "share"], fevd_rows
+        out / "fevd.csv",
+        ["response", "horizon", "shock", "share"],
+        text_rows(names[response], h, names[shock], shares.ravel()),
     )
 
     steps = config.forecast_steps
@@ -323,7 +294,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     _write_csv(
         out / "forecast.csv",
         ["step", *model.variable_order],
-        [[s + 1, *map(float, prediction[s])] for s in range(steps)],
+        text_rows(range(1, steps + 1), *prediction.T),
     )
 
 
@@ -334,16 +305,13 @@ def _stage_equilibrium(panel: Panel, out: Path, config: Config) -> None:
     _write_csv(
         out / "equilibrium.csv",
         [DATE_COLUMN, "equilibrio_tipo_de_cambio", "observed", "gap", "penalty"],
-        [
-            [d.isoformat(), e, o, g, p]
-            for d, e, o, g, p in zip(
-                result.dates,
-                result.e_star,
-                result.observed,
-                result.gap,
-                result.penalty_at_min,
-            )
-        ],
+        text_rows(
+            result.dates,
+            result.e_star,
+            result.observed,
+            result.gap,
+            result.penalty_at_min,
+        ),
     )
     report = equilibrium.gap_report(result)
     _write_json(
@@ -379,10 +347,7 @@ def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
             cfg.reference,
             colimit.EXTERNAL_FACTOR,
         ],
-        [
-            [when.isoformat(), *cells]
-            for when, *cells in zip(panel.dates, *(s.array.tolist() for s in columns))
-        ],
+        text_rows(panel.dates, *(s.array for s in columns)),
     )
     _write_json(out / "colimit_weights.json", indicator.dynamic_weights)
     causality, prediction = colimit.validate_and_forecast(panel, indicator)
@@ -396,7 +361,7 @@ def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
     _write_csv(
         out / "colimit_forecast.csv",
         ["step", "indicator", cfg.reference, colimit.EXTERNAL_FACTOR],
-        [[s + 1, *map(float, prediction[s])] for s in range(prediction.shape[0])],
+        text_rows(range(1, len(prediction) + 1), *prediction.T),
     )
 
 
@@ -418,21 +383,15 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, scenario_path) -
         section.max_lags,
         section.window,
     )
+    # every comparison holds the one baseline Series, so the index and
+    # baseline cells are formatted once for all scenario files
+    baseline = comparisons[0].baseline.array
+    shared = text_rows(range(len(baseline)), baseline)
     for comparison in comparisons:
-        rows = [
-            [i, b, s, d]
-            for i, (b, s, d) in enumerate(
-                zip(
-                    comparison.baseline.array.tolist(),
-                    comparison.shocked.array.tolist(),
-                    comparison.difference.array.tolist(),
-                )
-            )
-        ]
         _write_csv(
             out / f"scenario_{_safe_name(comparison.name)}.csv",
             ["index", "baseline", "shocked", "difference"],
-            rows,
+            text_rows(shared, comparison.shocked.array, comparison.difference.array),
         )
 
 

@@ -291,9 +291,6 @@ class GrangerResult:
     def at(self, lag: int) -> GrangerLag:
         return self.per_lag[lag - 1]
 
-    def min_p_value(self) -> float:
-        return min(entry.p_value for entry in self.per_lag)
-
 
 def _lagged(x: np.ndarray, lags: int, rows: int, t0: int) -> np.ndarray:
     return np.column_stack([x[t0 - j : t0 - j + rows] for j in range(1, lags + 1)])
@@ -572,9 +569,6 @@ def irf(model: VarModel, horizon: int, orthogonalize: bool = True) -> IrfResult:
 class FevdResult:
     variable_order: tuple[str, ...]
     shares: np.ndarray   # (K, H, K): response i, horizon row, shock j
-
-    def for_variable(self, name: str) -> np.ndarray:
-        return self.shares[self.variable_order.index(name)]
 
 
 def fevd(model: VarModel, horizon: int) -> FevdResult:

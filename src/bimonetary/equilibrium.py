@@ -176,11 +176,13 @@ REQUIRED_COLUMNS = (
 
 @dataclass(frozen=True)
 class EquilibriumSeries:
+    """Solved rows: one float64 array per quantity, aligned to ``dates``."""
+
     dates: tuple[Date, ...]
-    e_star: tuple[float, ...]
-    penalty_at_min: tuple[float, ...]
-    observed: tuple[float, ...]
-    gap: tuple[float, ...]              # e_star - observed
+    e_star: np.ndarray
+    penalty_at_min: np.ndarray
+    observed: np.ndarray
+    gap: np.ndarray                     # e_star - observed
     skipped_dates: tuple[Date, ...]     # rows with a missing input
 
     def __len__(self) -> int:
@@ -213,10 +215,10 @@ def solve_panel(
         raise NonFiniteObjective("penalty at the equilibrium rate overflows")
     return EquilibriumSeries(
         tuple(compress(panel.dates, present)),
-        tuple(e_star.tolist()),
-        tuple(penalties.tolist()),
-        tuple(ars_usd.tolist()),
-        tuple((e_star - ars_usd).tolist()),
+        e_star,
+        penalties,
+        ars_usd,
+        e_star - ars_usd,
         tuple(compress(panel.dates, ~present)),
     )
 
@@ -230,14 +232,16 @@ class GapReport:
 
 def gap_report(result: EquilibriumSeries) -> GapReport:
     """Aggregate misalignment statistics of equilibrium vs observation."""
-    if not result.gap:
-        raise EmptyResult("no solved rows to report on")
     gaps = result.gap
+    if not len(gaps):
+        raise EmptyResult("no solved rows to report on")
     signs = np.sign(gaps)
     signs = signs[signs != 0]
     runs = int(signs.size > 0) + int(np.count_nonzero(np.diff(signs)))
     return GapReport(
-        sum(gaps) / len(gaps),
-        max(abs(g) for g in gaps),
+        # built-in sum adds left to right, as the report always has;
+        # np.sum's pairwise order would move the last bits
+        sum(gaps.tolist()) / len(gaps),
+        float(np.abs(gaps).max()),
         runs,
     )

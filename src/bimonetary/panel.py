@@ -118,12 +118,25 @@ class Panel:
 
     def __post_init__(self) -> None:
         _check_dates(self.dates)
+        self._check_lengths()
+
+    def _check_lengths(self) -> None:
         for name, series in self.columns.items():
             if len(series) != len(self.dates):
                 raise ValueError(
                     f"column {name!r} has {len(series)} values for "
                     f"{len(self.dates)} dates"
                 )
+
+    @classmethod
+    def _on_checked_dates(cls, dates, columns: dict[str, Series]) -> "Panel":
+        """Panel on another panel's dates or a slice of them, increasing
+        already: only the column lengths are checked."""
+        panel = object.__new__(cls)
+        object.__setattr__(panel, "dates", dates)
+        object.__setattr__(panel, "columns", columns)
+        panel._check_lengths()
+        return panel
 
     @property
     def n_rows(self) -> int:
@@ -143,12 +156,14 @@ class Panel:
         return name in self.columns
 
     def select(self, names: Sequence[str]) -> "Panel":
-        return Panel(self.dates, {n: self.column(n) for n in names})
+        return Panel._on_checked_dates(
+            self.dates, {n: self.column(n) for n in names}
+        )
 
     def with_columns(self, extra: Mapping[str, Series]) -> "Panel":
         merged = dict(self.columns)
         merged.update(extra)
-        return Panel(self.dates, merged)
+        return Panel._on_checked_dates(self.dates, merged)
 
     def rows_between(self, start: Date | None, end: Date | None) -> slice:
         """Rows dated within ``[start, end]``; ``None`` leaves a side open."""
@@ -157,7 +172,7 @@ class Panel:
         return slice(lo, hi)
 
     def _rows(self, rows: slice) -> "Panel":
-        return Panel(
+        return Panel._on_checked_dates(
             self.dates[rows],
             {n: Series(s.array[rows]) for n, s in self.columns.items()},
         )
@@ -176,7 +191,7 @@ class Panel:
     def clean(self) -> "Panel":
         """Interpolate every interior gap; afterwards no column has missing
         values (endpoints must already be present)."""
-        return Panel(
+        return Panel._on_checked_dates(
             self.dates,
             {n: linear_interpolate(s) for n, s in self.columns.items()},
         )
@@ -279,15 +294,52 @@ def format_cell(value: float) -> str:
     return repr(float(value))
 
 
+def format_column(values: np.ndarray) -> list[str]:
+    """:func:`format_cell` of every entry, with one NaN mask for the column."""
+    text = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    return text
+
+
+def quote(text: str) -> str:
+    """One CSV cell under ``csv.QUOTE_MINIMAL``: a cell holding a comma, a
+    double quote or a line break is wrapped in quotes, its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def text_rows(*columns: Iterable) -> list[str]:
+    """CSV records of equal-length columns, without line ends. A float array
+    goes through :func:`format_column`; any other column's items through
+    ``str``, so dates come out in ISO form and names must be :func:`quote`d."""
+    cells = [
+        format_column(c)
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+        else map(str, c)
+        for c in columns
+    ]
+    rows = list(map(",".join, zip(*cells, strict=True)))
+    # csv.writer quotes the only cell of a one-cell record when it is empty
+    return [row or '""' for row in rows] if len(cells) == 1 else rows
+
+
+def write_rows(path, header: Sequence[str], rows: Sequence[str]) -> None:
+    """The one CSV writer: the quoted header, then the :func:`text_rows`
+    records, each line ended by CR LF, in UTF-8; the bytes equal what
+    ``csv.writer`` writes for the same cells. The header is not empty."""
+    head = ",".join(map(quote, header)) or '""'
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join([head, *rows, ""]))
+
+
 def write_csv(panel: Panel, path) -> None:
     """Inverse of :func:`load_csv` for cleaned panels: full-precision floats,
     empty cell for missing."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([DATE_COLUMN, *panel.variables])
-        columns = [s.array.tolist() for s in panel.columns.values()]
-        for when, *cells in zip(panel.dates, *columns):
-            writer.writerow([when.isoformat(), *map(format_cell, cells)])
+    header = [DATE_COLUMN, *panel.variables]
+    columns = (s.array for s in panel.columns.values())
+    write_rows(path, header, text_rows(panel.dates, *columns))
 
 
 # -- series transforms --------------------------------------------------------

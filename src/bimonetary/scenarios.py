@@ -81,7 +81,6 @@ class ScenarioComparison:
     difference: Series             # shocked - baseline, pointwise
     mean_abs_difference: float
     max_abs_difference: float
-    baseline_residuals: Series
 
 
 def forgetful_project(panel: Panel, spec: CategorySpec) -> Panel:
@@ -112,7 +111,7 @@ def learning_enrich(
         values = panel.column(name).array
         for k in range(1, lags + 1):
             columns[f"{name}_lag{k}"] = Series(values[lags - k : T - k])
-    return Panel(panel.dates[lags:], columns)
+    return Panel._on_checked_dates(panel.dates[lags:], columns)
 
 
 def adjunction_roundtrip_check(
@@ -134,7 +133,7 @@ def apply_scenario(panel: Panel, shocks: list[Shock] | tuple[Shock, ...]) -> Pan
         rows = panel.rows_between(*shock.window)
         values[rows] = shock.apply(values[rows])
         columns[shock.variable] = Series(values)
-    return Panel(panel.dates, columns)
+    return Panel._on_checked_dates(panel.dates, columns)
 
 
 def _fitted_target(model: econ.VarModel, matrix: np.ndarray, idx: int) -> np.ndarray:
@@ -164,7 +163,7 @@ def run_sensitivity(
     idx = model_vars.variables.index(target)
     baseline_model = econ.fit_var_order(matrix, max_lags, model_vars.variables)
     baseline_fit = _fitted_target(baseline_model, matrix, idx)
-    residuals = Series(baseline_model.residuals[:, idx])
+    baseline = Series(baseline_fit)     # one object, shared by every comparison
 
     comparisons = []
     for name, shocks in specs:
@@ -180,12 +179,11 @@ def run_sensitivity(
         comparisons.append(
             ScenarioComparison(
                 name,
-                Series(baseline_fit),
+                baseline,
                 Series(shocked_fit),
                 Series(diff),
                 float(np.abs(diff).mean()) if len(diff) else 0.0,
                 float(np.abs(diff).max()) if len(diff) else 0.0,
-                residuals,
             )
         )
     return comparisons

@@ -357,11 +357,3 @@ def simulate(
         full[present] = values
         columns[name] = Series(full)
     return panel.with_columns(columns)
-
-
-def real_interest_rate(panel: Panel, proxies: ProxyMap = DEFAULT_PROXIES) -> Series:
-    """Fisher-approximation real rate: nominal peso rate minus expected
-    inflation; feeds the expectation recursion."""
-    nominal = panel.column(proxies.peso_rate).array
-    expected = panel.column(proxies.peso_inflation_exp).array
-    return Series(nominal - expected)

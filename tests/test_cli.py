@@ -298,25 +298,48 @@ class TestPipeline:
         header = (out / "equilibrium.csv").read_text().splitlines()[0]
         assert header == "Date,equilibrio_tipo_de_cambio,observed,gap,penalty"
 
-    def test_determinism_byte_identical_runs(self, tmp_path):
+    def test_determinism_byte_identical_runs(self, canonical_csv, tmp_path):
         csv_path = synthetic_csv(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            assert (
-                main(
-                    [
-                        "pipeline",
-                        "--input",
-                        str(csv_path),
-                        "--out",
-                        str(out),
-                        "--seed",
-                        "42",
-                    ]
-                )
-                == 0
-            )
-        assert tree_bytes(out_a) == tree_bytes(out_b)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"variables": ["M2", "Pi Exp", "Long Interest", "Embi+ARG"]}),
+            encoding="utf-8",
+        )
+        scenarios = tmp_path / "scenarios.json"
+        shocks = [
+            {"variable": "M2", "kind": "multiplicative", "magnitude": 1.5},
+            {"variable": "Long Interest", "kind": "additive", "magnitude": 5.0},
+        ]
+        scenarios.write_text(
+            json.dumps(
+                [
+                    {"name": "m2 up", "shocks": shocks[:1]},
+                    {"name": "both", "shocks": shocks},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        runs = {
+            "core": ["--input", str(csv_path)],
+            "all": [
+                "--input",
+                str(canonical_csv),
+                "--config",
+                str(config),
+                "--stages",
+                "core,equilibrium,colimit,sensitivity",
+                "--scenarios",
+                str(scenarios),
+            ],
+        }
+        for name, args in runs.items():
+            out_a, out_b = tmp_path / f"{name}-a", tmp_path / f"{name}-b"
+            for out in (out_a, out_b):
+                command = ["pipeline", *args, "--out", str(out), "--seed", "42"]
+                assert main(command) == 0
+            assert tree_bytes(out_a) == tree_bytes(out_b)
+        written = set(tree_bytes(tmp_path / "all-a"))
+        assert {"equilibrium.csv", "colimit.csv", "scenario_both.csv"} <= written
 
     def test_failure_reports_stage_on_stderr(self, tmp_path, capsys):
         # constant column: VAR design is collinear -> numerical exit code

@@ -213,13 +213,13 @@ class TestGapReport:
     def _series(self, gaps):
         from bimonetary.equilibrium import EquilibriumSeries
 
-        n = len(gaps)
+        gap = np.array(gaps, dtype=np.float64)
         return EquilibriumSeries(
-            daily_dates(n),
-            tuple(10.0 + g for g in gaps),
-            (0.0,) * n,
-            (10.0,) * n,
-            tuple(gaps),
+            daily_dates(len(gap)),
+            10.0 + gap,
+            np.zeros(len(gap)),
+            np.full(len(gap), 10.0),
+            gap,
             (),
         )
 

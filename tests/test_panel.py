@@ -1,10 +1,16 @@
+import csv
+import io
+import math
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bimonetary import panel as panel_module
 from bimonetary.errors import (
     DegenerateRange,
     DuplicateDate,
@@ -22,10 +28,14 @@ from bimonetary.panel import (
     linear_interpolate,
     load_csv,
     minmax_rescale,
+    quote,
     rolling_corr,
     rolling_mean,
+    text_rows,
     write_csv,
+    write_rows,
 )
+from bimonetary.scenarios import CategorySpec, Shock, apply_scenario, learning_enrich
 from tests.conftest import daily_dates, make_canonical_panel
 
 
@@ -141,6 +151,85 @@ class TestLoadCsv:
         assert copy.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
         assert load_csv(copy) == panel
         assert format_cell(float("nan")) == ""
+
+    def test_names_with_comma_and_quote_round_trip(self, tmp_path):
+        name = 'spread, "EMBI" basis'
+        panel = Panel(
+            daily_dates(3),
+            {name: Series.of([1.5, None, -0.0]), "x": Series.of([1, 2, 3])},
+        )
+        path = tmp_path / "quoted.csv"
+        write_csv(panel, path)
+        assert path.read_bytes().startswith(b'Date,"spread, ""EMBI"" basis",x\r\n')
+        assert load_csv(path) == panel
+
+
+# special values of the writer's text contract, then any finite float
+CELL_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e22, -1e22, 1e16, 0.1, 123456789.0]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+CELL_TEXT = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)), st.sampled_from(',"\r\n ')
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def tables(draw):
+    """A header and equal-length columns, each of floats, ints or text."""
+    width = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(0, 6))
+    header = draw(st.lists(CELL_TEXT, min_size=width, max_size=width))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["float", "int", "text"]), min_size=width, max_size=width
+        )
+    )
+    cells = {
+        "float": CELL_FLOATS,
+        "int": st.integers(-(10**20), 10**20),
+        "text": CELL_TEXT,
+    }
+    columns = [
+        draw(st.lists(cells[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds
+    ]
+    return header, kinds, columns
+
+
+class TestCsvWriter:
+    @given(tables())
+    @example(([""], ["text"], [["", "a"]]))  # a lone empty cell is quoted
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_csv_writer_with_format_cell(self, table):
+        header, kinds, columns = table
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow(
+                [format_cell(c) if isinstance(c, float) else c for c in row]
+            )
+        expected = buffer.getvalue().encode("utf-8")
+
+        as_text = {
+            "float": lambda column: np.array(column, dtype=np.float64),
+            "int": lambda column: [str(v) for v in column],
+            "text": lambda column: [quote(v) for v in column],
+        }
+        text_columns = [as_text[k](c) for k, c in zip(kinds, columns)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_rows(path, header, text_rows(*text_columns))
+            assert path.read_bytes() == expected
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            text_rows(["a", "b"], np.array([1.0]))
 
 
 class TestSeriesStorage:
@@ -295,6 +384,33 @@ class TestPanel:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Panel(daily_dates(3), {"x": Series.of([1.0])})
+
+    def test_unsorted_dates_rejected(self):
+        with pytest.raises(ValueError, match="not increasing"):
+            Panel((date(2018, 1, 2), date(2018, 1, 1)), {})
+
+    def test_derived_panels_reuse_the_date_check(self, monkeypatch):
+        panel = Panel(
+            daily_dates(6),
+            {"x": Series.of([1, None, 3, 4, 5, 6]), "y": Series.of(range(6))},
+        )
+        checked = []
+        monkeypatch.setattr(panel_module, "_check_dates", checked.append)
+        clean = panel.clean()
+        clean.select(["y"])
+        clean.with_columns({"z": Series.of(range(6))})
+        clean.drop_leading_rows(2)
+        clean.restrict_dates(date(2018, 1, 2), None)
+        apply_scenario(clean, [Shock("x", "additive", 1.0)])
+        learning_enrich(clean, CategorySpec("b", ("x",)), None, lags=2)
+        assert checked == []
+        Panel(clean.dates, {})
+        assert checked == [clean.dates]
+
+    def test_derived_panel_still_checks_column_lengths(self):
+        panel = Panel(daily_dates(3), {"x": Series.of([1, 2, 3])})
+        with pytest.raises(ValueError):
+            panel.with_columns({"y": Series.of([1.0])})
 
 
 def _window_oracle(x, y, window, min_periods):

@@ -217,6 +217,16 @@ class TestRunSensitivity:
             assert len(comparison.difference) == n
             assert comparison.max_abs_difference > 0.0
 
+    def test_every_comparison_shares_one_baseline(self, canonical_panel):
+        specs = [
+            ("m2_up", [Shock("M2", "multiplicative", 1.5)]),
+            ("rate_up", [Shock("Long Interest", "additive", 5.0)]),
+            ("noop", []),
+        ]
+        out = run_sensitivity(canonical_panel, "Ipc Argentina", specs, MODEL_VARS, 2)
+        for comparison in out:
+            assert comparison.baseline is out[0].baseline
+
     def test_difference_is_pointwise(self, canonical_panel):
         out = run_sensitivity(
             canonical_panel,

@@ -1,0 +1,105 @@
+"""Compare two artifact directories file by file.
+
+    python3 tools/artifact_diff.py DIR_A DIR_B
+
+Prints one line per file name found in either directory: ``identical`` when
+the bytes match, else the largest relative difference ``|a - b| / max(|a|,
+|b|)`` over the cells that hold a number on both sides, followed by every
+cell that changes between empty and filled and every other changed cell.
+Cells are the fields of a ``.csv``, the leaves of a ``.json`` (``null`` is
+empty) and the whitespace-separated words of any other file. Exits 0 when
+every file is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def _json_leaves(node, where: str):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_leaves(value, f"{where}[{i}]")
+    else:
+        yield where, "" if node is None else json.dumps(node).strip('"')
+
+
+def cells(path: Path) -> list[tuple[str, str]]:
+    """(location, text) of every cell of the file, in file order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        header = rows[0] if rows else []
+        return [
+            (f"row {r} column {header[c] if c < len(header) else c!r}", cell)
+            for r, row in enumerate(rows[1:], start=2)
+            for c, cell in enumerate(row)
+        ]
+    if path.suffix == ".json":
+        return list(_json_leaves(json.loads(text), "$"))
+    return [(f"word {i}", word) for i, word in enumerate(text.split())]
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Report lines for one file present in both directories; empty when
+    the files are byte-identical."""
+    if a.read_bytes() == b.read_bytes():
+        return []
+    left, right = cells(a), cells(b)
+    if [where for where, _ in left] != [where for where, _ in right]:
+        return [f"layout differs: {len(left)} cells against {len(right)}"]
+    worst = 0.0
+    changed: list[str] = []
+    for (where, x), (_, y) in zip(left, right):
+        if x == y:
+            continue
+        u, v = _number(x), _number(y)
+        if u is not None and v is not None and math.isfinite(u) and math.isfinite(v):
+            worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+            continue
+        kind = "empty/filled" if (x == "") != (y == "") else "changed"
+        changed.append(f"  {where}: {x!r} -> {y!r} ({kind})")
+    return [f"max relative difference {worst:.3g}", *changed]
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: artifact_diff.py DIR_A DIR_B", file=sys.stderr)
+        return 2
+    left, right = map(Path, args)
+    names = sorted(
+        {p.name for p in left.iterdir() if p.is_file()}
+        | {p.name for p in right.iterdir() if p.is_file()}
+    )
+    status = 0
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.is_file() and b.is_file()):
+            lines = [f"only in {left if a.is_file() else right}"]
+        else:
+            lines = differences(a, b)
+        status |= bool(lines)
+        print(f"{name}: {lines[0] if lines else 'identical'}")
+        for line in lines[1:]:
+            print(line)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
