@@ -29,11 +29,40 @@ class LeastSquaresFit:
         return np.sqrt(np.outer(np.diag(xtx_inv), sigma2))
 
 
+def equilibrate(Z: np.ndarray, k: int) -> np.ndarray:
+    """Scale the first k columns of the preallocated design Z to unit norm,
+    in place, and return their norms.
+
+    Column equilibration makes the pivot test scale-invariant, so mixed
+    magnitudes (GDP levels next to an intercept) are not mistaken for
+    collinearity; a least-squares solution is unchanged by diagonal scaling.
+
+    Raises
+    ------
+    RankDeficient
+        A zero column among the k, before anything is divided by it.
+    """
+    norms = np.linalg.norm(Z[:, :k], axis=0)
+    if (norms == 0.0).any():
+        raise RankDeficient("zero column in the design matrix")
+    Z[:, :k] /= norms
+    return norms
+
+
+def _check_pivots(r: np.ndarray, k: int) -> None:
+    pivots = np.abs(np.diag(r)[:k])
+    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
+        raise RankDeficient(
+            f"relative pivot {pivots.min() / pivots.max():.3e} below threshold"
+        )
+
+
 def _factor(X: np.ndarray, Y: np.ndarray | None = None):
     """QR of X with its columns scaled to unit norm, after the checks.
 
     Returns ``(Q, R, norms)``. Given ``Y``, R is the factor of
-    ``[X / norms, Y]`` and Q is not formed (``None``).
+    ``[X / norms, Y]``, built in one preallocated array, and Q is not
+    formed (``None``).
 
     Raises
     ------
@@ -46,22 +75,17 @@ def _factor(X: np.ndarray, Y: np.ndarray | None = None):
     n, k = X.shape
     if n < k:
         raise InsufficientRows(f"{n} rows for {k} coefficients")
-    # column equilibration makes the pivot test scale-invariant, so mixed
-    # magnitudes (GDP levels next to an intercept) are not mistaken for
-    # collinearity; the solution itself is unchanged by diagonal scaling
-    norms = np.linalg.norm(X, axis=0)
-    if (norms == 0.0).any():
-        raise RankDeficient("zero column in the design matrix")
-    scaled = X / norms
+    m = 0 if Y is None else 1 if Y.ndim == 1 else Y.shape[1]
+    Z = np.empty((n, k + m))
+    Z[:, :k] = X
+    if Y is not None:
+        Z[:, k:] = Y.reshape(n, m)
+    norms = equilibrate(Z, k)
     if Y is None:
-        q, r = np.linalg.qr(scaled)
+        q, r = np.linalg.qr(Z)
     else:
-        q, r = None, np.linalg.qr(np.column_stack([scaled, Y]), mode="r")
-    pivots = np.abs(np.diag(r)[:k])
-    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
-        raise RankDeficient(
-            f"relative pivot {pivots.min() / pivots.max():.3e} below threshold"
-        )
+        q, r = None, np.linalg.qr(Z, mode="r")
+    _check_pivots(r, k)
     return q, r, norms
 
 
@@ -80,6 +104,16 @@ def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     residuals = y - X @ beta
     ssr = np.einsum("i...,i...->...", residuals, residuals)
     return LeastSquaresFit(beta, residuals, ssr, n - k)
+
+
+def _suffix_cross_products(r: np.ndarray, k: int) -> np.ndarray:
+    """``E_j' E_j`` for ``j = 0..k`` from the R factor of ``[X / norms, Y]``,
+    shape ``(k+1, m, m)``; see :func:`prefix_cross_products`."""
+    tail = r[:, k:]                     # rows of R12, then of R22
+    # a zero row stands for R22 when n == k (the full design fits exactly)
+    tail = np.vstack([tail, np.zeros((1, tail.shape[1]))])
+    outer = np.einsum("ij,ik->ijk", tail, tail)
+    return np.cumsum(outer[::-1], axis=0)[::-1][: k + 1]
 
 
 def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -102,12 +136,25 @@ def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     k = X.shape[1]
     _, r, _ = _factor(X, Y)
-    tail = r[:, k:]                     # rows of R12, then of R22
-    # a zero row stands for R22 when n == k (the full design fits exactly)
-    tail = np.vstack([tail, np.zeros((1, tail.shape[1]))])
-    outer = np.einsum("ij,ik->ijk", tail, tail)
-    suffix = np.cumsum(outer[::-1], axis=0)[::-1][: k + 1]
+    suffix = _suffix_cross_products(r, k)
     return suffix[:, 0, 0] if Y.ndim == 1 else suffix
+
+
+def subset_prefix_ssrs(r: np.ndarray, columns, k: int) -> np.ndarray:
+    """:func:`prefix_cross_products` of one response on a column subset of
+    a design that is already factored.
+
+    ``r`` is the R factor of an equilibrated design Z (see
+    :func:`equilibrate`); ``columns`` picks ``k`` regressor columns of Z,
+    then the response column. Since ``Z[:, columns] = Q r[:, columns]``,
+    the R factor of the subset is that of ``r[:, columns]``, a QR of at
+    most ``len(r)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5).
+    The pivot test runs on the subset's own pivots. Returns the ``k + 1``
+    prefix SSRs.
+    """
+    sub = np.linalg.qr(r[:, columns], mode="r")
+    _check_pivots(sub, k)
+    return _suffix_cross_products(sub, k)[:, 0, 0]
 
 
 def r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from .panel import (
 )
 from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
-from .typed_json import parse, read_json
+from .typed_json import parse, read_json, reject_repeats
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -83,6 +83,9 @@ class SensitivitySection:
     max_lags: int = 4
     window: tuple[Date | None, Date | None] = (None, None)
 
+    def __post_init__(self) -> None:
+        reject_repeats("model_variables", self.model_variables)
+
 
 #: Smallest accepted value of each integer config key.
 _CONFIG_MINIMA = {
@@ -121,6 +124,8 @@ class Config:
     sensitivity: SensitivitySection = SensitivitySection()
 
     def __post_init__(self) -> None:
+        for key in ("schema", "variables", "cholesky_order"):
+            reject_repeats(key, getattr(self, key) or ())
         if self.criterion.lower() not in econ.CRITERIA:
             raise ValueError(
                 f"criterion must be one of {'|'.join(econ.CRITERIA)}: "
@@ -237,16 +242,13 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
             {"skipped": f"K={K} outside the tabulated range 2..12"},
         )
 
+    names = np.array([quote(name) for name in transformed.variables], dtype=object)
     tests = [
-        (quote(cause), quote(effect), entry.lag, entry.f_stat, entry.p_value)
-        for cause in transformed.variables
-        for effect in transformed.variables
-        if cause != effect
-        for entry in econ.granger(
-            transformed.column(cause).array,
-            transformed.column(effect).array,
-            config.granger_max_lag,
-        ).per_lag
+        (names[cause], names[effect], entry.lag, entry.f_stat, entry.p_value)
+        for (cause, effect), result in econ.granger_matrix(
+            matrix, config.granger_max_lag
+        ).items()
+        for entry in result.per_lag
     ]
     causes, effects, lags, f_stats, p_values = zip(*tests) if tests else [()] * 5
     _write_csv(
@@ -271,7 +273,6 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     _write_json(out / "ljung_box.json", lb)
 
     # one row per cell of the response arrays, in their C order
-    names = np.array([quote(name) for name in model.variable_order], dtype=object)
     responses = econ.irf(model, config.irf_horizon)
     psi, theta = np.stack(responses.psi), np.stack(responses.theta)
     h, response, impulse = np.indices(psi.shape).reshape(3, -1)

@@ -17,6 +17,7 @@ import numpy as np
 from . import econometrics as econ
 from .errors import AllZeroWeights, ConstantColumn, InsufficientRows, ShapeMismatch
 from .panel import Panel, Series, minmax_rescale, rolling_corr, rolling_mean
+from .typed_json import reject_repeats
 
 #: Aggregated variables by default; the risk spread stays external.
 DEFAULT_VARIABLES = (
@@ -44,6 +45,7 @@ class ColimitConfig:
     reference: str = "E"
 
     def __post_init__(self) -> None:
+        reject_repeats("variables", self.variables)
         if not 1 <= self.n_components <= len(self.variables):
             raise ValueError("n_components must lie in 1..len(variables)")
 

@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
-from ._regression import prefix_cross_products, qr_least_squares
+from ._regression import (
+    equilibrate,
+    prefix_cross_products,
+    qr_least_squares,
+    subset_prefix_ssrs,
+)
 from .errors import (
     InsufficientObservations,
     NonPositiveDefiniteSigma,
@@ -35,6 +40,7 @@ __all__ = [
     "GrangerLag",
     "GrangerResult",
     "granger",
+    "granger_matrix",
     "VarModel",
     "fit_var",
     "fit_var_order",
@@ -292,8 +298,71 @@ class GrangerResult:
         return self.per_lag[lag - 1]
 
 
-def _lagged(x: np.ndarray, lags: int, rows: int, t0: int) -> np.ndarray:
-    return np.column_stack([x[t0 - j : t0 - j + rows] for j in range(1, lags + 1)])
+def _granger_pairs(
+    data, max_lag: int, pairs: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], GrangerResult]:
+    """The Granger tests of the ordered (cause, effect) column pairs of
+    ``data``, from one tall factorization per lag.
+
+    For lag L, ``Z_L = [1, lags 1..L of every column | every column]`` on
+    rows L..T-1 is built in one array, its regressor block equilibrated
+    (each column has the norm it has in a pair's own design), and factored
+    once. Every pair reads SSR_r and SSR_u from a small QR of the columns
+    ``[1, effect lags, cause lags | effect]`` of that R factor
+    (:func:`subset_prefix_ssrs`), with its own pivot test. The rows are the
+    same for every pair at one lag, so the statistics are those of the
+    pair's own regressions. ``data`` is a checked float matrix.
+    """
+    T, K = data.shape
+    if max_lag < 1:
+        raise ValueError("max_lag must be at least 1")
+    if not pairs:
+        return {}
+    if T <= 3 * max_lag + 3:
+        raise InsufficientObservations(
+            f"need more than {3 * max_lag + 3} observations, got {T}"
+        )
+    entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
+    for lag in range(1, max_lag + 1):
+        rows, k = T - lag, 1 + K * lag
+        Z = np.empty((rows, k + K))
+        Z[:, 0] = 1.0
+        for j in range(1, lag + 1):     # column 1 + v*lag + j-1: lag j of v
+            Z[:, j:k:lag] = data[lag - j : T - j]
+        Z[:, k:] = data[lag:]
+        equilibrate(Z, k)
+        r = np.linalg.qr(Z, mode="r")
+        df_den = rows - 2 * lag - 1
+        for cause, effect in pairs:
+            own = 1 + effect * lag
+            other = 1 + cause * lag
+            columns = np.r_[0, own : own + lag, other : other + lag, k + effect]
+            ssrs = subset_prefix_ssrs(r, columns, 1 + 2 * lag)
+            ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
+            if ssr_u <= 0.0:
+                raise RankDeficient("unrestricted regression fits exactly")
+            f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
+            entries[cause, effect].append(
+                GrangerLag(lag, f_stat, f_sf(f_stat, lag, df_den), lag, df_den)
+            )
+    return {pair: GrangerResult(tuple(lags)) for pair, lags in entries.items()}
+
+
+def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
+    """:func:`granger` for every ordered pair of distinct columns of a
+    (T, K) matrix, keyed ``(cause, effect)`` by column index in cause-major
+    order.
+
+    All pairs at one lag share their rows, so one factorization per lag
+    serves the whole matrix: ``max_lag`` tall QRs in place of
+    ``K (K-1) max_lag``. The errors are :func:`granger`'s. A zero regressor
+    column raises ``RankDeficient`` before its lag's factorization, so no
+    pair reads a factor that a division by zero has filled with NaN.
+    """
+    data = _as_matrix(data)
+    K = data.shape[1]
+    pairs = [(c, e) for c in range(K) for e in range(K) if c != e]
+    return _granger_pairs(data, max_lag, pairs)
 
 
 def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
@@ -301,35 +370,16 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
 
     The restricted model regresses y on its own lags (plus constant), the
     unrestricted one adds the lags of x;
-    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``. The restricted
-    design is a column prefix of the unrestricted one, so one factorization
-    per lag gives both SSRs.
+    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``. This is the
+    one-pair call of :func:`granger_matrix`'s kernel: the restricted design
+    is a column prefix of the unrestricted one, so one factorization per
+    lag gives both SSRs.
     """
     x = _as_array(x_cause)
     y = _as_array(y_effect)
     if len(x) != len(y):
         raise ShapeMismatch("series lengths differ")
-    T = len(y)
-    if max_lag < 1:
-        raise ValueError("max_lag must be at least 1")
-    if T <= 3 * max_lag + 3:
-        raise InsufficientObservations(
-            f"need more than {3 * max_lag + 3} observations, got {T}"
-        )
-    entries = []
-    for lag in range(1, max_lag + 1):
-        rows = T - lag
-        own = _lagged(y, lag, rows, lag)
-        other = _lagged(x, lag, rows, lag)
-        const = np.ones((rows, 1))
-        ssrs = prefix_cross_products(np.hstack([const, own, other]), y[lag:])
-        df_den = rows - 2 * lag - 1
-        ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
-        if ssr_u <= 0.0:
-            raise RankDeficient("unrestricted regression fits exactly")
-        f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
-        entries.append(GrangerLag(lag, f_stat, f_sf(f_stat, lag, df_den), lag, df_den))
-    return GrangerResult(tuple(entries))
+    return _granger_pairs(np.column_stack([x, y]), max_lag, [(0, 1)])[0, 1]
 
 
 # -- VAR estimation --------------------------------------------------------------

@@ -26,6 +26,16 @@ def read_json(path):
         return json.load(fh)
 
 
+def reject_repeats(key: str, names) -> None:
+    """For a dataclass's ``__post_init__``: a ``ValueError`` when the name
+    list ``key`` holds some name twice."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{key} lists {name!r} twice")
+        seen.add(name)
+
+
 def _wrong(where: str, kind: str, doc) -> InputError:
     return InputError(f"{where} must be {kind}: {doc!r}")
 

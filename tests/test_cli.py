@@ -138,6 +138,26 @@ class TestValidate:
         ("pipeline", "core", {"fevd_horizon": 0}, []),
         ("pipeline", "core", {"forecast_steps": -1}, []),
         ("pipeline", "colimit", {"colimit": {"n_components": 0}}, []),
+        ("pipeline", "core", {"schema": [*CANONICAL_VARIABLES, "M2"]}, []),
+        ("pipeline", "core", {"variables": ["M2", "M2", "Pi Exp"]}, []),
+        ("pipeline", "core", {"cholesky_order": ["M2", "Pi Exp", "M2"]}, []),
+        (
+            "pipeline",
+            "colimit",
+            {
+                "colimit": {
+                    "variables": ["Pi Exp", "Pi Exp", "Long Interest"],
+                    "n_components": 3,
+                }
+            },
+            [],
+        ),
+        (
+            "pipeline",
+            "sensitivity",
+            {"sensitivity": {"model_variables": ["M2", "Ipc Argentina", "M2"]}},
+            [],
+        ),
         (
             "pipeline",
             "sensitivity",
@@ -174,6 +194,11 @@ class TestValidate:
         "fevd-horizon-zero",
         "forecast-steps-negative",
         "n-components-zero",
+        "schema-repeats-name",
+        "variables-repeat-name",
+        "cholesky-order-repeats-name",
+        "colimit-variables-repeat-name",
+        "model-variables-repeat-name",
         "shock-kind-unknown",
     ],
 )

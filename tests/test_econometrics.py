@@ -11,6 +11,7 @@ from bimonetary.errors import (
 )
 from bimonetary.panel import Panel, Series
 from tests.conftest import SEED, daily_dates
+from tests.reference import granger_f
 
 
 def fresh_rng():
@@ -177,6 +178,59 @@ class TestGranger:
             f_ref, p_ref, *_ = ref[lag][0]["ssr_ftest"]
             assert mine.at(lag).f_stat == pytest.approx(f_ref, rel=1e-8)
             assert mine.at(lag).p_value == pytest.approx(p_ref, abs=1e-8)
+
+
+def _granger_panel(T, K, scales=None):
+    """A seeded stable VAR(1) panel, so some pairs cause and some do not."""
+    rng = fresh_rng()
+    A = 0.4 * rng.standard_normal((K, K)) / np.sqrt(K)
+    data = simulate_var1(A, T + 50, rng)[50:]
+    return data if scales is None else data * scales
+
+
+class TestGrangerMatrix:
+    """Every (cause, effect, lag) entry against the naive per-pair oracle
+    of ``tests/reference.py``."""
+
+    @pytest.mark.parametrize(
+        "T, K, max_lag, scales",
+        [
+            (300, 5, 5, None),
+            # at lags 3 and 4 the shared design [1, K*L lags | K columns]
+            # is wider than tall, while each pair still has T > 3L + 3
+            (28, 8, 4, None),
+            (300, 5, 4, np.logspace(-4, 5, 5)),
+        ],
+        ids=["K5-T300", "wide", "scales-1e-4-to-1e5"],
+    )
+    def test_every_entry_matches_the_reference(self, T, K, max_lag, scales):
+        data = _granger_panel(T, K, scales)
+        results = econ.granger_matrix(data, max_lag)
+        assert list(results) == [
+            (c, e) for c in range(K) for e in range(K) if c != e
+        ]
+        for (cause, effect), result in results.items():
+            assert [entry.lag for entry in result.per_lag] == list(
+                range(1, max_lag + 1)
+            )
+            for entry in result.per_lag:
+                f_ref, p_ref, df_num, df_den = granger_f(
+                    data[:, cause], data[:, effect], entry.lag
+                )
+                assert abs(entry.f_stat - f_ref) <= 1e-9 * max(1.0, abs(f_ref))
+                assert abs(entry.p_value - p_ref) <= 2e-9
+                assert (entry.df_num, entry.df_den) == (df_num, df_den)
+
+    @pytest.mark.parametrize("fill", [0.0, 3.0], ids=["zero", "constant"])
+    def test_zero_or_constant_column_is_rank_deficient(self, fill):
+        data = _granger_panel(300, 5)
+        data[:, 2] = fill
+        with pytest.raises(RankDeficient):
+            econ.granger_matrix(data, 3)
+
+    def test_too_few_observations(self):
+        with pytest.raises(InsufficientObservations):
+            econ.granger_matrix(_granger_panel(18, 3), 5)
 
 
 class TestFitVar:

@@ -100,11 +100,29 @@ class TestFactorizationCount:
         econ.fit_var(data, max_lags=8)
         assert len(qr_calls) == 2
 
+    @staticmethod
+    def _tall_and_small(qr_calls, T, max_lag):
+        """QRs of (T - L)-row designs, and the rest: the re-triangularised
+        column subsets of their R factors."""
+        tall = [rows for rows, _ in qr_calls if rows >= T - max_lag]
+        assert sorted(tall) == [T - L for L in range(max_lag, 0, -1)]
+        return len(tall), len(qr_calls) - len(tall)
+
     def test_granger_factors_once_per_lag(self, qr_calls):
         rng = np.random.default_rng(SEED)
         x, y = rng.standard_normal((2, 400))
         econ.granger(x, y, max_lag=6)
-        assert len(qr_calls) == 6
+        tall, small = self._tall_and_small(qr_calls, 400, 6)
+        assert tall == 6
+        assert small <= 6          # one pair, six lags
+
+    def test_granger_matrix_factors_once_per_lag_for_all_pairs(self, qr_calls):
+        # pair by pair this would take K (K-1) max_lag = 450 tall factorizations
+        data = np.random.default_rng(SEED).standard_normal((2000, 10))
+        econ.granger_matrix(data, max_lag=5)
+        tall, small = self._tall_and_small(qr_calls, 2000, 5)
+        assert tall == 5
+        assert small <= 90 * 5
 
 
 class TestMonteCarlo:

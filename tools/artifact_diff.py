@@ -4,8 +4,9 @@
 
 Prints one line per file name found in either directory: ``identical`` when
 the bytes match, else the largest relative difference ``|a - b| / max(|a|,
-|b|)`` over the cells that hold a number on both sides, followed by every
-cell that changes between empty and filled and every other changed cell.
+|b|)`` and the largest absolute difference ``|a - b|`` over the cells that
+hold a number on both sides, followed by every cell that changes between
+empty and filled and every other changed cell.
 Cells are the fields of a ``.csv``, the leaves of a ``.json`` (``null`` is
 empty) and the whitespace-separated words of any other file. Exits 0 when
 every file is identical and 1 otherwise.
@@ -63,18 +64,23 @@ def differences(a: Path, b: Path) -> list[str]:
     left, right = cells(a), cells(b)
     if [where for where, _ in left] != [where for where, _ in right]:
         return [f"layout differs: {len(left)} cells against {len(right)}"]
-    worst = 0.0
+    worst_rel = worst_abs = 0.0
     changed: list[str] = []
     for (where, x), (_, y) in zip(left, right):
         if x == y:
             continue
         u, v = _number(x), _number(y)
         if u is not None and v is not None and math.isfinite(u) and math.isfinite(v):
-            worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+            worst_rel = max(worst_rel, abs(u - v) / max(abs(u), abs(v)))
+            worst_abs = max(worst_abs, abs(u - v))
             continue
         kind = "empty/filled" if (x == "") != (y == "") else "changed"
         changed.append(f"  {where}: {x!r} -> {y!r} ({kind})")
-    return [f"max relative difference {worst:.3g}", *changed]
+    return [
+        f"max relative difference {worst_rel:.3g}, "
+        f"max absolute difference {worst_abs:.3g}",
+        *changed,
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
