@@ -1,4 +1,17 @@
-"""Least-squares plumbing shared by the calibration and time-series modules."""
+"""The one least-squares kernel shared by the calibration and time-series
+modules.
+
+Every regression is read from one factorization: the R factor
+(``mode="r"``, Q is never formed) of ``[X / norms | Y]``, the design with
+its k regressor columns scaled to unit norm. With ``R = [[R11, R12], [0,
+R22]]`` (Golub & Van Loan, *Matrix Computations*, 5.3):
+
+- the coefficients are ``R11^-1 R12 / norms``;
+- ``(X'X)^-1 = N^-1 R11^-1 R11^-T N^-1`` with ``N = diag(norms)``, so the
+  standard errors are the row norms of ``R11^-1`` divided by the norms;
+- the residual cross-product of Y on the first j columns of X is
+  ``R12[j:]' R12[j:] + R22' R22``, so one factor serves every nested design.
+"""
 
 from __future__ import annotations
 
@@ -17,25 +30,17 @@ class LeastSquaresFit:
     beta: np.ndarray          # (k,) or (k, m) matching the response shape
     residuals: np.ndarray
     ssr: np.ndarray           # scalar array for 1-d response, (m,) otherwise
-    df_resid: int
-
-    def stderr(self, X: np.ndarray) -> np.ndarray:
-        """Coefficient standard errors with the df-corrected variance."""
-        xtx_inv = np.linalg.inv(X.T @ X)
-        sigma2 = self.ssr / self.df_resid
-        diag = np.sqrt(np.diag(xtx_inv))
-        if self.beta.ndim == 1:
-            return diag * np.sqrt(sigma2)
-        return np.sqrt(np.outer(np.diag(xtx_inv), sigma2))
+    stderr: np.ndarray        # beta's shape; df-corrected, NaN when n == k
 
 
-def equilibrate(Z: np.ndarray, k: int) -> np.ndarray:
-    """Scale the first k columns of the preallocated design Z to unit norm,
-    in place, and return their norms.
+def factor(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """R factor of the preallocated design ``Z = [X | Y]`` after scaling its
+    first k columns to unit norm in place; returns ``(R, norms)``.
 
     Column equilibration makes the pivot test scale-invariant, so mixed
     magnitudes (GDP levels next to an intercept) are not mistaken for
     collinearity; a least-squares solution is unchanged by diagonal scaling.
+    The pivot test is left to the caller, which knows the design's columns.
 
     Raises
     ------
@@ -46,7 +51,7 @@ def equilibrate(Z: np.ndarray, k: int) -> np.ndarray:
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")
     Z[:, :k] /= norms
-    return norms
+    return np.linalg.qr(Z, mode="r"), norms
 
 
 def _check_pivots(r: np.ndarray, k: int) -> None:
@@ -57,12 +62,9 @@ def _check_pivots(r: np.ndarray, k: int) -> None:
         )
 
 
-def _factor(X: np.ndarray, Y: np.ndarray | None = None):
-    """QR of X with its columns scaled to unit norm, after the checks.
-
-    Returns ``(Q, R, norms)``. Given ``Y``, R is the factor of
-    ``[X / norms, Y]``, built in one preallocated array, and Q is not
-    formed (``None``).
+def _factor(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`factor` of ``[X | Y]``, built in one preallocated array, after
+    the checks.
 
     Raises
     ------
@@ -75,35 +77,33 @@ def _factor(X: np.ndarray, Y: np.ndarray | None = None):
     n, k = X.shape
     if n < k:
         raise InsufficientRows(f"{n} rows for {k} coefficients")
-    m = 0 if Y is None else 1 if Y.ndim == 1 else Y.shape[1]
+    m = 1 if Y.ndim == 1 else Y.shape[1]
     Z = np.empty((n, k + m))
     Z[:, :k] = X
-    if Y is not None:
-        Z[:, k:] = Y.reshape(n, m)
-    norms = equilibrate(Z, k)
-    if Y is None:
-        q, r = np.linalg.qr(Z)
-    else:
-        q, r = None, np.linalg.qr(Z, mode="r")
+    Z[:, k:] = Y.reshape(n, m)
+    r, norms = factor(Z, k)
     _check_pivots(r, k)
-    return q, r, norms
+    return r, norms
 
 
 def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
-    """Solve min ||X b - y|| via QR, failing loudly on collinear regressors
-    (see :func:`_factor` for the checks)."""
+    """Solve min ||X b - y|| from the R factor of ``[X / norms | y]``,
+    failing loudly on collinear regressors (see :func:`_factor` for the
+    checks). The standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))``
+    with ``(X'X)^-1`` read from ``R11^-1``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
-    q, r, norms = _factor(X)
-    beta = np.linalg.solve(r, q.T @ y)
-    if beta.ndim == 1:
-        beta = beta / norms
-    else:
-        beta = beta / norms[:, None]
+    r, norms = _factor(X, y)
+    # one triangular solve gives R11^-1 R12 and R11^-1
+    solved = np.linalg.solve(r[:k, :k], np.hstack([r[:k, k:], np.eye(k)]))
+    beta = (solved[:, :-k] / norms[:, None]).reshape(X.shape[1:] + y.shape[1:])
     residuals = y - X @ beta
     ssr = np.einsum("i...,i...->...", residuals, residuals)
-    return LeastSquaresFit(beta, residuals, ssr, n - k)
+    sigma2 = ssr / (n - k) if n > k else np.full_like(ssr, np.nan)
+    scale = np.linalg.norm(solved[:, -k:], axis=1) / norms
+    stderr = np.multiply.outer(scale, np.sqrt(sigma2))
+    return LeastSquaresFit(beta, residuals, ssr, stderr)
 
 
 def _suffix_cross_products(r: np.ndarray, k: int) -> np.ndarray:
@@ -122,10 +122,9 @@ def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Entry ``j`` belongs to the regression on ``X[:, :j]``, ``j = 0..k``: the
     SSR for a 1-d ``Y`` (shape ``(k+1,)``), ``E_j' E_j`` for a ``(n, m)``
-    ``Y`` (shape ``(k+1, m, m)``). With ``R = [[R11, R12], [0, R22]]`` the R
-    factor of ``[X / norms, Y]``, ``E_j' E_j = R12[j:]' R12[j:] + R22' R22``
-    (Golub & Van Loan, *Matrix Computations*, 5.3): a sum of positive
-    semidefinite terms, so nothing cancels against ``||Y||^2``.
+    ``Y`` (shape ``(k+1, m, m)``). ``E_j' E_j = R12[j:]' R12[j:] + R22'
+    R22``: a sum of positive semidefinite terms, so nothing cancels against
+    ``||Y||^2``.
 
     The checks are :func:`qr_least_squares`'s on the full X, and they decide
     every prefix too: each scaled column has unit norm, so ``|R_11| = 1 >=
@@ -135,7 +134,7 @@ def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     k = X.shape[1]
-    _, r, _ = _factor(X, Y)
+    r, _ = _factor(X, Y)
     suffix = _suffix_cross_products(r, k)
     return suffix[:, 0, 0] if Y.ndim == 1 else suffix
 
@@ -144,13 +143,12 @@ def subset_prefix_ssrs(r: np.ndarray, columns, k: int) -> np.ndarray:
     """:func:`prefix_cross_products` of one response on a column subset of
     a design that is already factored.
 
-    ``r`` is the R factor of an equilibrated design Z (see
-    :func:`equilibrate`); ``columns`` picks ``k`` regressor columns of Z,
-    then the response column. Since ``Z[:, columns] = Q r[:, columns]``,
-    the R factor of the subset is that of ``r[:, columns]``, a QR of at
-    most ``len(r)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5).
-    The pivot test runs on the subset's own pivots. Returns the ``k + 1``
-    prefix SSRs.
+    ``r`` is the R factor of an equilibrated design Z (see :func:`factor`);
+    ``columns`` picks ``k`` regressor columns of Z, then the response
+    column. Since ``Z[:, columns] = Q r[:, columns]``, the R factor of the
+    subset is that of ``r[:, columns]``, a QR of at most ``len(r)`` rows
+    however tall Z is (Golub & Van Loan, 5.3 and 6.5). The pivot test runs
+    on the subset's own pivots. Returns the ``k + 1`` prefix SSRs.
     """
     sub = np.linalg.qr(r[:, columns], mode="r")
     _check_pivots(sub, k)

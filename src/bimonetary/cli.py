@@ -370,9 +370,8 @@ def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
 
 
-def _stage_sensitivity(panel: Panel, out: Path, config: Config, scenario_path) -> None:
+def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
     section = config.sensitivity
-    specs = scen.load_scenarios(scenario_path)
     if not specs:
         print("warning: scenario file lists no scenarios", file=sys.stderr)
         return
@@ -396,13 +395,24 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, scenario_path) -
         )
 
 
+#: The pipeline's stages, in the order they run.
+STAGES = ("core", "equilibrium", "colimit", "sensitivity")
+
+
 def cmd_pipeline(args) -> int:
     doc, config = _load_config(args.config)
+    # the whole invocation is checked before the first stage writes
+    stages = (args.stages or "core").split(",")
+    for name in stages:
+        if name not in STAGES:
+            raise InputError(f"unknown stage {name!r} (stages: {','.join(STAGES)})")
+    if "sensitivity" in stages and not args.scenarios:
+        raise InputError("--scenarios is required for the sensitivity stage")
+    specs = scen.load_scenarios(args.scenarios) if "sensitivity" in stages else ()
     out = _out_dir(args)
     stage = "load"
     try:
         panel = _load_panel(args, config)
-        stages = (args.stages or "core").split(",")
         if "core" in stages:
             stage = "core"
             _stage_core(panel, out, config)
@@ -414,9 +424,7 @@ def cmd_pipeline(args) -> int:
             _stage_colimit(panel, out, config)
         if "sensitivity" in stages:
             stage = "sensitivity"
-            if not args.scenarios:
-                raise InputError("--scenarios is required for the sensitivity stage")
-            _stage_sensitivity(panel, out, config, args.scenarios)
+            _stage_sensitivity(panel, out, config, specs)
         stage = "manifest"
         _write_manifest(out, args, doc, "pipeline")
     except HANDLED_ERRORS as error:
@@ -426,9 +434,10 @@ def cmd_pipeline(args) -> int:
 
 def cmd_scenario(args) -> int:
     doc, config = _load_config(args.config)
+    specs = scen.load_scenarios(args.scenarios)
     out = _out_dir(args)
     panel = _load_panel(args, config)
-    _stage_sensitivity(panel, out, config, args.scenarios)
+    _stage_sensitivity(panel, out, config, specs)
     _write_manifest(out, args, doc, "scenario")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
-    equilibrate,
+    factor,
     prefix_cross_products,
     qr_least_squares,
     subset_prefix_ssrs,
@@ -176,8 +176,7 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
 
     X, dy = _adf_design(y, best_k)
     fit = qr_least_squares(X, dy)
-    se = fit.stderr(X)
-    t_stat = float(fit.beta[1] / se[1])
+    t_stat = float(fit.beta[1] / fit.stderr[1])
 
     crit = adf_critical_values(len(dy))
     decision = "stationary" if t_stat < crit["5%"] else "nonstationary"
@@ -249,11 +248,9 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
     d0 = dy[t0 - 1 :]                      # dy_t
     lvl = data[t0 - 1 : T - 1]             # y_{t-1}
 
-    residuals = qr_least_squares(z, np.hstack([d0, lvl])).residuals
-    r0, rk = residuals[:, :K], residuals[:, K:]
-    s00 = r0.T @ r0 / rows
-    skk = rk.T @ rk / rows
-    sk0 = rk.T @ r0 / rows
+    # residual cross-product of [d0 | lvl] on z, read from the kernel's R
+    moments = prefix_cross_products(z, np.hstack([d0, lvl]))[-1] / rows
+    s00, skk, sk0 = moments[:K, :K], moments[K:, K:], moments[K:, :K]
     try:
         l_kk = np.linalg.cholesky(skk)
         s00_inv = np.linalg.inv(s00)
@@ -305,13 +302,14 @@ def _granger_pairs(
     ``data``, from one tall factorization per lag.
 
     For lag L, ``Z_L = [1, lags 1..L of every column | every column]`` on
-    rows L..T-1 is built in one array, its regressor block equilibrated
-    (each column has the norm it has in a pair's own design), and factored
-    once. Every pair reads SSR_r and SSR_u from a small QR of the columns
-    ``[1, effect lags, cause lags | effect]`` of that R factor
-    (:func:`subset_prefix_ssrs`), with its own pivot test. The rows are the
-    same for every pair at one lag, so the statistics are those of the
-    pair's own regressions. ``data`` is a checked float matrix.
+    rows L..T-1 is built in one array, and the kernel's :func:`factor`
+    returns its R factor with the regressor block scaled in place (each
+    column gets the norm it has in a pair's own design). ``Z_L`` as a whole,
+    which may be wide, gets no pivot test: every pair reads SSR_r and SSR_u
+    from a small QR of its columns ``[1, effect lags, cause lags | effect]``
+    of that R factor (:func:`subset_prefix_ssrs`), with its own pivot test.
+    The rows are the same for every pair at one lag, so the statistics are
+    those of the pair's own regressions. ``data`` is a checked float matrix.
     """
     T, K = data.shape
     if max_lag < 1:
@@ -330,8 +328,7 @@ def _granger_pairs(
         for j in range(1, lag + 1):     # column 1 + v*lag + j-1: lag j of v
             Z[:, j:k:lag] = data[lag - j : T - j]
         Z[:, k:] = data[lag:]
-        equilibrate(Z, k)
-        r = np.linalg.qr(Z, mode="r")
+        r, _ = factor(Z, k)
         df_den = rows - 2 * lag - 1
         for cause, effect in pairs:
             own = 1 + effect * lag
@@ -475,8 +472,7 @@ def fit_var_order(
     resid = fit.residuals
     dof = (T - p) - n_params
     sigma = resid.T @ resid / dof
-    stderr = fit.stderr(X)
-    return VarModel(p, names, c, A, sigma, resid, T - p, stderr)
+    return VarModel(p, names, c, A, sigma, resid, T - p, fit.stderr)
 
 
 #: Lag-selection criteria accepted by :func:`fit_var`, in lower case.
@@ -574,9 +570,9 @@ def ljung_box(residual, lags: int) -> LjungBoxResult:
 @dataclass(frozen=True)
 class IrfResult:
     horizon: int
-    psi: tuple[np.ndarray, ...]            # H+1 matrices, psi[0] = I
-    theta: tuple[np.ndarray, ...] | None   # orthogonalized, theta[0] = chol
-    cholesky_factor: np.ndarray | None
+    psi: tuple[np.ndarray, ...]     # H+1 matrices, psi[0] = I
+    theta: tuple[np.ndarray, ...]   # orthogonalized, theta[0] = chol
+    cholesky_factor: np.ndarray
 
 
 def _psi_matrices(model: VarModel, horizon: int) -> list[np.ndarray]:
@@ -590,29 +586,24 @@ def _psi_matrices(model: VarModel, horizon: int) -> list[np.ndarray]:
     return psi
 
 
-def irf(model: VarModel, horizon: int, orthogonalize: bool = True) -> IrfResult:
+def irf(model: VarModel, horizon: int) -> IrfResult:
     """Moving-average representation out to ``horizon``.
 
     ``psi[h]`` is the plain response; ``theta[h] = psi[h] @ P`` with
     ``P P' = sigma`` (lower Cholesky, so shock ordering follows
-    ``variable_order``). Pass ``orthogonalize=False`` to skip the Cholesky
-    step; otherwise a non-positive-definite covariance raises.
+    ``variable_order``). A non-positive-definite covariance raises.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     psi = _psi_matrices(model, horizon)
-    theta = None
-    chol = None
-    if orthogonalize:
-        try:
-            chol = np.linalg.cholesky(model.sigma)
-        except np.linalg.LinAlgError:
-            raise NonPositiveDefiniteSigma(
-                "residual covariance is not positive definite; "
-                "re-run with orthogonalize=False for plain responses"
-            ) from None
-        theta = tuple(m @ chol for m in psi)
-    return IrfResult(horizon, tuple(psi), theta, chol)
+    try:
+        chol = np.linalg.cholesky(model.sigma)
+    except np.linalg.LinAlgError:
+        raise NonPositiveDefiniteSigma(
+            "residual covariance is not positive definite, so the "
+            "Cholesky-orthogonalized responses are undefined"
+        ) from None
+    return IrfResult(horizon, tuple(psi), tuple(m @ chol for m in psi), chol)
 
 
 @dataclass(frozen=True)
@@ -630,8 +621,7 @@ def fevd(model: VarModel, horizon: int) -> FevdResult:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    result = irf(model, horizon - 1, orthogonalize=True)
-    assert result.theta is not None
+    result = irf(model, horizon - 1)
     K = model.k_vars
     contributions = np.stack([t**2 for t in result.theta])   # (H, K, K)
     cumulative = np.cumsum(contributions, axis=0)

@@ -2,8 +2,8 @@
 on scipy, for use as test oracles where statsmodels is absent.
 
 Nothing here is shared with the package: every candidate model is its own
-``scipy.linalg.lstsq`` fit on a design assembled column by column, and
-tail probabilities come from ``scipy.stats``.
+``scipy.linalg.lstsq`` fit on a design assembled column by column, standard
+errors come from an SVD, and tail probabilities come from ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -36,3 +36,56 @@ def granger_f(x_cause, y_effect, lag: int) -> tuple[float, float, int, int]:
     df_den = rows - 2 * lag - 1
     f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
     return f_stat, float(scipy.stats.f.sf(f_stat, lag, df_den)), lag, df_den
+
+
+def ols(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, standard errors) of Y on X, for a 1-d or (n, m) Y.
+
+    Both work on the column-scaled design ``X N^-1``, ``N = diag(column
+    norms)``, so their error does not grow with the spread of the column
+    magnitudes. beta is ``N^-1`` times ``scipy.linalg.lstsq``'s solution on
+    it. The standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))``, with
+    ``(X'X)^-1 = N^-1 V S^-2 V' N^-1`` from its SVD ``U S V'``.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n, k = X.shape
+    norms = np.linalg.norm(X, axis=0)
+    scaled, *_ = scipy.linalg.lstsq(X / norms, Y)
+    beta = (scaled.T / norms).T
+    resid = Y - X @ beta
+    sigma2 = np.einsum("i...,i...->...", resid, resid) / (n - k)
+    _, s, vt = scipy.linalg.svd(X / norms, full_matrices=False)
+    diag = ((vt.T / s) ** 2).sum(axis=1) / norms**2
+    return beta, np.sqrt(np.multiply.outer(diag, sigma2))
+
+
+def _adf_regression(y: np.ndarray, lags: int, t0: int):
+    """Rows t = t0..T-1 of dy_t on [1, y_{t-1}, dy_{t-1}, .., dy_{t-lags}],
+    where dy_t = y_t - y_{t-1}."""
+    T = len(y)
+    dy = np.diff(y)                    # dy[t - 1] is dy_t
+    columns = [np.ones(T - t0), y[t0 - 1 : T - 1]]
+    columns += [dy[t0 - 1 - j : T - 1 - j] for j in range(1, lags + 1)]
+    return np.column_stack(columns), dy[t0 - 1 :]
+
+
+def adf(series, max_lags: int) -> tuple[float, int]:
+    """(t-statistic on y_{t-1}, lag) of the constant-only augmented
+    Dickey-Fuller regression.
+
+    Each lag 0..max_lags is its own ``scipy.linalg.lstsq`` fit on the
+    common sample t = max_lags+1..T-1; the lag with the smallest
+    ``n log(SSR / n) + 2 (2 + lag)`` (the first on a tie) is refit on all
+    its usable rows t = lag+1..T-1.
+    """
+    y = np.asarray(series, dtype=float)
+    n = len(y) - (max_lags + 1)
+    aics = [
+        n * np.log(_ssr(*_adf_regression(y, lags, max_lags + 1)) / n)
+        + 2.0 * (2 + lags)
+        for lags in range(max_lags + 1)
+    ]
+    lag = int(np.argmin(aics))
+    beta, stderr = ols(*_adf_regression(y, lag, lag + 1))
+    return float(beta[1] / stderr[1]), lag

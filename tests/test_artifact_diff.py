@@ -52,7 +52,8 @@ def test_differences_are_reported_per_file(tmp_path):
     code, lines = run(left, right)
     assert code == 1
     assert lines == [
-        "a.csv: max relative difference 5e-11, max absolute difference 1e-10",
+        "a.csv: max relative difference 5e-11, max absolute difference 1e-10, "
+        "max column-scaled difference 5e-11",
         "  row 2 column 'y': '' -> '7.0' (empty/filled)",
         "b.json: max relative difference 0.2, max absolute difference 1",
         "c.txt: identical",

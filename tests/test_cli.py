@@ -220,6 +220,48 @@ def test_malformed_file_is_one_input_error_line(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "stages, scenarios, names",
+    [
+        ("cor", None, "'cor'"),
+        ("core,equilibrium,colimt", None, "'colimt'"),
+        ("core,sensitivity", None, "--scenarios"),
+        ("core,sensitivity", [{"name": 5, "shocks": []}], "name"),
+        ("core,equilibrium,colimit,sensitivity", [{"name": "no shocks"}], "shocks"),
+    ],
+    ids=[
+        "unknown-stage",
+        "unknown-later-stage",
+        "sensitivity-without-scenarios",
+        "scenario-name-not-string",
+        "scenario-without-shocks",
+    ],
+)
+def test_bad_invocation_fails_before_any_stage_writes(
+    canonical_csv, tmp_path, capsys, stages, scenarios, names
+):
+    # a core stage that runs to the end on these three columns, so a check
+    # made only when its stage is reached would come after nine artifacts
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(
+        json.dumps({"variables": ["M2", "Ipc Argentina", "Pi Exp"]}), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", str(canonical_csv), "--config", str(config_file)]
+    argv += ["--stages", stages]
+    if scenarios is not None:
+        scenario_file = tmp_path / "scenarios.json"
+        scenario_file.write_text(json.dumps(scenarios), encoding="utf-8")
+        argv += ["--scenarios", str(scenario_file)]
+    code = main([*argv, "--out", str(out)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "InputError"
+    assert names in doc["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _valid_shock(**change):
     return {"variable": "M2", "kind": "additive", "magnitude": 1.0, **change}
 

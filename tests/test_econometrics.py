@@ -10,6 +10,7 @@ from bimonetary.errors import (
     ShapeMismatch,
 )
 from bimonetary.panel import Panel, Series
+from tests import reference
 from tests.conftest import SEED, daily_dates
 from tests.reference import granger_f
 
@@ -67,6 +68,16 @@ class TestAdf:
         assert mine.t_stat == pytest.approx(t_ref, rel=1e-8)
         assert mine.lags_used == lag_ref
         assert mine.approx_pvalue == pytest.approx(p_ref, abs=1e-6)
+
+    def test_matches_naive_oracle(self):
+        # the series of test_matches_reference_implementation
+        rng = fresh_rng()
+        series = rng.standard_normal(300) + 0.5 * np.sin(np.arange(300) / 7)
+        mine = econ.adf_test(series)
+        # the default cap, floor(12 (T/100)^(1/4)) = 15 at T = 300
+        t_ref, lag_ref = reference.adf(series, max_lags=15)
+        assert mine.t_stat == pytest.approx(t_ref, rel=1e-8)
+        assert mine.lags_used == lag_ref
 
 
 class TestJohansen:
@@ -284,6 +295,23 @@ class TestFitVar:
         np.testing.assert_allclose(mine.c, ref.intercept, rtol=1e-8)
         np.testing.assert_allclose(mine.sigma, ref.sigma_u, rtol=1e-8)
 
+    def test_standard_errors_and_tvalues_match_naive_oracle(self):
+        # the seeded data of TestReferenceAgreement.fitted_pair
+        rng = fresh_rng()
+        A = np.array([[0.5, 0.1], [-0.2, 0.3]])
+        c = np.array([0.3, -0.1])
+        data = np.zeros((800, 2))
+        shocks = rng.standard_normal((800, 2))
+        for t in range(1, 800):
+            data[t] = c + A @ data[t - 1] + shocks[t]
+        mine = econ.fit_var_order(data, 2)
+        X = np.column_stack([np.ones(798), data[1:799], data[0:798]])
+        beta, stderr = reference.ols(X, data[2:])
+        np.testing.assert_allclose(mine.stderr, stderr, rtol=1e-10)
+        np.testing.assert_allclose(
+            mine.coefficient_matrix() / mine.stderr, beta / stderr, rtol=1e-10
+        )
+
     def test_insufficient_observations(self):
         with pytest.raises(InsufficientObservations):
             econ.fit_var(np.zeros((10, 3)), 5)
@@ -368,9 +396,6 @@ class TestIrf:
         )
         with pytest.raises(NonPositiveDefiniteSigma):
             econ.irf(model, 2)
-        plain = econ.irf(model, 2, orthogonalize=False)
-        assert plain.theta is None
-        np.testing.assert_array_equal(plain.psi[0], np.eye(2))
 
 
 class TestFevd:

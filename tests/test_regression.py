@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bimonetary import econometrics as econ
+from bimonetary import econometrics as econ, structural
 from bimonetary._regression import prefix_cross_products, qr_least_squares
 from bimonetary.errors import InsufficientRows, RankDeficient
-from tests.conftest import SEED
+from tests import reference
+from tests.conftest import SEED, make_canonical_panel
 
 
 def mixed_design(rng, n, k):
@@ -72,6 +73,24 @@ class TestPrefixCrossProducts:
                 prefix_cross_products(X, y)
 
 
+class TestLeastSquares:
+    @pytest.mark.parametrize("m", [None, 3], ids=["vector", "matrix"])
+    def test_beta_and_stderr_match_naive_oracle(self, m):
+        # regressor columns scaled from 1e-4 to 1e5 beside the intercept
+        rng = np.random.default_rng(SEED)
+        X = np.ones((200, 6))
+        scales = np.logspace(-4, 5, 5)
+        X[:, 1:] = rng.standard_normal((200, 5)) * scales + scales
+        shape = (200,) if m is None else (200, m)
+        coef = (rng.standard_normal(shape[1:] + (6,)) / np.r_[1.0, scales]).T
+        Y = X @ coef + rng.standard_normal(shape)
+        fit = qr_least_squares(X, Y)
+        beta, stderr = reference.ols(X, Y)
+        assert fit.beta.shape == fit.stderr.shape == beta.shape
+        np.testing.assert_allclose(fit.beta, beta, rtol=1e-9)
+        np.testing.assert_allclose(fit.stderr, stderr, rtol=1e-9)
+
+
 class TestFactorizationCount:
     """One factorization per lag search, counted, so the old per-candidate
     cost cannot come back unnoticed; counts repeat exactly, timings do not."""
@@ -82,7 +101,8 @@ class TestFactorizationCount:
         inner = np.linalg.qr
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            mode = kwargs.get("mode", args[1] if len(args) > 1 else "reduced")
+            calls.append((*args[0].shape, mode))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
@@ -104,7 +124,7 @@ class TestFactorizationCount:
     def _tall_and_small(qr_calls, T, max_lag):
         """QRs of (T - L)-row designs, and the rest: the re-triangularised
         column subsets of their R factors."""
-        tall = [rows for rows, _ in qr_calls if rows >= T - max_lag]
+        tall = [rows for rows, *_ in qr_calls if rows >= T - max_lag]
         assert sorted(tall) == [T - L for L in range(max_lag, 0, -1)]
         return len(tall), len(qr_calls) - len(tall)
 
@@ -123,6 +143,19 @@ class TestFactorizationCount:
         tall, small = self._tall_and_small(qr_calls, 2000, 5)
         assert tall == 5
         assert small <= 90 * 5
+
+    def test_every_factorization_forms_r_only(self, qr_calls):
+        rng = np.random.default_rng(SEED)
+        data = np.cumsum(rng.standard_normal((400, 3)), axis=0) * 0.1
+        data += rng.standard_normal((400, 3))
+        econ.adf_test(data[:, 0])
+        econ.fit_var(data, max_lags=4)
+        econ.fit_var_order(data, 2)
+        econ.johansen_trace(data, k_ar_diff=2)
+        econ.granger_matrix(data, max_lag=3)
+        structural.calibrate(make_canonical_panel(200))
+        assert qr_calls
+        assert {mode for *_, mode in qr_calls} == {"r"}
 
 
 class TestMonteCarlo:
