@@ -10,7 +10,12 @@ R22]]`` (Golub & Van Loan, *Matrix Computations*, 5.3):
 - ``(X'X)^-1 = N^-1 R11^-1 R11^-T N^-1`` with ``N = diag(norms)``, so the
   standard errors are the row norms of ``R11^-1`` divided by the norms;
 - the residual cross-product of Y on the first j columns of X is
-  ``R12[j:]' R12[j:] + R22' R22``, so one factor serves every nested design.
+  ``R12[j:]' R12[j:] + R22' R22``, so one factor serves every nested design;
+- a design made of some columns of Z plus rows Z lacks has the R factor of
+  those rows, scaled by the same norms, stacked on those columns of R
+  (Golub & Van Loan, 6.5.3, "adding rows"): a smaller lag, or the refit at
+  a chosen lag, reads its R from a QR of at most ``len(R)`` plus its
+  missing rows, however tall Z is.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def _check_pivots(r: np.ndarray, k: int) -> None:
         )
 
 
-def _factor(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def factor_design(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`factor` of ``[X | Y]``, built in one preallocated array, after
     the checks.
 
@@ -86,19 +91,21 @@ def _factor(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, norms
 
 
-def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
-    """Solve min ||X b - y|| from the R factor of ``[X / norms | y]``,
-    failing loudly on collinear regressors (see :func:`_factor` for the
-    checks). The standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))``
-    with ``(X'X)^-1`` read from ``R11^-1``."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, k = X.shape
-    r, norms = _factor(X, y)
+def read_fit(r: np.ndarray, norms: np.ndarray, blocks) -> LeastSquaresFit:
+    """The least-squares fit read from the R factor of ``[X / norms | Y]``.
+
+    ``blocks`` holds the design's rows as ``(X, Y)`` pairs, in row order;
+    the residuals ``Y - X beta`` are taken on each and stacked. The
+    standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))`` with
+    ``(X'X)^-1`` read from ``R11^-1``.
+    """
+    k = len(norms)
     # one triangular solve gives R11^-1 R12 and R11^-1
     solved = np.linalg.solve(r[:k, :k], np.hstack([r[:k, k:], np.eye(k)]))
-    beta = (solved[:, :-k] / norms[:, None]).reshape(X.shape[1:] + y.shape[1:])
-    residuals = y - X @ beta
+    beta = (solved[:, :-k] / norms[:, None]).reshape((k,) + blocks[0][1].shape[1:])
+    parts = [Y - X @ beta for X, Y in blocks]
+    residuals = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    n = len(residuals)
     ssr = np.einsum("i...,i...->...", residuals, residuals)
     sigma2 = ssr / (n - k) if n > k else np.full_like(ssr, np.nan)
     scale = np.linalg.norm(solved[:, -k:], axis=1) / norms
@@ -106,7 +113,17 @@ def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     return LeastSquaresFit(beta, residuals, ssr, stderr)
 
 
-def _suffix_cross_products(r: np.ndarray, k: int) -> np.ndarray:
+def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
+    """Solve min ||X b - y|| from the R factor of ``[X / norms | y]``,
+    failing loudly on collinear regressors (see :func:`factor_design` for
+    the checks and :func:`read_fit` for the standard errors)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r, norms = factor_design(X, y)
+    return read_fit(r, norms, [(X, y)])
+
+
+def cross_products(r: np.ndarray, k: int) -> np.ndarray:
     """``E_j' E_j`` for ``j = 0..k`` from the R factor of ``[X / norms, Y]``,
     shape ``(k+1, m, m)``; see :func:`prefix_cross_products`."""
     tail = r[:, k:]                     # rows of R12, then of R22
@@ -133,26 +150,53 @@ def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    k = X.shape[1]
-    r, _ = _factor(X, Y)
-    suffix = _suffix_cross_products(r, k)
-    return suffix[:, 0, 0] if Y.ndim == 1 else suffix
+    r, _ = factor_design(X, Y)
+    cross = cross_products(r, X.shape[1])
+    return cross[:, 0, 0] if Y.ndim == 1 else cross
 
 
-def subset_prefix_ssrs(r: np.ndarray, columns, k: int) -> np.ndarray:
-    """:func:`prefix_cross_products` of one response on a column subset of
-    a design that is already factored.
+def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarray:
+    """R factor of a design read from one that is already factored.
 
     ``r`` is the R factor of an equilibrated design Z (see :func:`factor`);
-    ``columns`` picks ``k`` regressor columns of Z, then the response
-    column. Since ``Z[:, columns] = Q r[:, columns]``, the R factor of the
-    subset is that of ``r[:, columns]``, a QR of at most ``len(r)`` rows
-    however tall Z is (Golub & Van Loan, 5.3 and 6.5). The pivot test runs
-    on the subset's own pivots. Returns the ``k + 1`` prefix SSRs.
+    ``columns`` picks ``k`` regressor columns of Z, then response columns;
+    ``rows`` holds the rows the design has and Z lacks, in the order of
+    ``columns``, regressors divided by Z's norms (it may have no rows).
+    Since ``Z[:, columns] = Q r[:, columns]``, the design's R factor is that
+    of ``rows`` stacked on ``r[:, columns]``, a QR of at most ``len(r) +
+    len(rows)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5). The
+    pivot test runs on the design's own pivots.
     """
-    sub = np.linalg.qr(r[:, columns], mode="r")
+    sub = np.linalg.qr(np.vstack([rows, r[:, columns]]), mode="r")
     _check_pivots(sub, k)
-    return _suffix_cross_products(sub, k)[:, 0, 0]
+    return sub
+
+
+def prefix_fit(
+    r: np.ndarray,
+    norms: np.ndarray,
+    X: np.ndarray,
+    Y: np.ndarray,
+    X_lead: np.ndarray,
+    Y_lead: np.ndarray,
+) -> LeastSquaresFit:
+    """:func:`qr_least_squares` of ``[Y_lead; Y]`` on ``[X_lead; X[:, :k]]``,
+    ``k = X_lead.shape[1]``, where ``(r, norms)`` is :func:`factor_design`
+    of ``(X, Y)``.
+
+    This is the refit of a lag search at its chosen lag: the design is a
+    column prefix of the largest one plus the leading rows it lacks, so its
+    R comes from :func:`subset_factor` and the design is never copied. The
+    rows are scaled by the largest design's norms, which leaves the
+    least-squares solution unchanged.
+    """
+    k, n_y = X_lead.shape[1], 1 if Y.ndim == 1 else Y.shape[1]
+    columns = np.r_[:k, X.shape[1] : X.shape[1] + n_y]
+    rows = np.empty((len(X_lead), k + n_y))
+    rows[:, :k] = X_lead / norms[:k]
+    rows[:, k:] = Y_lead.reshape(len(Y_lead), n_y)
+    sub = subset_factor(r, columns, k, rows)
+    return read_fit(sub, norms[:k], [(X_lead, Y_lead), (X[:, :k], Y)])
 
 
 def r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

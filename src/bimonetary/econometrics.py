@@ -17,10 +17,14 @@ import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
+    LeastSquaresFit,
+    cross_products,
     factor,
+    factor_design,
     prefix_cross_products,
+    prefix_fit,
     qr_least_squares,
-    subset_prefix_ssrs,
+    subset_factor,
 )
 from .errors import (
     InsufficientObservations,
@@ -147,6 +151,10 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     ``floor(12*(T/100)**0.25)``), then refits at the chosen lag on all
     usable rows. The null of a unit root is rejected at 5% when the
     t-statistic on beta falls below the finite-sample critical value.
+
+    One tall factorization serves the search and the refit: the design at
+    lag k is the leading ``2 + k`` columns of the largest one plus the
+    ``max_lags - k`` leading rows it lacks (:func:`_regression.prefix_fit`).
     """
     y = _as_array(series)
     T = len(y)
@@ -163,7 +171,8 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     # designs are the leading 2 + k columns of the largest one
     X_full, dy_full = _adf_design(y, max_lags)
     n_common = len(dy_full)
-    ssrs = prefix_cross_products(X_full, dy_full)
+    r, norms = factor_design(X_full, dy_full)
+    ssrs = cross_products(r, 2 + max_lags)[:, 0, 0]
     best_k, best_aic = 0, math.inf
     for k in range(max_lags + 1):
         ssr = float(ssrs[2 + k])
@@ -174,11 +183,12 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         if aic < best_aic:
             best_aic, best_k = aic, k
 
-    X, dy = _adf_design(y, best_k)
-    fit = qr_least_squares(X, dy)
+    # rows t = best_k+1..max_lags, which the common sample withholds
+    X_lead, dy_lead = _adf_design(y[: max_lags + 1], best_k)
+    fit = prefix_fit(r, norms, X_full, dy_full, X_lead, dy_lead)
     t_stat = float(fit.beta[1] / fit.stderr[1])
 
-    crit = adf_critical_values(len(dy))
+    crit = adf_critical_values(len(fit.residuals))
     decision = "stationary" if t_stat < crit["5%"] else "nonstationary"
     return AdfResult(t_stat, best_k, decision, adf_pvalue(t_stat), crit)
 
@@ -295,21 +305,35 @@ class GrangerResult:
         return self.per_lag[lag - 1]
 
 
+def _granger_rows(data: np.ndarray, max_lag: int, lag: int, stop: int) -> np.ndarray:
+    """Rows t = lag..stop-1 of ``[1, lags 1..max_lag of every column | every
+    column]``, column ``1 + v*max_lag + j-1`` holding lag j of column v;
+    the columns of lags beyond ``lag`` are left zero."""
+    k = 1 + data.shape[1] * max_lag
+    Z = np.zeros((stop - lag, k + data.shape[1]))
+    Z[:, 0] = 1.0
+    for j in range(1, lag + 1):
+        Z[:, j:k:max_lag] = data[lag - j : stop - j]
+    Z[:, k:] = data[lag:stop]
+    return Z
+
+
 def _granger_pairs(
     data, max_lag: int, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], GrangerResult]:
     """The Granger tests of the ordered (cause, effect) column pairs of
-    ``data``, from one tall factorization per lag.
+    ``data``, from one tall factorization.
 
-    For lag L, ``Z_L = [1, lags 1..L of every column | every column]`` on
-    rows L..T-1 is built in one array, and the kernel's :func:`factor`
-    returns its R factor with the regressor block scaled in place (each
-    column gets the norm it has in a pair's own design). ``Z_L`` as a whole,
-    which may be wide, gets no pivot test: every pair reads SSR_r and SSR_u
-    from a small QR of its columns ``[1, effect lags, cause lags | effect]``
-    of that R factor (:func:`subset_prefix_ssrs`), with its own pivot test.
-    The rows are the same for every pair at one lag, so the statistics are
-    those of the pair's own regressions. ``data`` is a checked float matrix.
+    ``Z = [1, lags 1..max_lag of every column | every column]`` on rows
+    max_lag..T-1 is built in one array, and the kernel's :func:`factor`
+    returns its R factor with the regressor block scaled in place. ``Z`` as
+    a whole, which may be wide, gets no pivot test. At lag L a pair's
+    design, ``[1, effect lags, cause lags | effect]`` on rows L..T-1, is
+    some columns of Z plus the ``max_lag - L`` leading rows Z lacks, so the
+    pair reads SSR_r and SSR_u from a small QR of those rows, scaled by Z's
+    norms, stacked on its columns of R (:func:`subset_factor`), with
+    its own pivot test. The statistics are those of the pair's own
+    regressions. ``data`` is a checked float matrix.
     """
     T, K = data.shape
     if max_lag < 1:
@@ -320,21 +344,19 @@ def _granger_pairs(
         raise InsufficientObservations(
             f"need more than {3 * max_lag + 3} observations, got {T}"
         )
+    k = 1 + K * max_lag
+    r, norms = factor(_granger_rows(data, max_lag, max_lag, T), k)
     entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
-        rows, k = T - lag, 1 + K * lag
-        Z = np.empty((rows, k + K))
-        Z[:, 0] = 1.0
-        for j in range(1, lag + 1):     # column 1 + v*lag + j-1: lag j of v
-            Z[:, j:k:lag] = data[lag - j : T - j]
-        Z[:, k:] = data[lag:]
-        r, _ = factor(Z, k)
-        df_den = rows - 2 * lag - 1
+        lead = _granger_rows(data, max_lag, lag, max_lag)
+        lead[:, :k] /= norms
+        df_den = (T - lag) - 2 * lag - 1
         for cause, effect in pairs:
-            own = 1 + effect * lag
-            other = 1 + cause * lag
+            own = 1 + effect * max_lag
+            other = 1 + cause * max_lag
             columns = np.r_[0, own : own + lag, other : other + lag, k + effect]
-            ssrs = subset_prefix_ssrs(r, columns, 1 + 2 * lag)
+            sub = subset_factor(r, columns, 1 + 2 * lag, lead[:, columns])
+            ssrs = cross_products(sub, 1 + 2 * lag)[:, 0, 0]
             ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
             if ssr_u <= 0.0:
                 raise RankDeficient("unrestricted regression fits exactly")
@@ -350,11 +372,11 @@ def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
     (T, K) matrix, keyed ``(cause, effect)`` by column index in cause-major
     order.
 
-    All pairs at one lag share their rows, so one factorization per lag
-    serves the whole matrix: ``max_lag`` tall QRs in place of
+    Every pair at every lag reads its design from the largest lag's, so
+    one tall factorization serves the whole matrix: one tall QR in place of
     ``K (K-1) max_lag``. The errors are :func:`granger`'s. A zero regressor
-    column raises ``RankDeficient`` before its lag's factorization, so no
-    pair reads a factor that a division by zero has filled with NaN.
+    column raises ``RankDeficient`` before the factorization, so no pair
+    reads a factor that a division by zero has filled with NaN.
     """
     data = _as_matrix(data)
     K = data.shape[1]
@@ -369,8 +391,8 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
     unrestricted one adds the lags of x;
     ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``. This is the
     one-pair call of :func:`granger_matrix`'s kernel: the restricted design
-    is a column prefix of the unrestricted one, so one factorization per
-    lag gives both SSRs.
+    is a column prefix of the unrestricted one, and every lag's design is
+    read from the largest lag's, so one tall factorization gives every SSR.
     """
     x = _as_array(x_cause)
     y = _as_array(y_effect)
@@ -438,8 +460,25 @@ def _var_design(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return X, data[p:]
 
 
-def _default_names(K: int) -> tuple[str, ...]:
-    return tuple(f"y{j}" for j in range(K))
+def _var_names(names: Sequence[str] | None, K: int) -> tuple[str, ...]:
+    names = tuple(f"y{j}" for j in range(K)) if names is None else tuple(names)
+    if len(names) != K:
+        raise ShapeMismatch("variable name count differs from column count")
+    return names
+
+
+def _var_model(fit: LeastSquaresFit, p: int, names: tuple[str, ...]) -> VarModel:
+    """The VAR(p) read from the fit of its stacked equations."""
+    K = len(names)
+    B = np.atleast_2d(fit.beta)
+    c = B[0].copy()
+    A = tuple(
+        B[1 + s * K : 1 + (s + 1) * K].T.copy() for s in range(p)
+    )
+    resid = fit.residuals
+    dof = len(resid) - (1 + K * p)
+    sigma = resid.T @ resid / dof
+    return VarModel(p, names, c, A, sigma, resid, len(resid), fit.stderr)
 
 
 def fit_var_order(
@@ -452,9 +491,7 @@ def fit_var_order(
     """
     data = _as_matrix(data)
     T, K = data.shape
-    names = _default_names(K) if names is None else tuple(names)
-    if len(names) != K:
-        raise ShapeMismatch("variable name count differs from column count")
+    names = _var_names(names, K)
     if p < 0:
         raise ValueError("lag order must be non-negative")
     n_params = 1 + K * p
@@ -462,17 +499,7 @@ def fit_var_order(
         raise InsufficientObservations(
             f"T={T} cannot identify a VAR({p}) in {K} variables"
         )
-    X, Y = _var_design(data, p)
-    fit = qr_least_squares(X, Y)
-    B = np.atleast_2d(fit.beta)
-    c = B[0].copy()
-    A = tuple(
-        B[1 + s * K : 1 + (s + 1) * K].T.copy() for s in range(p)
-    )
-    resid = fit.residuals
-    dof = (T - p) - n_params
-    sigma = resid.T @ resid / dof
-    return VarModel(p, names, c, A, sigma, resid, T - p, fit.stderr)
+    return _var_model(qr_least_squares(*_var_design(data, p)), p, names)
 
 
 #: Lag-selection criteria accepted by :func:`fit_var`, in lower case.
@@ -508,12 +535,15 @@ def fit_var(
 
     Candidate orders are compared on a common sample (the first ``max_lags``
     rows are withheld from every candidate) using the maximum-likelihood
-    residual covariance; the selected order is refit on all usable rows. On
-    the common sample the order-p design is the leading ``1 + K*p`` columns
-    of the order-``max_lags`` one, so one factorization serves every order.
+    residual covariance; the selected order is refit on all usable rows. The
+    order-p design is the leading ``1 + K*p`` columns of the
+    order-``max_lags`` one plus the ``max_lags - p`` leading rows that the
+    common sample withholds, so one tall factorization serves the search
+    and the refit (:func:`_regression.prefix_fit`).
     """
     data = _as_matrix(data)
     T, K = data.shape
+    names = _var_names(names, K)
     criterion = criterion.lower()
     if max_lags < 0:
         raise ValueError("max_lags must be non-negative")
@@ -522,14 +552,17 @@ def fit_var(
             f"T={T} is too short to compare lag orders up to {max_lags}"
         )
     T_common = T - max_lags
-    cross = prefix_cross_products(*_var_design(data, max_lags))
+    X, Y = _var_design(data, max_lags)
+    r, norms = factor_design(X, Y)
+    cross = cross_products(r, X.shape[1])
     best_p, best_value = 0, math.inf
     for p in range(max_lags + 1):
         sigma_ml = cross[1 + K * p] / T_common
         value = _criterion_value(sigma_ml, p, K, T_common, criterion)
         if value < best_value:
             best_value, best_p = value, p
-    model = fit_var_order(data, best_p, names)
+    fit = prefix_fit(r, norms, X, Y, *_var_design(data[:max_lags], best_p))
+    model = _var_model(fit, best_p, names)
     return replace(model, criterion=criterion, criterion_value=best_value)
 
 

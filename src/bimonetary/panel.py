@@ -216,7 +216,8 @@ class CsvScan(NamedTuple):
 
 
 def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
-    """Parse a comma-separated UTF-8 file with a header row.
+    """Parse a comma-separated UTF-8 file with a header row; a leading
+    byte-order mark, which spreadsheet tools write, is dropped.
 
     Loads the ``schema`` columns, or every non-Date header column when
     ``schema`` is omitted; a schema column absent from the header raises
@@ -225,7 +226,7 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     dot-decimal number (``nan`` and ``inf`` included) and a bad date raise
     :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or DATE_COLUMN not in header:

@@ -89,3 +89,85 @@ def adf(series, max_lags: int) -> tuple[float, int]:
     lag = int(np.argmin(aics))
     beta, stderr = ols(*_adf_regression(y, lag, lag + 1))
     return float(beta[1] / stderr[1]), lag
+
+
+def _var_regression(data: np.ndarray, p: int, t0: int):
+    """Rows t = t0..T-1 of y_t on [1, y_{t-1}, .., y_{t-p}]."""
+    T = len(data)
+    columns = [np.ones((T - t0, 1))]
+    columns += [data[t0 - s : T - s] for s in range(1, p + 1)]
+    return np.hstack(columns), data[t0:]
+
+
+def _log_det_criterion(sigma_ml: np.ndarray, p: int, T: int, criterion: str) -> float:
+    K = len(sigma_ml)
+    log_det = float(np.log(scipy.linalg.det(sigma_ml)))
+    free = p * K * K
+    return {
+        "aic": log_det + 2.0 * free / T,
+        "bic": log_det + np.log(T) * free / T,
+        "hqic": log_det + 2.0 * np.log(np.log(T)) * free / T,
+        "fpe": np.exp(log_det) * ((T + K * p + 1) / (T - K * p - 1)) ** K,
+    }[criterion]
+
+
+def var_select(data, max_lags: int, criterion: str):
+    """(p, criterion value, c, A, sigma, stderr) of a VAR with intercept
+    whose order is chosen by ``criterion``.
+
+    Each order 0..max_lags is its own ``scipy.linalg.lstsq`` fit on the
+    common sample t = max_lags..T-1, scored with the log-determinant of its
+    maximum-likelihood residual covariance; the smallest score (the first on
+    a tie) is refit by :func:`ols` on all its usable rows t = p..T-1. ``A``
+    holds one (K, K) matrix per lag, ``sigma`` is df-corrected and
+    ``stderr`` has one row per regressor (constant, then lag blocks).
+    """
+    data = np.asarray(data, dtype=float)
+    T, K = data.shape
+    n = T - max_lags
+    scores = []
+    for p in range(max_lags + 1):
+        X, Y = _var_regression(data, p, max_lags)
+        beta, *_ = scipy.linalg.lstsq(X, Y)
+        resid = Y - X @ beta
+        scores.append(_log_det_criterion(resid.T @ resid / n, p, n, criterion))
+    p = int(np.argmin(scores))
+    X, Y = _var_regression(data, p, p)
+    beta, stderr = ols(X, Y)
+    resid = Y - X @ beta
+    sigma = resid.T @ resid / (len(Y) - X.shape[1])
+    A = [beta[1 + s * K : 1 + (s + 1) * K].T for s in range(p)]
+    return p, scores[p], beta[0], A, sigma, stderr
+
+
+def johansen(data, k_ar_diff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, trace statistics) of the Johansen test with an
+    unrestricted constant.
+
+    dy_t and y_{t-1}, t = k_ar_diff+1..T-1, are each residualized by
+    ``scipy.linalg.lstsq`` on [1, dy_{t-1}, .., dy_{t-k_ar_diff}]; the
+    eigenvalues solve ``S_k0 S_00^-1 S_0k v = lambda S_kk v`` by
+    ``scipy.linalg.eigh``, and the trace statistic for rank r is ``-n
+    sum_{i>r} log(1 - lambda_i)``.
+    """
+    data = np.asarray(data, dtype=float)
+    T = len(data)
+    dy = np.diff(data, axis=0)                 # dy[t - 1] is dy_t
+    t0 = k_ar_diff + 1
+    n = T - t0
+    Z = np.hstack(
+        [np.ones((n, 1))] + [dy[t0 - 1 - j : T - 1 - j] for j in range(1, k_ar_diff + 1)]
+    )
+
+    def residuals(target):
+        beta, *_ = scipy.linalg.lstsq(Z, target)
+        return target - Z @ beta
+
+    r0 = residuals(dy[t0 - 1 :])
+    rk = residuals(data[t0 - 1 : T - 1])
+    s00, skk, s0k = r0.T @ r0 / n, rk.T @ rk / n, r0.T @ rk / n
+    eigenvalues = scipy.linalg.eigh(
+        s0k.T @ scipy.linalg.solve(s00, s0k), skk, eigvals_only=True
+    )[::-1]
+    trace = -n * np.cumsum(np.log(1.0 - eigenvalues)[::-1])[::-1]
+    return eigenvalues, trace

@@ -1,0 +1,94 @@
+"""`tools/bench_pairs.py`: the pair summary and the exit status."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tools.bench_pairs import summarize
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def test_ties_count_for_neither_side():
+    s = summarize([1.0, 2.0, 3.0, 4.0], [1.0, 1.5, 3.0, 5.0], "lower")
+    assert s.wins == 1
+    assert s.pairs == 4
+    assert not s.gain
+
+
+def test_nine_of_ten_wins_is_enough_and_eight_is_not():
+    parent = [10.0 + 0.01 * i for i in range(10)]
+    nine = [5.0] * 9 + [20.0]
+    eight = [5.0] * 8 + [20.0, 20.0]
+    assert summarize(parent, nine, "lower").wins == 9
+    assert summarize(parent, nine, "lower").gain
+    assert summarize(parent, eight, "lower").wins == 8
+    assert not summarize(parent, eight, "lower").gain
+
+
+def test_gap_inside_the_parent_interquartile_distance_is_no_gain():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    change = [p - 0.5 for p in parent]        # wins every pair by 0.5
+    s = summarize(parent, change, "lower")
+    assert s.wins == 10
+    assert s.parent_quartiles == (3.25, 7.75)
+    assert s.parent_median - s.change_median == pytest.approx(0.5)
+    assert not s.gain
+
+
+def test_higher_is_better_counts_the_other_way():
+    s = summarize([1.0] * 10, [2.0] * 10, "higher")
+    assert s.wins == 10
+    assert s.gain
+    assert summarize([1.0] * 10, [2.0] * 10, "lower").wins == 0
+
+
+def checkout(root: Path, failed: int, log: Path) -> Path:
+    """A stand-in checkout whose bench/run.py logs its seed and prints a
+    result with fixed metrics."""
+    (root / "bench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(
+        json.dumps(
+            {
+                "run_seconds": 1,
+                "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}],
+            }
+        )
+    )
+    result = {"correct": not failed, "attempted": 2, "failed": failed,
+              "metrics": {"run_s": {"value": 1.0 + failed, "unit": "s"}}}
+    (root / "bench" / "run.py").write_text(
+        "import sys\n"
+        f"open({str(log)!r}, 'a').write({root.name!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
+        f"print({json.dumps(json.dumps(result))})\n"
+    )
+    return root
+
+
+def run(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)],
+        capture_output=True, text=True, check=False,
+    )
+
+
+def test_pairs_alternate_and_a_failed_run_exits_one(tmp_path):
+    log = tmp_path / "order.log"
+    parent = checkout(tmp_path / "parent", 0, log)
+    change = checkout(tmp_path / "change", 0, log)
+    done = run(parent, change, "--workload", "w", "--pairs", 3)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert log.read_text().split("\n")[:-1] == [
+        "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3",
+    ]
+    assert "change won 0 of 3, gain not shown" in done.stdout
+    broken = checkout(tmp_path / "broken", 1, log)
+    assert run(parent, broken, "--workload", "w", "--pairs", 1).returncode == 1
+
+
+def test_bad_usage_exits_two(tmp_path):
+    assert run(tmp_path, tmp_path, "--workload", "w", "--pairs", 1).returncode == 2
+    assert run(tmp_path).returncode == 2

@@ -20,7 +20,7 @@ from bimonetary.category import (
     diagram_to_json,
 )
 from bimonetary.cli import main
-from bimonetary.panel import CANONICAL_VARIABLES, write_csv
+from bimonetary.panel import CANONICAL_VARIABLES, load_csv, write_csv
 from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 
@@ -58,6 +58,25 @@ class TestValidate:
         out = capsys.readouterr().out
         for name in CANONICAL_VARIABLES:
             assert f"column {name!r}: present" in out
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # spreadsheet tools save "CSV UTF-8" with a leading byte-order mark
+        plain = tmp_path / "plain.csv"
+        write_csv(make_canonical_panel(200), plain)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        panels = [load_csv(path) for path in (plain, marked)]
+        assert panels[0].dates == panels[1].dates
+        assert panels[0].variables == panels[1].variables
+        for name in panels[0].variables:
+            np.testing.assert_array_equal(
+                panels[0].column(name).array, panels[1].column(name).array
+            )
+        reports = []
+        for path in (plain, marked):
+            assert main(["validate", "--input", str(path)]) == 0
+            reports.append(capsys.readouterr().out.replace(str(path), "PATH"))
+        assert reports[0] == reports[1]
 
     def test_missing_column_exits_one_and_names_it(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -122,6 +122,15 @@ class TestJohansen:
             mine.critical_values_5pct, ref.cvt[:, 1], rtol=0
         )
 
+    def test_matches_naive_oracle(self):
+        # the input of test_matches_reference_implementation
+        rng = fresh_rng()
+        data = np.column_stack([np.cumsum(rng.standard_normal(300)) for _ in range(3)])
+        mine = econ.johansen_trace(data, 1)
+        eigenvalues, trace = reference.johansen(data, 1)
+        np.testing.assert_allclose(mine.eigenvalues, eigenvalues, rtol=1e-9)
+        np.testing.assert_allclose(mine.trace_stats, trace, rtol=1e-9)
+
 
 class TestGranger:
     def test_constructed_causal_pair(self):
@@ -295,6 +304,24 @@ class TestFitVar:
         np.testing.assert_allclose(mine.c, ref.intercept, rtol=1e-8)
         np.testing.assert_allclose(mine.sigma, ref.sigma_u, rtol=1e-8)
 
+    @pytest.mark.parametrize("criterion", econ.CRITERIA)
+    @pytest.mark.parametrize(
+        "max_lags, below_cap", [(6, True), (1, False)], ids=["rows-added", "p-at-cap"]
+    )
+    def test_select_then_refit_matches_naive_oracle(self, criterion, max_lags, below_cap):
+        # the data of test_criteria_agree_with_reference
+        data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), 600, fresh_rng())
+        mine = econ.fit_var(data, max_lags, criterion)
+        p, value, c, A, sigma, stderr = reference.var_select(data, max_lags, criterion)
+        assert mine.p == p
+        assert (p < max_lags) == below_cap
+        assert mine.criterion_value == pytest.approx(value, rel=1e-9)
+        np.testing.assert_allclose(mine.c, c, rtol=1e-9)
+        for mine_A, ref_A in zip(mine.A, A, strict=True):
+            np.testing.assert_allclose(mine_A, ref_A, rtol=1e-9)
+        np.testing.assert_allclose(mine.sigma, sigma, rtol=1e-9)
+        np.testing.assert_allclose(mine.stderr, stderr, rtol=1e-9)
+
     def test_standard_errors_and_tvalues_match_naive_oracle(self):
         # the seeded data of TestReferenceAgreement.fitted_pair
         rng = fresh_rng()
@@ -315,6 +342,15 @@ class TestFitVar:
     def test_insufficient_observations(self):
         with pytest.raises(InsufficientObservations):
             econ.fit_var(np.zeros((10, 3)), 5)
+
+    def test_names_label_the_model_and_must_match_the_columns(self):
+        data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), 300, fresh_rng())
+        assert econ.fit_var(data, 3, names=["a", "b"]).variable_order == ("a", "b")
+        assert econ.fit_var(data, 3).variable_order == ("y0", "y1")
+        with pytest.raises(ShapeMismatch):
+            econ.fit_var(data, 3, names=["a"])
+        with pytest.raises(ShapeMismatch):
+            econ.fit_var_order(data, 1, names=["a"])
 
 
 class TestLjungBox:

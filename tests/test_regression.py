@@ -92,8 +92,9 @@ class TestLeastSquares:
 
 
 class TestFactorizationCount:
-    """One factorization per lag search, counted, so the old per-candidate
-    cost cannot come back unnoticed; counts repeat exactly, timings do not."""
+    """One tall factorization per lag search, refit included, counted, so
+    the old per-candidate cost cannot come back unnoticed; counts repeat
+    exactly, timings do not."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -108,41 +109,48 @@ class TestFactorizationCount:
         monkeypatch.setattr(np.linalg, "qr", counted)
         return calls
 
+    @staticmethod
+    def _one_tall_then_refit(qr_calls, tall_rows, max_lags, chosen):
+        """One QR of the largest design, then the refit's QR of that R's
+        columns with the ``max_lags - chosen`` rows the chosen design adds."""
+        assert len(qr_calls) == 2
+        (rows, cols, _), (refit_rows, _, _) = qr_calls
+        assert rows == tall_rows
+        assert refit_rows <= cols + max_lags - chosen
+
     def test_adf_searches_then_refits(self, qr_calls):
         walk = np.cumsum(np.random.default_rng(SEED).standard_normal(2000))
-        econ.adf_test(walk)
-        assert len(qr_calls) == 2
+        result = econ.adf_test(walk)
+        # the default cap, floor(12 (T/100)^(1/4)) = 25 at T = 2000
+        self._one_tall_then_refit(qr_calls, 2000 - 1 - 25, 25, result.lags_used)
 
     def test_fit_var_searches_then_refits(self, qr_calls):
         rng = np.random.default_rng(SEED)
         data = np.cumsum(rng.standard_normal((500, 3)), axis=0) * 0.1
         data += rng.standard_normal((500, 3))
-        econ.fit_var(data, max_lags=8)
-        assert len(qr_calls) == 2
+        model = econ.fit_var(data, max_lags=8)
+        self._one_tall_then_refit(qr_calls, 500 - 8, 8, model.p)
 
     @staticmethod
-    def _tall_and_small(qr_calls, T, max_lag):
-        """QRs of (T - L)-row designs, and the rest: the re-triangularised
-        column subsets of their R factors."""
+    def _small_after_one_tall(qr_calls, T, max_lag):
+        """Asserts one QR of the (T - max_lag)-row design; returns the count
+        of the rest: the re-triangularised column subsets of its R factor,
+        with the leading rows a smaller lag adds."""
         tall = [rows for rows, *_ in qr_calls if rows >= T - max_lag]
-        assert sorted(tall) == [T - L for L in range(max_lag, 0, -1)]
-        return len(tall), len(qr_calls) - len(tall)
+        assert tall == [T - max_lag]
+        return len(qr_calls) - 1
 
-    def test_granger_factors_once_per_lag(self, qr_calls):
+    def test_granger_factors_once(self, qr_calls):
         rng = np.random.default_rng(SEED)
         x, y = rng.standard_normal((2, 400))
         econ.granger(x, y, max_lag=6)
-        tall, small = self._tall_and_small(qr_calls, 400, 6)
-        assert tall == 6
-        assert small <= 6          # one pair, six lags
+        assert self._small_after_one_tall(qr_calls, 400, 6) <= 6   # one pair, six lags
 
-    def test_granger_matrix_factors_once_per_lag_for_all_pairs(self, qr_calls):
+    def test_granger_matrix_factors_once_for_all_pairs(self, qr_calls):
         # pair by pair this would take K (K-1) max_lag = 450 tall factorizations
         data = np.random.default_rng(SEED).standard_normal((2000, 10))
         econ.granger_matrix(data, max_lag=5)
-        tall, small = self._tall_and_small(qr_calls, 2000, 5)
-        assert tall == 5
-        assert small <= 90 * 5
+        assert self._small_after_one_tall(qr_calls, 2000, 5) <= 90 * 5
 
     def test_every_factorization_forms_r_only(self, qr_calls):
         rng = np.random.default_rng(SEED)

@@ -1,0 +1,153 @@
+"""Time a parent checkout against a changed one, in alternating pairs.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+
+For pair i (i = 1..N) it runs ``DIR/bench/run.py --workload W --seed i
+--trace 0 --seconds S`` in each checkout, the parent first in odd pairs and
+the change first in even ones. S is ``run_seconds`` of ``BENCHMARK.json``,
+which must be the same in both checkouts. For each end-to-end metric it
+prints each side's median and quartiles, the pairs the change won (a tie
+counts for neither), and whether a gain may be claimed: the change wins at
+least nine tenths of the pairs, and its median is better than the parent's
+by more than the distance between the parent's quartiles.
+
+Exits 0 when every run succeeded, 1 when a run reports ``failed > 0`` or
+gives no result, and 2 on bad usage.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+
+@dataclass(frozen=True)
+class Summary:
+    parent_median: float
+    parent_quartiles: tuple[float, float]
+    change_median: float
+    change_quartiles: tuple[float, float]
+    wins: int
+    pairs: int
+    gain: bool
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> Summary:
+    """Compare one metric's values, ``parent[i]`` paired with ``change[i]``;
+    ``better`` is ``"lower"`` or ``"higher"``."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    low, high = quartiles(parent)
+    gap = sign * (statistics.median(parent) - statistics.median(change))
+    return Summary(
+        statistics.median(parent),
+        (low, high),
+        statistics.median(change),
+        quartiles(change),
+        wins,
+        len(parent),
+        10 * wins >= 9 * len(parent) and gap > high - low,
+    )
+
+
+def run_seconds(checkout: Path) -> float:
+    return json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result object of one ``bench/run.py`` run, or None if it gave none."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(checkout / "bench" / "run.py"),
+            "--workload", workload,
+            "--seed", str(seed),
+            "--trace", "0",
+            "--seconds", str(seconds),
+        ],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        print(f"  {checkout}: exit {done.returncode}\n{done.stderr[-400:]}")
+        return None
+    return json.loads(lines[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        for needed in ("bench/run.py", "BENCHMARK.json"):
+            if not (checkout / needed).is_file():
+                parser.error(f"{checkout} has no {needed}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    seconds = {run_seconds(checkout) for checkout in sides.values()}
+    if len(seconds) != 1:
+        parser.error(f"the checkouts set different run_seconds: {sorted(seconds)}")
+    (run_s,) = seconds
+    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    failed = False
+    for seed in range(1, args.pairs + 1):
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        results = {side: bench(sides[side], args.workload, seed, run_s) for side in order}
+        ok = {
+            side: result is not None and result["failed"] == 0
+            for side, result in results.items()
+        }
+        for side, result in results.items():
+            shown = (
+                ", ".join(f"{n} {m['value']:.4g}" for n, m in result["metrics"].items())
+                if ok[side]
+                else "FAILED"
+            )
+            print(f"pair {seed} {side}: {shown}", flush=True)
+        if not all(ok.values()):
+            failed = True
+            continue            # a pair counts only when both of its runs succeeded
+        for side, result in results.items():
+            for name, metric in result["metrics"].items():
+                values[side].setdefault(name, []).append(metric["value"])
+
+    for metric in declared["end_to_end"]:
+        name = metric["name"]
+        parent, change = values["parent"].get(name), values["change"].get(name)
+        if not parent:
+            print(f"{name}: no pair succeeded, no summary")
+            continue
+        s = summarize(parent, change, metric["better"])
+        print(
+            f"{name} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {s.parent_median:.4g} [{s.parent_quartiles[0]:.4g}, "
+            f"{s.parent_quartiles[1]:.4g}], change {s.change_median:.4g} "
+            f"[{s.change_quartiles[0]:.4g}, {s.change_quartiles[1]:.4g}], "
+            f"change won {s.wins} of {s.pairs}, gain {'holds' if s.gain else 'not shown'}"
+        )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
