@@ -8,7 +8,7 @@ through JSON. ``evaluate`` gives them data semantics over a :class:`Panel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,12 +16,11 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     IncompatibleEndpoints,
-    InputError,
     UnmappedMorphism,
     UnmappedObject,
 )
 from .panel import Panel, Series
-from .typed_json import read_json
+from .typed_json import parse, reject_repeats, tag
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,7 @@ def identity(obj: EconObject) -> MorphismSpec:
 
 
 def is_identity(m: MorphismSpec) -> bool:
-    return (
-        isinstance(m.kind, Affine)
-        and m.kind.a == 1.0
-        and m.kind.b == 0.0
-        and m.source.id == m.target.id
-    )
+    return _is_noop(m) and m.source.id == m.target.id
 
 
 def _flatten(m: MorphismSpec) -> tuple[MorphismSpec, ...]:
@@ -243,19 +237,24 @@ class Diagram:
 
     def __post_init__(self) -> None:
         ids = {node.id for node in self.nodes}
-        for left, right in self.declared_equal_paths:
-            for path in (left, right):
-                for m in path:
-                    if m.source.id not in ids or m.target.id not in ids:
-                        raise ValueError(
-                            f"path endpoint {m.source.id!r}->{m.target.id!r} "
-                            "not among diagram nodes"
-                        )
+        paths = {f"edges[{i}]": (m,) for i, m in enumerate(self.edges)}
+        for i, pair in enumerate(self.declared_equal_paths):
+            for side, path in enumerate(pair):
+                paths[f"equal_paths[{i}][{side}]"] = path
+        for where, path in paths.items():
+            if not path:
+                raise ValueError(f"{where} is an empty path")
+            for m in path:
+                if m.source.id not in ids or m.target.id not in ids:
+                    raise ValueError(
+                        f"{where} endpoint {m.source.id!r}->{m.target.id!r} "
+                        "not among diagram nodes"
+                    )
 
 
 @dataclass(frozen=True)
 class PathPairCheck:
-    index: int
+    pair: int
     deviation: float
     tolerance: float
     passed: bool
@@ -441,67 +440,80 @@ def check_functor_laws(
 
 
 # -- JSON round-trip ----------------------------------------------------------
-# Field names follow docs/diagram.schema.json.
+# Field names follow docs/diagram.schema.json. typed_json.parse reads a file
+# into the documents below, whose endpoints are node ids; each builds its model
+# object in __post_init__, so a check the model makes gets the key path.
 
 
-def _kind_to_json(kind: Kind) -> dict:
-    if isinstance(kind, Affine):
-        return {"type": "affine", "a": kind.a, "b": kind.b}
-    if isinstance(kind, ScaleBySeries):
-        return {"type": "scale_by_series", "variable": kind.variable}
-    if isinstance(kind, Ratio):
-        return {
-            "type": "ratio",
-            "numerator": kind.numerator,
-            "denominator": kind.denominator,
-        }
-    if isinstance(kind, RiskDiscount):
-        return {"type": "risk_discount", "premium": kind.premium}
-    if isinstance(kind, Chain):
-        return {"type": "chain", "parts": [_morphism_to_json(p) for p in kind.parts]}
-    raise TypeError(f"unknown morphism kind {kind!r}")
+@dataclass
+class _Chain:
+    parts: tuple[_Morphism, ...]
+
+    def __post_init__(self) -> None:
+        self.chain = Chain(tuple(part.spec for part in self.parts))
+
+
+@dataclass
+class _Morphism:
+    source: str
+    target: str
+    kind: Affine | ScaleBySeries | Ratio | RiskDiscount | _Chain
+
+    def __post_init__(self) -> None:
+        kind = self.kind.chain if isinstance(self.kind, _Chain) else self.kind
+        self.spec = MorphismSpec(kind, EconObject(self.source), EconObject(self.target))
+
+
+@dataclass
+class _Diagram:
+    nodes: tuple[EconObject, ...]
+    edges: tuple[_Morphism, ...] = ()
+    equal_paths: tuple[tuple[tuple[_Morphism, ...], tuple[_Morphism, ...]], ...] = ()
+
+    def __post_init__(self) -> None:
+        reject_repeats("nodes", [node.id for node in self.nodes])
+        self.diagram = Diagram(
+            self.nodes,
+            tuple(e.spec for e in self.edges),
+            tuple(
+                tuple(tuple(m.spec for m in path) for path in pair)
+                for pair in self.equal_paths
+            ),
+        )
+
+
+@dataclass
+class _MapEntry:
+    from_: _Morphism
+    to: _Morphism
+
+
+@dataclass
+class _Functor:
+    object_map: dict[str, EconObject]
+    name: str = ""
+    morphism_map: tuple[_MapEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        morphisms = {entry.from_.spec: entry.to.spec for entry in self.morphism_map}
+        self.functor = Functor(self.name, self.object_map, morphisms)
 
 
 def _morphism_to_json(m: MorphismSpec) -> dict:
+    if isinstance(m.kind, Chain):
+        fields = {"parts": [_morphism_to_json(p) for p in m.kind.parts]}
+    else:
+        fields = asdict(m.kind)
     return {
         "source": m.source.id,
         "target": m.target.id,
-        "kind": _kind_to_json(m.kind),
+        "kind": {"type": tag(type(m.kind)), **fields},
     }
-
-
-def _kind_from_json(doc: dict, objects: Mapping[str, EconObject]) -> Kind:
-    t = doc["type"]
-    if t == "affine":
-        return Affine(float(doc["a"]), float(doc["b"]))
-    if t == "scale_by_series":
-        return ScaleBySeries(doc["variable"])
-    if t == "ratio":
-        return Ratio(doc["numerator"], doc["denominator"])
-    if t == "risk_discount":
-        return RiskDiscount(doc["premium"])
-    if t == "chain":
-        return Chain(tuple(_morphism_from_json(p, objects) for p in doc["parts"]))
-    raise ValueError(f"unknown morphism kind {t!r}")
-
-
-def _object_for(name: str, objects: Mapping[str, EconObject]) -> EconObject:
-    return objects.get(name, EconObject(name))
-
-
-def _morphism_from_json(doc: dict, objects: Mapping[str, EconObject]) -> MorphismSpec:
-    return MorphismSpec(
-        _kind_from_json(doc["kind"], objects),
-        _object_for(doc["source"], objects),
-        _object_for(doc["target"], objects),
-    )
 
 
 def diagram_to_json(d: Diagram) -> dict:
     return {
-        "nodes": [
-            {"id": n.id, "description": n.description} for n in d.nodes
-        ],
+        "nodes": [asdict(n) for n in d.nodes],
         "edges": [_morphism_to_json(e) for e in d.edges],
         "equal_paths": [
             [
@@ -513,29 +525,14 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-def diagram_from_json(doc: dict) -> Diagram:
-    objects = {
-        n["id"]: EconObject(n["id"], n.get("description", ""))
-        for n in doc["nodes"]
-    }
-    edges = tuple(_morphism_from_json(e, objects) for e in doc.get("edges", []))
-    pairs = tuple(
-        (
-            tuple(_morphism_from_json(m, objects) for m in left),
-            tuple(_morphism_from_json(m, objects) for m in right),
-        )
-        for left, right in doc.get("equal_paths", [])
-    )
-    return Diagram(tuple(objects.values()), edges, pairs)
+def diagram_from_json(doc) -> Diagram:
+    return parse(_Diagram, doc, "diagram").diagram
 
 
 def functor_to_json(F: Functor) -> dict:
     return {
         "name": F.name,
-        "object_map": {
-            src: {"id": obj.id, "description": obj.description}
-            for src, obj in F.object_map.items()
-        },
+        "object_map": {src: asdict(obj) for src, obj in F.object_map.items()},
         "morphism_map": [
             {"from": _morphism_to_json(k), "to": _morphism_to_json(v)}
             for k, v in F.morphism_map.items()
@@ -543,31 +540,5 @@ def functor_to_json(F: Functor) -> dict:
     }
 
 
-def functor_from_json(doc: dict) -> Functor:
-    object_map = {
-        src: EconObject(spec["id"], spec.get("description", ""))
-        for src, spec in doc["object_map"].items()
-    }
-    morphism_map = {
-        _morphism_from_json(entry["from"], {}): _morphism_from_json(
-            entry["to"], {}
-        )
-        for entry in doc.get("morphism_map", [])
-    }
-    return Functor(doc.get("name", ""), object_map, morphism_map)
-
-
-def _load(path, from_json, kind: str):
-    doc = read_json(path)
-    try:
-        return from_json(doc)
-    except (KeyError, TypeError, AttributeError) as error:
-        raise InputError(f"{kind} file is malformed: {error!r}") from None
-
-
-def load_diagram(path) -> Diagram:
-    return _load(path, diagram_from_json, "diagram")
-
-
-def load_functor(path) -> Functor:
-    return _load(path, functor_from_json, "functor")
+def functor_from_json(doc) -> Functor:
+    return parse(_Functor, doc, "functor").functor

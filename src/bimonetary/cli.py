@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import date as Date
@@ -144,17 +145,12 @@ def _load_config(path: str | None) -> tuple[dict, Config]:
     return doc, parse(Config, doc, "config")
 
 
-def _load_panel(args, config: Config) -> Panel:
-    panel = load_csv(args.input, config.schema)
-    return panel.clean() if config.interpolate else panel
-
-
-def _write_manifest(out: Path, args, doc: dict, command: str) -> None:
+def _write_manifest(out: Path, args, doc: dict) -> None:
     digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     _write_json(
         out / "run_manifest.json",
         {
-            "command": command,
+            "command": args.command,
             "input": Path(args.input).name,
             "input_sha256": digest,
             "seed": args.seed,
@@ -166,12 +162,6 @@ def _write_manifest(out: Path, args, doc: dict, command: str) -> None:
             },
         },
     )
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # -- validate -----------------------------------------------------------------
@@ -395,75 +385,7 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
         )
 
 
-#: The pipeline's stages, in the order they run.
-STAGES = ("core", "equilibrium", "colimit", "sensitivity")
-
-
-def cmd_pipeline(args) -> int:
-    doc, config = _load_config(args.config)
-    # the whole invocation is checked before the first stage writes
-    stages = (args.stages or "core").split(",")
-    for name in stages:
-        if name not in STAGES:
-            raise InputError(f"unknown stage {name!r} (stages: {','.join(STAGES)})")
-    if "sensitivity" in stages and not args.scenarios:
-        raise InputError("--scenarios is required for the sensitivity stage")
-    specs = scen.load_scenarios(args.scenarios) if "sensitivity" in stages else ()
-    out = _out_dir(args)
-    stage = "load"
-    try:
-        panel = _load_panel(args, config)
-        if "core" in stages:
-            stage = "core"
-            _stage_core(panel, out, config)
-        if "equilibrium" in stages:
-            stage = "equilibrium"
-            _stage_equilibrium(panel, out, config)
-        if "colimit" in stages:
-            stage = "colimit"
-            _stage_colimit(panel, out, config)
-        if "sensitivity" in stages:
-            stage = "sensitivity"
-            _stage_sensitivity(panel, out, config, specs)
-        stage = "manifest"
-        _write_manifest(out, args, doc, "pipeline")
-    except HANDLED_ERRORS as error:
-        return _fail(stage, error)
-    return EXIT_OK
-
-
-def cmd_scenario(args) -> int:
-    doc, config = _load_config(args.config)
-    specs = scen.load_scenarios(args.scenarios)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
-    _stage_sensitivity(panel, out, config, specs)
-    _write_manifest(out, args, doc, "scenario")
-    return EXIT_OK
-
-
-def cmd_equilibrium(args) -> int:
-    doc, config = _load_config(args.config)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
-    _stage_equilibrium(panel, out, config)
-    _write_manifest(out, args, doc, "equilibrium")
-    return EXIT_OK
-
-
-def cmd_colimit(args) -> int:
-    doc, config = _load_config(args.config)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
-    _stage_colimit(panel, out, config)
-    _write_manifest(out, args, doc, "colimit")
-    return EXIT_OK
-
-
-def cmd_calibrate(args) -> int:
-    doc, config = _load_config(args.config)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
+def _stage_calibrate(panel: Panel, out: Path, config: Config) -> None:
     result = structural.calibrate(panel, config.proxies, config.include_intercepts)
     _write_json(
         out / "coefficients.json",
@@ -472,73 +394,143 @@ def cmd_calibrate(args) -> int:
             "r_squared": result.r_squared,
         },
     )
-    _write_manifest(out, args, doc, "calibrate")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    doc, config = _load_config(args.config)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
-    if config.coefficients is None:
+def _stage_simulate(panel: Panel, out: Path, config: Config, coefficients) -> None:
+    if coefficients is None:
         coefficients = structural.calibrate(
             panel, config.proxies, config.include_intercepts
         ).coefficients
-    else:
-        coefficient_doc = read_json(config.coefficients)
-        # a calibrate output nests the coefficients beside their R²
-        if isinstance(coefficient_doc, dict) and "coefficients" in coefficient_doc:
-            coefficient_doc = coefficient_doc["coefficients"]
-        coefficients = parse(StructuralCoefficients, coefficient_doc, "coefficients")
     forecast_panel = structural.simulate(panel, coefficients, config.proxies)
     write_csv(forecast_panel, out / "forecast_panel.csv")
-    _write_manifest(out, args, doc, "simulate")
-    return EXIT_OK
 
 
-def cmd_functor_check(args) -> int:
-    doc, config = _load_config(args.config)
-    out = _out_dir(args)
-    panel = _load_panel(args, config)
-    diagram = category.load_diagram(args.diagram)
-    report = category.check_commutes(panel=panel, d=diagram, tol=args.tol)
-    payload = {
-        "passed": report.passed,
-        "checks": [
-            {
-                "pair": c.index,
-                "deviation": c.deviation,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
-    }
+def _stage_functor_check(
+    panel: Panel, out: Path, config: Config, diagram, functor, tol: float | None
+) -> int:
+    """Exits 1 when a check fails, after writing its report."""
+    report = category.check_commutes(panel=panel, d=diagram, tol=tol)
+    payload = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
     all_passed = report.passed
-    if args.functor:
-        functor = category.load_functor(args.functor)
+    if functor is not None:
         image = category.apply_functor(functor, diagram)
         _write_json(out / "image_diagram.json", category.diagram_to_json(image))
         laws = category.check_functor_laws(functor, list(diagram.edges), panel)
         payload["functor_laws"] = {
             "passed": laws.passed,
-            "checks": [
-                {
-                    "law": c.law,
-                    "subject": c.subject,
-                    "deviation": c.deviation,
-                    "passed": c.passed,
-                }
-                for c in laws.checks
-            ],
+            "checks": [asdict(c) for c in laws.checks],
         }
         all_passed = all_passed and laws.passed
     _write_json(out / "commutation.json", payload)
-    _write_manifest(out, args, doc, "functor-check")
     return EXIT_OK if all_passed else EXIT_INPUT
 
 
+#: The stages `pipeline --stages` chooses from, in the order they run.
+STAGES = ("core", "equilibrium", "colimit", "sensitivity")
+
+
+def _load_coefficients(config: Config) -> StructuralCoefficients | None:
+    if config.coefficients is None:
+        return None
+    doc = read_json(config.coefficients)
+    # a calibrate output nests the coefficients beside their R²
+    if isinstance(doc, dict) and "coefficients" in doc:
+        doc = doc["coefficients"]
+    return parse(StructuralCoefficients, doc, "coefficients")
+
+
+def _plan(args, config: Config) -> dict[str, tuple]:
+    """The stages the command runs, in order, each with its arguments after
+    (panel, out, config) read from the input files it uses. `pipeline` runs
+    the --stages it names in the order of STAGES. Everything is checked
+    here, before anything is written."""
+    _, stages, _ = COMMANDS[args.command]
+    if stages is None:
+        chosen = (args.stages or "core").split(",")
+        for name in chosen:
+            if name not in STAGES:
+                raise InputError(f"unknown stage {name!r} (stages: {','.join(STAGES)})")
+        stages = [name for name in STAGES if name in chosen]
+    inputs = dict.fromkeys(stages, ())
+    if "sensitivity" in inputs:
+        if not args.scenarios:
+            raise InputError("--scenarios is required for the sensitivity stage")
+        inputs["sensitivity"] = (scen.load_scenarios(args.scenarios),)
+    if "simulate" in inputs:
+        inputs["simulate"] = (_load_coefficients(config),)
+    if "functor-check" in inputs:
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise InputError(f"--tol must be a finite number >= 0: {args.tol}")
+        diagram = category.diagram_from_json(read_json(args.diagram))
+        functor = None
+        if args.functor:
+            functor = category.functor_from_json(read_json(args.functor))
+        inputs["functor-check"] = (diagram, functor, args.tol)
+    return inputs
+
+
+def run_stages(args) -> int:
+    """Every command but `validate`: check the config, the stage list and
+    the stages' input files, then make the out dir, load the panel, run the
+    stages and write the manifest. Once the out dir exists, a failure is
+    reported under the step it happened in: ``load``, the stage, or
+    ``manifest``; before, `main` reports it under the command's name."""
+    doc, config = _load_config(args.config)
+    plan = _plan(args, config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    code = EXIT_OK
+    stage = "load"
+    try:
+        panel = load_csv(args.input, config.schema)
+        panel = panel.clean() if config.interpolate else panel
+        for stage, inputs in plan.items():
+            # looked up at call time, so a wrapper set on the module is used
+            run = globals()["_stage_" + stage.replace("-", "_")]
+            code = run(panel, out, config, *inputs) or code
+        stage = "manifest"
+        _write_manifest(out, args, doc)
+    except HANDLED_ERRORS as error:
+        return _fail(stage, error)
+    return code
+
+
 # -- entry point ----------------------------------------------------------------
+
+
+#: Every command but `validate`: its help, its fixed stages (None: chosen
+#: with --stages) and the arguments it adds to --input/--config/--seed/--out.
+COMMANDS = {
+    "pipeline": (
+        "run the full analysis pipeline",
+        None,
+        {
+            "--stages": {
+                "help": "comma-separated: core,equilibrium,colimit,sensitivity "
+                "(default core)"
+            },
+            "--scenarios": {"help": "scenario JSON for the sensitivity stage"},
+        },
+    ),
+    "scenario": (
+        "baseline-vs-shock comparisons",
+        ("sensitivity",),
+        {"--scenarios": {"required": True, "help": "scenario JSON file"}},
+    ),
+    "equilibrium": ("per-date equilibrium exchange rate", ("equilibrium",), {}),
+    "colimit": ("aggregate devaluation-expectation index", ("colimit",), {}),
+    "calibrate": ("fit the model coefficients", ("calibrate",), {}),
+    "simulate": ("model-implied forecast panel", ("simulate",), {}),
+    "functor-check": (
+        "commutativity and functor laws",
+        ("functor-check",),
+        {
+            "--diagram": {"required": True, "help": "diagram JSON file"},
+            "--functor": {"help": "functor JSON file"},
+            "--tol": {"type": float, "help": "absolute tolerance"},
+        },
+    ),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser, need_out: bool = True) -> None:
@@ -560,42 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, need_out=False)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pipeline", help="run the full analysis pipeline")
-    _add_common(p)
-    p.add_argument(
-        "--stages",
-        help="comma-separated: core,equilibrium,colimit,sensitivity (default core)",
-    )
-    p.add_argument("--scenarios", help="scenario JSON for the sensitivity stage")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("scenario", help="baseline-vs-shock comparisons")
-    _add_common(p)
-    p.add_argument("--scenarios", required=True, help="scenario JSON file")
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("equilibrium", help="per-date equilibrium exchange rate")
-    _add_common(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("colimit", help="aggregate devaluation-expectation index")
-    _add_common(p)
-    p.set_defaults(func=cmd_colimit)
-
-    p = sub.add_parser("calibrate", help="fit the model coefficients")
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("simulate", help="model-implied forecast panel")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("functor-check", help="commutativity and functor laws")
-    _add_common(p)
-    p.add_argument("--diagram", required=True, help="diagram JSON file")
-    p.add_argument("--functor", help="functor JSON file")
-    p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
-    p.set_defaults(func=cmd_functor_check)
+    for command, (summary, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        _add_common(p)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=run_stages)
 
     return parser
 

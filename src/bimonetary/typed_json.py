@@ -1,10 +1,12 @@
-"""Typed reader for the JSON input files: config, scenarios, coefficients.
+"""Typed reader for the JSON input files: config, scenarios, coefficients,
+diagram and functor.
 
-A frozen dataclass states the accepted keys, their types and defaults once;
+A dataclass states the accepted keys, their types and defaults once;
 :func:`parse` reads a JSON object into it by walking its annotations. An
 unknown key, a missing required key, a wrong JSON type or a value that the
-dataclass's ``__post_init__`` rejects with a ``ValueError`` is one
-:class:`InputError` naming the key path (``scenarios[0].shocks[1].window``).
+dataclass's ``__post_init__`` rejects with a ``ValueError`` or an
+``InputError`` is one :class:`InputError` naming the key path
+(``scenarios[0].shocks[1].window``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ def reject_repeats(key: str, names) -> None:
         seen.add(name)
 
 
+def tag(cls) -> str:
+    """The ``"type"`` of a dataclass in a tagged union: its name in snake
+    case, without a leading underscore (``ScaleBySeries`` -> ``scale_by_series``)."""
+    name = "".join("_" + c.lower() if c.isupper() else c for c in cls.__name__)
+    return name.lstrip("_")
+
+
 def _wrong(where: str, kind: str, doc) -> InputError:
     return InputError(f"{where} must be {kind}: {doc!r}")
 
@@ -43,14 +52,32 @@ def _wrong(where: str, kind: str, doc) -> InputError:
 def parse(tp, doc, where: str):
     """``doc`` as a value of type ``tp``: ``bool``, ``int`` (not a bool),
     ``float`` (an int is accepted), ``str``, ``date`` (an ISO string),
-    ``X | None``, ``tuple[X, ...]`` or ``tuple[X, Y]`` (a list), or a
-    dataclass (an object; fields with a default may be left out)."""
+    ``X | None``, ``tuple[X, ...]`` or ``tuple[X, Y]`` (a list),
+    ``dict[str, X]`` (an object), a dataclass (an object; fields with a
+    default may be left out, and a field ``from_`` reads the key ``from``),
+    or a union of dataclasses (an object whose ``"type"`` is the
+    :func:`tag` of one of them)."""
     if dataclasses.is_dataclass(tp):
         return _parse_object(tp, doc, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
-        (inner,) = [a for a in args if a is not type(None)]
-        return None if doc is None else parse(inner, doc, where)
+        if doc is None and type(None) in args:
+            return None
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            return parse(members[0], doc, where)
+        if not isinstance(doc, dict):
+            raise _wrong(where, "an object", doc)
+        for cls in members:
+            if tag(cls) == doc.get("type"):
+                fields = {key: v for key, v in doc.items() if key != "type"}
+                return _parse_object(cls, fields, where)
+        tags = "|".join(map(tag, members))
+        raise _wrong(f"{where}.type", f"one of {tags}", doc.get("type"))
+    if origin is dict:
+        if not isinstance(doc, dict):
+            raise _wrong(where, "an object", doc)
+        return {key: parse(args[1], v, f"{where}[{key!r}]") for key, v in doc.items()}
     if origin is tuple:
         if not isinstance(doc, list):
             raise _wrong(where, "a list", doc)
@@ -80,21 +107,21 @@ def _parse_object(cls, doc, where: str):
     if not isinstance(doc, dict):
         raise _wrong(where, "an object", doc)
     hints = typing.get_type_hints(cls)
+    # a field named for a Python keyword carries a trailing underscore
+    fields = {spec.name.removesuffix("_"): spec for spec in dataclasses.fields(cls)}
     for key in doc:
-        if key not in hints:
+        if key not in fields:
             raise InputError(f"{where}.{key}: unknown key")
     kwargs = {}
-    for spec in dataclasses.fields(cls):
-        if spec.name in doc:
-            kwargs[spec.name] = parse(
-                hints[spec.name], doc[spec.name], f"{where}.{spec.name}"
-            )
+    for key, spec in fields.items():
+        if key in doc:
+            kwargs[spec.name] = parse(hints[spec.name], doc[key], f"{where}.{key}")
         elif (
             spec.default is dataclasses.MISSING
             and spec.default_factory is dataclasses.MISSING
         ):
-            raise InputError(f"{where}.{spec.name}: missing key")
+            raise InputError(f"{where}.{key}: missing key")
     try:
         return cls(**kwargs)
-    except ValueError as error:  # a range check in the dataclass's __post_init__
+    except (ValueError, InputError) as error:  # a check in the __post_init__
         raise InputError(f"{where}: {error}") from None

@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py`: the pair summary and the exit status."""
+"""`tools/bench_pairs.py`: the pair summary, the no-regression verdict and
+the exit status."""
 
 import json
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tools.bench_pairs import summarize
+from tools.bench_pairs import summarize, verdict
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -44,6 +45,24 @@ def test_higher_is_better_counts_the_other_way():
     assert s.wins == 10
     assert s.gain
     assert summarize([1.0] * 10, [2.0] * 10, "lower").wins == 0
+
+
+def test_verdict_bound_is_relative_to_the_parent_median():
+    parent = [10.0] * 10
+    assert verdict(parent, [12.4] * 10, "lower", 0.25) == "ok"
+    assert verdict(parent, [12.6] * 10, "lower", 0.25) == "regressed"
+    assert verdict(parent, [7.6] * 10, "higher", 0.25) == "ok"
+    assert verdict(parent, [7.4] * 10, "higher", 0.25) == "regressed"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [float(v) for v in range(1, 11)]     # quartiles 3.25 and 7.75
+    assert verdict(parent, parent, "lower", 0.25) == "unresolved"
+    assert verdict(parent, parent, "lower", 0.9) == "ok"
+    # every change run beats every parent run: resolved despite the spread
+    assert verdict(parent, [0.5] * 10, "lower", 0.25) == "ok"
+    assert verdict(parent, [0.5] * 9 + [1.5], "lower", 0.25) == "unresolved"
+    assert verdict(parent, [20.0] * 10, "lower", 0.25) == "regressed"
 
 
 def checkout(root: Path, failed: int, log: Path) -> Path:
@@ -84,7 +103,7 @@ def test_pairs_alternate_and_a_failed_run_exits_one(tmp_path):
     assert log.read_text().split("\n")[:-1] == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3",
     ]
-    assert "change won 0 of 3, gain not shown" in done.stdout
+    assert "change won 0 of 3, gain not shown, verdict ok" in done.stdout
     broken = checkout(tmp_path / "broken", 1, log)
     assert run(parent, broken, "--workload", "w", "--pairs", 1).returncode == 1
 

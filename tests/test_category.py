@@ -376,6 +376,14 @@ class TestJsonRoundTrip:
         assert recovered.morphism_map == dict(functor.morphism_map)
 
 
+    def test_endpoints_outside_the_nodes_are_rejected(self):
+        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
+        with pytest.raises(ValueError, match=r"edges\[0\] endpoint 'Y'->'L_ARS'"):
+            Diagram((Y,), (f,))
+        with pytest.raises(ValueError, match=r"equal_paths\[0\]\[1\]"):
+            Diagram((Y, L_ARS), (f,), (((f,), (MorphismSpec(Affine(2, 1), Y, R),)),))
+
+
 class TestRatioChains:
     def test_ratio_source_object_needs_no_column(self):
         panel = small_panel(num=[6.0, 8.0], den=[2.0, 4.0])

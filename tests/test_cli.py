@@ -285,13 +285,27 @@ def _valid_shock(**change):
     return {"variable": "M2", "kind": "additive", "magnitude": 1.0, **change}
 
 
+def _edge(source="M2", target="flow", **kind):
+    return {"source": source, "target": target, "kind": {"type": "affine", **kind}}
+
+
+def _diagram(**change):
+    nodes = [{"id": "M2"}, {"id": "flow"}]
+    return {"nodes": nodes, "edges": [_edge(a=2.0, b=1.0)], **change}
+
+
+def _functor(**change):
+    object_map = {"M2": {"id": "M2"}, "flow": {"id": "flow"}}
+    return {"name": "id", "object_map": object_map, **change}
+
+
 @pytest.mark.parametrize(
-    "kind, doc",
+    "kind, doc, where",
     [
-        ("coefficients", {"alpha9": 1.0}),
-        ("coefficients", {"alpha1": "x"}),
-        ("coefficients", [1, 2]),
-        ("scenarios", [{"name": 5, "shocks": [_valid_shock()]}]),
+        ("coefficients", {"alpha9": 1.0}, "coefficients.alpha9"),
+        ("coefficients", {"alpha1": "x"}, "coefficients.alpha1"),
+        ("coefficients", [1, 2], "coefficients"),
+        ("scenarios", [{"name": 5, "shocks": [_valid_shock()]}], "scenarios[0].name"),
         (
             "scenarios",
             [
@@ -302,12 +316,40 @@ def _valid_shock(**change):
                     ],
                 }
             ],
+            "scenarios[0].shocks[0].window",
         ),
-        ("scenarios", [{"name": "m", "shocks": [_valid_shock(magnitude=True)]}]),
-        ("diagram", []),
-        ("diagram", {}),
-        ("diagram", {"objects": 5}),
-        ("functor", {"object_map": 5}),
+        (
+            "scenarios",
+            [{"name": "m", "shocks": [_valid_shock(magnitude=True)]}],
+            "scenarios[0].shocks[0].magnitude",
+        ),
+        ("diagram", [], "diagram"),
+        ("diagram", {}, "diagram.nodes"),
+        ("diagram", {"objects": 5}, "diagram.objects"),
+        ("functor", {"object_map": 5}, "functor.object_map"),
+        ("diagram", _diagram(equal_path=[]), "diagram.equal_path"),
+        ("diagram", _diagram(edges=[_edge(a=True, b=0.0)]), "diagram.edges[0].kind.a"),
+        (
+            "diagram",
+            _diagram(edges=[_edge(type="scale_by_series", variable=5)]),
+            "diagram.edges[0].kind.variable",
+        ),
+        (
+            "diagram",
+            _diagram(edges=[_edge(type="chain", parts=[])]),
+            "diagram.edges[0].kind",
+        ),
+        ("diagram", _diagram(edges=[_edge(type="pow")]), "diagram.edges[0].kind.type"),
+        (
+            "diagram",
+            _diagram(edges=[_edge(target="zz", a=1, b=0)]),
+            "diagram: edges[0]",
+        ),
+        (
+            "functor",
+            _functor(morphism_map=[{"to": _edge(a=2.0, b=1.0)}]),
+            "functor.morphism_map[0].from",
+        ),
     ],
     ids=[
         "coefficients-unknown-key",
@@ -320,10 +362,17 @@ def _valid_shock(**change):
         "diagram-empty-object",
         "diagram-objects-not-list",
         "functor-object-map-not-object",
+        "diagram-equal-paths-misspelt",
+        "affine-coefficient-bool",
+        "scale-variable-not-string",
+        "chain-empty",
+        "morphism-type-unknown",
+        "edge-target-not-a-node",
+        "functor-map-entry-without-from",
     ],
 )
 def test_malformed_input_file_is_one_input_error_line(
-    canonical_csv, tmp_path, capsys, kind, doc
+    canonical_csv, tmp_path, capsys, kind, doc, where
 ):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -339,10 +388,14 @@ def test_malformed_input_file_is_one_input_error_line(
             "functor-check", "--diagram", str(diagram_file), "--functor", str(path)
         ],
     }[kind]
-    code = main([*argv, "--input", str(canonical_csv), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main([*argv, "--input", str(canonical_csv), "--out", str(out)])
     assert code == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(line)["error"] == "InputError"
+    error = json.loads(line)
+    assert error["error"] == "InputError"
+    assert where in error["message"]
+    assert not out.exists()  # every input file is read before the out dir is made
 
 
 class TestPipeline:
@@ -648,6 +701,74 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads((out / "commutation.json").read_text())
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_functor_check_rejects_bad_tolerance(
+        self, canonical_csv, tmp_path, capsys, tol
+    ):
+        diagram_file = tmp_path / "diagram.json"
+        diagram_file.write_text(json.dumps(_diagram()), encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(canonical_csv)]
+        argv += ["--diagram", str(diagram_file), "--tol", tol, "--out", str(out)]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InputError"
+        assert "--tol" in error["message"]
+        assert not out.exists()
+
+    def test_single_stage_commands_match_pipeline(self, canonical_csv, tmp_path):
+        scenario_file = tmp_path / "scenarios.json"
+        scenario_file.write_text(
+            json.dumps([{"name": "m2 up", "shocks": [_valid_shock()]}]),
+            encoding="utf-8",
+        )
+        for command, stage in [
+            ("scenario", "sensitivity"),
+            ("equilibrium", "equilibrium"),
+            ("colimit", "colimit"),
+        ]:
+            common = ["--input", str(canonical_csv)]
+            if stage == "sensitivity":
+                common += ["--scenarios", str(scenario_file)]
+            trees = []
+            for argv in ([command], ["pipeline", "--stages", stage]):
+                out = tmp_path / f"{argv[0]}-{stage}"
+                assert main([*argv, *common, "--out", str(out)]) == 0
+                manifest = json.loads((out / "run_manifest.json").read_text())
+                assert manifest["command"] == argv[0]
+                (out / "run_manifest.json").unlink()
+                trees.append(tree_bytes(out))
+            assert trees[0] and trees[0] == trees[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "pipeline",
+            "scenario",
+            "equilibrium",
+            "colimit",
+            "calibrate",
+            "simulate",
+            "functor-check",
+        ],
+    )
+    def test_missing_csv_fails_at_load_in_every_command(
+        self, tmp_path, capsys, command
+    ):
+        scenarios, diagram = tmp_path / "scenarios.json", tmp_path / "diagram.json"
+        scenarios.write_text("[]", encoding="utf-8")
+        diagram.write_text(json.dumps(_diagram()), encoding="utf-8")
+        extra = {
+            "scenario": ["--scenarios", str(scenarios)],
+            "functor-check": ["--diagram", str(diagram)],
+        }
+        argv = [command, "--input", str(tmp_path / "absent.csv")]
+        argv += [*extra.get(command, []), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["stage"] == "load"
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -9,7 +9,8 @@ which must be the same in both checkouts. For each end-to-end metric it
 prints each side's median and quartiles, the pairs the change won (a tie
 counts for neither), and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs, and its median is better than the parent's
-by more than the distance between the parent's quartiles.
+by more than the distance between the parent's quartiles. It also prints a
+no-regression verdict against the metric's ``bound`` (see :func:`verdict`).
 
 Exits 0 when every run succeeded, 1 when a run reports ``failed > 0`` or
 gives no result, and 2 on bad usage.
@@ -60,6 +61,25 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
         len(parent),
         10 * wins >= 9 * len(parent) and gap > high - low,
     )
+
+
+def verdict(
+    parent: list[float], change: list[float], better: str, bound: float
+) -> str:
+    """``"regressed"`` when the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median; otherwise ``"unresolved"``
+    when the parent's quartiles lie further apart than that, unless every
+    change run beats every parent run; otherwise ``"ok"``."""
+    sign = 1.0 if better == "lower" else -1.0
+    limit = bound * abs(statistics.median(parent))
+    if sign * (statistics.median(change) - statistics.median(parent)) > limit:
+        return "regressed"
+    low, high = quartiles(parent)
+    if high - low > limit and not all(
+        sign * (p - c) > 0 for p in parent for c in change
+    ):
+        return "unresolved"
+    return "ok"
 
 
 def run_seconds(checkout: Path) -> float:
@@ -139,12 +159,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: no pair succeeded, no summary")
             continue
         s = summarize(parent, change, metric["better"])
+        regression = verdict(parent, change, metric["better"], metric["bound"])
         print(
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"parent {s.parent_median:.4g} [{s.parent_quartiles[0]:.4g}, "
             f"{s.parent_quartiles[1]:.4g}], change {s.change_median:.4g} "
             f"[{s.change_quartiles[0]:.4g}, {s.change_quartiles[1]:.4g}], "
-            f"change won {s.wins} of {s.pairs}, gain {'holds' if s.gain else 'not shown'}"
+            f"change won {s.wins} of {s.pairs}, "
+            f"gain {'holds' if s.gain else 'not shown'}, verdict {regression}"
         )
     return 1 if failed else 0
 
