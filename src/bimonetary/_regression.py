@@ -124,35 +124,21 @@ def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
 
 
 def cross_products(r: np.ndarray, k: int) -> np.ndarray:
-    """``E_j' E_j`` for ``j = 0..k`` from the R factor of ``[X / norms, Y]``,
-    shape ``(k+1, m, m)``; see :func:`prefix_cross_products`."""
+    """``E_j' E_j = R12[j:]' R12[j:] + R22' R22`` of Y regressed on
+    ``X[:, :j]`` for ``j = 0..k``, shape ``(k+1, m, m)``, from the R factor
+    of ``[X / norms | Y]``: a sum of positive semidefinite terms, so nothing
+    cancels against ``||Y||^2``.
+
+    :func:`factor_design`'s pivot test on the full X decides every prefix:
+    each scaled column has unit norm, so ``|R_11| = 1 >= |R_jj|``, a prefix's
+    ratio test is ``min |R_jj| < PIVOT_RTOL`` over its own pivots, and the
+    full design fails exactly when some prefix does.
+    """
     tail = r[:, k:]                     # rows of R12, then of R22
     # a zero row stands for R22 when n == k (the full design fits exactly)
     tail = np.vstack([tail, np.zeros((1, tail.shape[1]))])
     outer = np.einsum("ij,ik->ijk", tail, tail)
     return np.cumsum(outer[::-1], axis=0)[::-1][: k + 1]
-
-
-def prefix_cross_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Residual cross-products of Y regressed on every leading-column prefix
-    of X, from one factorization.
-
-    Entry ``j`` belongs to the regression on ``X[:, :j]``, ``j = 0..k``: the
-    SSR for a 1-d ``Y`` (shape ``(k+1,)``), ``E_j' E_j`` for a ``(n, m)``
-    ``Y`` (shape ``(k+1, m, m)``). ``E_j' E_j = R12[j:]' R12[j:] + R22'
-    R22``: a sum of positive semidefinite terms, so nothing cancels against
-    ``||Y||^2``.
-
-    The checks are :func:`qr_least_squares`'s on the full X, and they decide
-    every prefix too: each scaled column has unit norm, so ``|R_11| = 1 >=
-    |R_jj|``, the ratio test of a prefix is ``min |R_jj| < PIVOT_RTOL`` over
-    its own pivots, and the full design fails exactly when some prefix does.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    r, _ = factor_design(X, Y)
-    cross = cross_products(r, X.shape[1])
-    return cross[:, 0, 0] if Y.ndim == 1 else cross
 
 
 def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarray:

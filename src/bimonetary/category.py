@@ -284,6 +284,11 @@ def _max_abs_deviation(a: Series, b: Series) -> tuple[float, float]:
     return float(np.abs(u[both] - v[both]).max(initial=0.0)), magnitude
 
 
+def _tolerance(tol: float | None, magnitude: float) -> float:
+    """``tol``, or ``1e-9 * max(1, magnitude)`` when it is None."""
+    return 1e-9 * max(1.0, magnitude) if tol is None else tol
+
+
 def check_commutes(
     d: Diagram, panel: Panel, tol: float | None = None
 ) -> CommutationReport:
@@ -297,7 +302,7 @@ def check_commutes(
         a = evaluate(compose_path(left), panel)
         b = evaluate(compose_path(right), panel)
         dev, magnitude = _max_abs_deviation(a, b)
-        pair_tol = 1e-9 * max(1.0, magnitude) if tol is None else tol
+        pair_tol = _tolerance(tol, magnitude)
         checks.append(PathPairCheck(i, dev, pair_tol, dev <= pair_tol))
     return CommutationReport(tuple(checks))
 
@@ -356,15 +361,26 @@ class Functor:
 
 
 def apply_functor(F: Functor, d: Diagram) -> Diagram:
-    """Image diagram: mapped nodes, edges and declared path pairs."""
-    nodes = tuple(F.map_object(n) for n in d.nodes)
-    edges = tuple(F.map_morphism(e) for e in d.edges)
+    """Image diagram: mapped nodes, edges and declared path pairs.
+
+    A node or morphism without an image raises :class:`UnmappedObject` or
+    :class:`UnmappedMorphism`, its message led by the item's key path in
+    the diagram's JSON form (``nodes[1]``, ``equal_paths[0][1][2]``).
+    """
+
+    def images(where: str, items, mapping=F.map_morphism) -> tuple:
+        out = []
+        for i, item in enumerate(items):
+            try:
+                out.append(mapping(item))
+            except (UnmappedObject, UnmappedMorphism) as error:
+                raise type(error)(f"{where}[{i}]: {error}") from None
+        return tuple(out)
+
+    nodes, edges = images("nodes", d.nodes, F.map_object), images("edges", d.edges)
     pairs = tuple(
-        (
-            tuple(F.map_morphism(m) for m in left),
-            tuple(F.map_morphism(m) for m in right),
-        )
-        for left, right in d.declared_equal_paths
+        tuple(images(f"equal_paths[{i}][{j}]", path) for j, path in enumerate(pair))
+        for i, pair in enumerate(d.declared_equal_paths)
     )
     return Diagram(nodes, edges, pairs)
 
@@ -374,6 +390,7 @@ class FunctorLawCheck:
     law: str
     subject: str
     deviation: float
+    tolerance: float
     passed: bool
 
 
@@ -388,54 +405,50 @@ class FunctorLawReport:
 
 def _law_deviation(
     lhs: MorphismSpec, rhs: MorphismSpec, panel: Panel
-) -> float:
+) -> tuple[float, float]:
     # equal specifications evaluate identically; only genuinely different
     # images need data, so abstract objects without panel columns still check
     if lhs == rhs:
-        return 0.0
-    dev, _ = _max_abs_deviation(evaluate(lhs, panel), evaluate(rhs, panel))
-    return dev
+        return 0.0, 0.0
+    return _max_abs_deviation(evaluate(lhs, panel), evaluate(rhs, panel))
 
 
 def check_functor_laws(
     F: Functor,
     sample_morphisms: Sequence[MorphismSpec],
     panel: Panel,
-    tol: float = 1e-9,
+    tol: float | None = None,
 ) -> FunctorLawReport:
     """Verify F(id) = id on every sampled endpoint and
-    ``evaluate(F(g . f)) = evaluate(F(g) . F(f))`` on every composable pair."""
-    checks: list[FunctorLawCheck] = []
+    ``evaluate(F(g . f)) = evaluate(F(g) . F(f))`` on every composable pair.
 
+    The tolerance is :func:`check_commutes`' rule: ``tol``, or when it is
+    None ``1e-9 * max(1, max |values|)`` per check (``1e-9`` where the two
+    specifications are equal and nothing is evaluated)."""
     seen: dict[str, EconObject] = {}
     for m in sample_morphisms:
         for obj in (m.source, m.target):
             seen.setdefault(obj.id, obj)
-    for obj in seen.values():
-        dev = _law_deviation(
-            F.map_morphism(identity(obj)),
-            identity(F.map_object(obj)),
-            panel,
+    sides = [
+        ("identity", obj.id, F.map_morphism(identity(obj)), identity(F.map_object(obj)))
+        for obj in seen.values()
+    ]
+    sides += [
+        (
+            "composition",
+            f"{f.source.id}->{f.target.id}->{g.target.id}",
+            F.map_composite(f, g),
+            compose(F.map_morphism(f), F.map_morphism(g)),
         )
-        checks.append(FunctorLawCheck("identity", obj.id, dev, dev <= tol))
-
-    for f in sample_morphisms:
-        for g in sample_morphisms:
-            if f.target.id != g.source.id:
-                continue
-            dev = _law_deviation(
-                F.map_composite(f, g),
-                compose(F.map_morphism(f), F.map_morphism(g)),
-                panel,
-            )
-            checks.append(
-                FunctorLawCheck(
-                    "composition",
-                    f"{f.source.id}->{f.target.id}->{g.target.id}",
-                    dev,
-                    dev <= tol,
-                )
-            )
+        for f in sample_morphisms
+        for g in sample_morphisms
+        if f.target.id == g.source.id
+    ]
+    checks = []
+    for law, subject, lhs, rhs in sides:
+        dev, magnitude = _law_deviation(lhs, rhs, panel)
+        law_tol = _tolerance(tol, magnitude)
+        checks.append(FunctorLawCheck(law, subject, dev, law_tol, dev <= law_tol))
     return FunctorLawReport(tuple(checks))
 
 

@@ -406,16 +406,17 @@ def _stage_simulate(panel: Panel, out: Path, config: Config, coefficients) -> No
 
 
 def _stage_functor_check(
-    panel: Panel, out: Path, config: Config, diagram, functor, tol: float | None
+    panel: Panel, out: Path, config: Config, diagram, functor, image, tol: float | None
 ) -> int:
-    """Exits 1 when a check fails, after writing its report."""
+    """Exits 1 when a check fails, after writing its report. ``image`` is
+    the functor's image of the diagram (None without a functor), and ``tol``
+    applies to every check, None meaning ``1e-9 * max(1, |values|)``."""
     report = category.check_commutes(panel=panel, d=diagram, tol=tol)
     payload = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
     all_passed = report.passed
     if functor is not None:
-        image = category.apply_functor(functor, diagram)
         _write_json(out / "image_diagram.json", category.diagram_to_json(image))
-        laws = category.check_functor_laws(functor, list(diagram.edges), panel)
+        laws = category.check_functor_laws(functor, list(diagram.edges), panel, tol)
         payload["functor_laws"] = {
             "passed": laws.passed,
             "checks": [asdict(c) for c in laws.checks],
@@ -462,10 +463,14 @@ def _plan(args, config: Config) -> dict[str, tuple]:
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise InputError(f"--tol must be a finite number >= 0: {args.tol}")
         diagram = category.diagram_from_json(read_json(args.diagram))
-        functor = None
+        functor = image = None
         if args.functor:
             functor = category.functor_from_json(read_json(args.functor))
-        inputs["functor-check"] = (diagram, functor, args.tol)
+            try:
+                image = category.apply_functor(functor, diagram)
+            except InputError as error:  # an item of the diagram has no image
+                raise InputError(f"diagram.{error}") from None
+        inputs["functor-check"] = (diagram, functor, image, args.tol)
     return inputs
 
 
@@ -527,7 +532,11 @@ COMMANDS = {
         {
             "--diagram": {"required": True, "help": "diagram JSON file"},
             "--functor": {"help": "functor JSON file"},
-            "--tol": {"type": float, "help": "absolute tolerance"},
+            "--tol": {
+                "type": float,
+                "help": "absolute tolerance of every check "
+                "(default 1e-9 * max(1, |values|) per check)",
+            },
         },
     ),
 }

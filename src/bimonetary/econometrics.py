@@ -21,7 +21,6 @@ from ._regression import (
     cross_products,
     factor,
     factor_design,
-    prefix_cross_products,
     prefix_fit,
     qr_least_squares,
     subset_factor,
@@ -80,6 +79,57 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
+# -- lagged designs -------------------------------------------------------------
+
+
+def _lagged(
+    data: np.ndarray, p: int, start: int, stop: int, exog: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows t = start..stop-1 of ``[1, exog_t, data_{t-1}, ..., data_{t-p}]``
+    and of the response ``data_t`` (``data``'s shape; 1-d or 2-d inputs).
+
+    Lag j of column v is column ``1 + e + (j-1)K + v`` (e exog, K data
+    columns), the stacked VAR regressors of Lütkepohl (2005, 3.2), so fewer
+    lags is a column prefix. A lag that reaches before row 0 reads zero.
+    """
+    exog = np.empty((len(data), 0)) if exog is None else exog
+    series, given = (a[:, None] if a.ndim == 1 else a for a in (data, exog))
+    K, e = series.shape[1], given.shape[1]
+    # np.empty: np.zeros' calloc maps fresh pages where malloc reuses freed ones
+    X = np.empty((stop - start, 1 + e + K * p))
+    X[:, 0] = 1.0
+    X[:, 1 : 1 + e] = given[start:stop]
+    for j in range(1, p + 1):
+        first = min(max(start, j), stop)    # the first row whose lag j exists
+        col = 1 + e + (j - 1) * K
+        X[: first - start, col : col + K] = 0.0
+        X[first - start :, col : col + K] = series[first - j : stop - j]
+    return X, data[start:stop]
+
+
+def _lag_search(
+    data: np.ndarray, max_p: int, score, exog: np.ndarray | None = None
+) -> tuple[int, float, LeastSquaresFit]:
+    """``(p, score, fit)`` for the lag count 0..max_p whose residual
+    cross-product ``E'E`` on the common sample t = max_p..T-1 has the lowest
+    ``score(p, E'E)`` (the first of equal scores), refit on all usable rows.
+
+    One tall QR serves both: order p is a column prefix of the largest design
+    plus the ``max_p - p`` rows it lacks (:func:`_regression.prefix_fit`).
+    """
+    X, Y = _lagged(data, max_p, max_p, len(data), exog)
+    r, norms = factor_design(X, Y)
+    cross = cross_products(r, X.shape[1])
+    K = cross.shape[1]                  # response columns: each lag adds K
+    best_p, best = 0, math.inf
+    for p, moments in enumerate(cross[X.shape[1] - K * max_p :: K]):
+        value = score(p, moments)
+        if value < best:
+            best, best_p = value, p
+    fit = prefix_fit(r, norms, X, Y, *_lagged(data, best_p, best_p, max_p, exog))
+    return best_p, best, fit
+
+
 # -- augmented Dickey-Fuller ---------------------------------------------------
 
 # Response-surface constants for the constant-only regression, one I(1)
@@ -131,18 +181,6 @@ class AdfResult:
         return self.decision_5pct == "stationary"
 
 
-def _adf_design(y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = k+1..T-1 of: dy_t on [const, y_{t-1}, dy_{t-1}..dy_{t-k}]."""
-    dy = np.diff(y)
-    t0 = k + 1
-    rows = len(y) - t0
-    X = np.ones((rows, 2 + k))
-    X[:, 1] = y[t0 - 1 : len(y) - 1]
-    for j in range(1, k + 1):
-        X[:, 1 + j] = dy[t0 - 1 - j : t0 - 1 - j + rows]
-    return X, dy[t0 - 1 :]
-
-
 def adf_test(series, max_lags: int | None = None) -> AdfResult:
     """Unit-root test with constant, no trend.
 
@@ -152,9 +190,8 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     usable rows. The null of a unit root is rejected at 5% when the
     t-statistic on beta falls below the finite-sample critical value.
 
-    One tall factorization serves the search and the refit: the design at
-    lag k is the leading ``2 + k`` columns of the largest one plus the
-    ``max_lags - k`` leading rows it lacks (:func:`_regression.prefix_fit`).
+    The regression is :func:`_lagged` on ``dy`` with exog ``y_{t-1}``, and
+    :func:`_lag_search` serves the search and the refit.
     """
     y = _as_array(series)
     T = len(y)
@@ -167,25 +204,15 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         max_lags = min(int(math.floor(12.0 * (T / 100.0) ** 0.25)), cap)
     max_lags = max(0, min(max_lags, cap))
 
-    # lag search on the common sample so AICs are comparable; the candidate
-    # designs are the leading 2 + k columns of the largest one
-    X_full, dy_full = _adf_design(y, max_lags)
-    n_common = len(dy_full)
-    r, norms = factor_design(X_full, dy_full)
-    ssrs = cross_products(r, 2 + max_lags)[:, 0, 0]
-    best_k, best_aic = 0, math.inf
-    for k in range(max_lags + 1):
-        ssr = float(ssrs[2 + k])
-        if ssr <= 0.0:
-            aic = -math.inf
-        else:
-            aic = n_common * math.log(ssr / n_common) + 2.0 * (2 + k)
-        if aic < best_aic:
-            best_aic, best_k = aic, k
+    n_common = T - 1 - max_lags             # rows of dy on the common sample
 
-    # rows t = best_k+1..max_lags, which the common sample withholds
-    X_lead, dy_lead = _adf_design(y[: max_lags + 1], best_k)
-    fit = prefix_fit(r, norms, X_full, dy_full, X_lead, dy_lead)
+    def aic(k: int, cross: np.ndarray) -> float:
+        ssr = float(cross[0, 0])
+        if ssr <= 0.0:
+            return -math.inf
+        return n_common * math.log(ssr / n_common) + 2.0 * (2 + k)
+
+    best_k, _, fit = _lag_search(np.diff(y), max_lags, aic, exog=y[:-1])
     t_stat = float(fit.beta[1] / fit.stderr[1])
 
     crit = adf_critical_values(len(fit.residuals))
@@ -249,17 +276,14 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
     if k_ar_diff < 0:
         raise ValueError("k_ar_diff must be non-negative")
 
-    dy = np.diff(data, axis=0)            # rows t = 1..T-1
-    t0 = k_ar_diff + 1                     # first usable t
-    rows = (T - 1) - k_ar_diff
-    z = np.ones((rows, 1 + K * k_ar_diff))
-    for j in range(1, k_ar_diff + 1):
-        z[:, 1 + (j - 1) * K : 1 + j * K] = dy[t0 - 1 - j : t0 - 1 - j + rows]
-    d0 = dy[t0 - 1 :]                      # dy_t
-    lvl = data[t0 - 1 : T - 1]             # y_{t-1}
+    # row s of dy is dy_{s+1} = y_{s+1} - y_s, so the level y_{t-1} is data[s]
+    dy = np.diff(data, axis=0)
+    z, d0 = _lagged(dy, k_ar_diff, k_ar_diff, len(dy))
+    rows = len(z)
 
-    # residual cross-product of [d0 | lvl] on z, read from the kernel's R
-    moments = prefix_cross_products(z, np.hstack([d0, lvl]))[-1] / rows
+    # residual cross-product of [dy_t | y_{t-1}] on z, read from the kernel's R
+    r, _ = factor_design(z, np.hstack([d0, data[k_ar_diff : T - 1]]))
+    moments = cross_products(r, z.shape[1])[-1] / rows
     s00, skk, sk0 = moments[:K, :K], moments[K:, K:], moments[K:, :K]
     try:
         l_kk = np.linalg.cholesky(skk)
@@ -305,35 +329,18 @@ class GrangerResult:
         return self.per_lag[lag - 1]
 
 
-def _granger_rows(data: np.ndarray, max_lag: int, lag: int, stop: int) -> np.ndarray:
-    """Rows t = lag..stop-1 of ``[1, lags 1..max_lag of every column | every
-    column]``, column ``1 + v*max_lag + j-1`` holding lag j of column v;
-    the columns of lags beyond ``lag`` are left zero."""
-    k = 1 + data.shape[1] * max_lag
-    Z = np.zeros((stop - lag, k + data.shape[1]))
-    Z[:, 0] = 1.0
-    for j in range(1, lag + 1):
-        Z[:, j:k:max_lag] = data[lag - j : stop - j]
-    Z[:, k:] = data[lag:stop]
-    return Z
-
-
 def _granger_pairs(
     data, max_lag: int, pairs: Sequence[tuple[int, int]]
 ) -> dict[tuple[int, int], GrangerResult]:
-    """The Granger tests of the ordered (cause, effect) column pairs of
-    ``data``, from one tall factorization.
+    """The Granger tests of the ordered (cause, effect) column pairs of the
+    checked float matrix ``data``, from one tall factorization.
 
-    ``Z = [1, lags 1..max_lag of every column | every column]`` on rows
-    max_lag..T-1 is built in one array, and the kernel's :func:`factor`
-    returns its R factor with the regressor block scaled in place. ``Z`` as
-    a whole, which may be wide, gets no pivot test. At lag L a pair's
-    design, ``[1, effect lags, cause lags | effect]`` on rows L..T-1, is
-    some columns of Z plus the ``max_lag - L`` leading rows Z lacks, so the
-    pair reads SSR_r and SSR_u from a small QR of those rows, scaled by Z's
-    norms, stacked on its columns of R (:func:`subset_factor`), with
-    its own pivot test. The statistics are those of the pair's own
-    regressions. ``data`` is a checked float matrix.
+    ``Z`` is the VAR(max_lag) design ``[X | Y]`` of :func:`_lagged`, factored
+    without a pivot test (it may be wide). At lag L a pair's design, ``[1,
+    effect lags, cause lags | effect]`` on rows L..T-1, is some columns of Z
+    plus the ``max_lag - L`` rows Z lacks, so the pair reads SSR_r and SSR_u
+    from a small QR of those rows, scaled by Z's norms, stacked on its
+    columns of R (:func:`subset_factor`), with its own pivot test.
     """
     T, K = data.shape
     if max_lag < 1:
@@ -345,16 +352,19 @@ def _granger_pairs(
             f"need more than {3 * max_lag + 3} observations, got {T}"
         )
     k = 1 + K * max_lag
-    r, norms = factor(_granger_rows(data, max_lag, max_lag, T), k)
+    # X stays bound through factor: freed first, it would raise glibc's mmap
+    # threshold and leave factor's temporaries resident on the heap
+    X, Y = _lagged(data, max_lag, max_lag, T)
+    r, norms = factor(np.hstack([X, Y]), k)
     entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
-        lead = _granger_rows(data, max_lag, lag, max_lag)
+        # the lags beyond `lag` of these rows reach before row 0: zero, unread
+        lead = np.hstack(_lagged(data, max_lag, lag, max_lag))
         lead[:, :k] /= norms
         df_den = (T - lag) - 2 * lag - 1
+        end = 1 + K * lag
         for cause, effect in pairs:
-            own = 1 + effect * max_lag
-            other = 1 + cause * max_lag
-            columns = np.r_[0, own : own + lag, other : other + lag, k + effect]
+            columns = np.r_[0, 1 + effect : end : K, 1 + cause : end : K, k + effect]
             sub = subset_factor(r, columns, 1 + 2 * lag, lead[:, columns])
             ssrs = cross_products(sub, 1 + 2 * lag)[:, 0, 0]
             ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
@@ -370,13 +380,10 @@ def _granger_pairs(
 def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
     """:func:`granger` for every ordered pair of distinct columns of a
     (T, K) matrix, keyed ``(cause, effect)`` by column index in cause-major
-    order.
+    order, from one tall QR in place of ``K (K-1) max_lag``.
 
-    Every pair at every lag reads its design from the largest lag's, so
-    one tall factorization serves the whole matrix: one tall QR in place of
-    ``K (K-1) max_lag``. The errors are :func:`granger`'s. A zero regressor
-    column raises ``RankDeficient`` before the factorization, so no pair
-    reads a factor that a division by zero has filled with NaN.
+    The errors are :func:`granger`'s; a zero regressor column raises
+    ``RankDeficient`` before anything is divided by it.
     """
     data = _as_matrix(data)
     K = data.shape[1]
@@ -389,10 +396,8 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
 
     The restricted model regresses y on its own lags (plus constant), the
     unrestricted one adds the lags of x;
-    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``. This is the
-    one-pair call of :func:`granger_matrix`'s kernel: the restricted design
-    is a column prefix of the unrestricted one, and every lag's design is
-    read from the largest lag's, so one tall factorization gives every SSR.
+    ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``, every SSR read
+    from one tall factorization (the one-pair :func:`granger_matrix`).
     """
     x = _as_array(x_cause)
     y = _as_array(y_effect)
@@ -424,23 +429,14 @@ class VarModel:
     def coefficient_matrix(self) -> np.ndarray:
         """Stacked (1 + K*p, K) matrix: intercept row, then one K-row block
         per lag; column j holds equation j."""
-        K = self.k_vars
-        out = np.zeros((1 + K * self.p, K))
-        out[0] = self.c
-        for s, A_s in enumerate(self.A):
-            out[1 + s * K : 1 + (s + 1) * K] = A_s.T
-        return out
+        return np.vstack([self.c, *(A_s.T for A_s in self.A)])
 
     def companion_matrix(self) -> np.ndarray:
         K, p = self.k_vars, self.p
         if p == 0:
             return np.zeros((K, K))
-        top = np.hstack(self.A)
-        if p == 1:
-            return top
-        eye = np.eye(K * (p - 1))
-        bottom = np.hstack([eye, np.zeros((K * (p - 1), K))])
-        return np.vstack([top, bottom])
+        # [A_1 ... A_p] over [I 0]: the lags shift down one block
+        return np.vstack([np.hstack(self.A), np.eye(K * (p - 1), K * p)])
 
     def is_stable(self) -> bool:
         radius = np.abs(np.linalg.eigvals(self.companion_matrix())).max()
@@ -449,15 +445,6 @@ class VarModel:
     def unconditional_mean(self) -> np.ndarray:
         total = sum(self.A, start=np.zeros((self.k_vars, self.k_vars)))
         return np.linalg.solve(np.eye(self.k_vars) - total, self.c)
-
-
-def _var_design(data: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    T, K = data.shape
-    rows = T - p
-    X = np.ones((rows, 1 + K * p))
-    for lag in range(1, p + 1):
-        X[:, 1 + (lag - 1) * K : 1 + lag * K] = data[p - lag : T - lag]
-    return X, data[p:]
 
 
 def _var_names(names: Sequence[str] | None, K: int) -> tuple[str, ...]:
@@ -499,7 +486,7 @@ def fit_var_order(
         raise InsufficientObservations(
             f"T={T} cannot identify a VAR({p}) in {K} variables"
         )
-    return _var_model(qr_least_squares(*_var_design(data, p)), p, names)
+    return _var_model(qr_least_squares(*_lagged(data, p, p, T)), p, names)
 
 
 #: Lag-selection criteria accepted by :func:`fit_var`, in lower case.
@@ -535,11 +522,8 @@ def fit_var(
 
     Candidate orders are compared on a common sample (the first ``max_lags``
     rows are withheld from every candidate) using the maximum-likelihood
-    residual covariance; the selected order is refit on all usable rows. The
-    order-p design is the leading ``1 + K*p`` columns of the
-    order-``max_lags`` one plus the ``max_lags - p`` leading rows that the
-    common sample withholds, so one tall factorization serves the search
-    and the refit (:func:`_regression.prefix_fit`).
+    residual covariance; the selected order is refit on all usable rows
+    (:func:`_lag_search`).
     """
     data = _as_matrix(data)
     T, K = data.shape
@@ -552,16 +536,11 @@ def fit_var(
             f"T={T} is too short to compare lag orders up to {max_lags}"
         )
     T_common = T - max_lags
-    X, Y = _var_design(data, max_lags)
-    r, norms = factor_design(X, Y)
-    cross = cross_products(r, X.shape[1])
-    best_p, best_value = 0, math.inf
-    for p in range(max_lags + 1):
-        sigma_ml = cross[1 + K * p] / T_common
-        value = _criterion_value(sigma_ml, p, K, T_common, criterion)
-        if value < best_value:
-            best_value, best_p = value, p
-    fit = prefix_fit(r, norms, X, Y, *_var_design(data[:max_lags], best_p))
+
+    def score(p: int, cross: np.ndarray) -> float:
+        return _criterion_value(cross / T_common, p, K, T_common, criterion)
+
+    best_p, best_value, fit = _lag_search(data, max_lags, score)
     model = _var_model(fit, best_p, names)
     return replace(model, criterion=criterion, criterion_value=best_value)
 

@@ -718,6 +718,54 @@ class TestOtherCommands:
         assert "--tol" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol, code", [("0.5", 0), ("1e-7", 1)])
+    def test_functor_check_tolerance_reaches_the_functor_laws(
+        self, canonical_csv, tmp_path, tol, code
+    ):
+        # F(id_M2) is x + 1e-6, so the identity law deviates by 1e-6
+        diagram_file, functor_file = tmp_path / "diagram.json", tmp_path / "f.json"
+        diagram_file.write_text(json.dumps(_diagram()), encoding="utf-8")
+        shifted = {
+            "from": _edge("M2", "M2", a=1.0, b=0.0),
+            "to": _edge("M2", "M2", a=1.0, b=1e-6),
+        }
+        edge = {"from": _edge(a=2.0, b=1.0), "to": _edge(a=2.0, b=1.0)}
+        functor_file.write_text(
+            json.dumps(_functor(morphism_map=[shifted, edge])), encoding="utf-8"
+        )
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(canonical_csv), "--out", str(out)]
+        argv += ["--diagram", str(diagram_file), "--functor", str(functor_file)]
+        assert main([*argv, "--tol", tol]) == code
+        laws = json.loads((out / "commutation.json").read_text())["functor_laws"]
+        assert laws["passed"] is (code == 0)
+        assert {c["tolerance"] for c in laws["checks"]} == {float(tol)}
+        (identity,) = [c for c in laws["checks"] if c["subject"] == "M2"]
+        assert identity["deviation"] == pytest.approx(1e-6)
+
+    def test_functor_without_an_image_for_a_diagram_edge_is_an_input_error(
+        self, canonical_csv, tmp_path, capsys
+    ):
+        nodes = [{"id": name} for name in ("M2", "flow", "flow2")]
+        edge, hop = _edge(a=2.0, b=1.0), _edge("flow", "flow2", a=1.0, b=0.0)
+        direct = _edge("M2", "flow2", a=2.0, b=1.0)    # no image for this one
+        diagram = _diagram(nodes=nodes, equal_paths=[[[edge, hop], [direct]]])
+        object_map = {node["id"]: node for node in nodes}
+        entries = [{"from": m, "to": m} for m in (edge, hop)]
+        functor = _functor(object_map=object_map, morphism_map=entries)
+        diagram_file, functor_file = tmp_path / "diagram.json", tmp_path / "f.json"
+        diagram_file.write_text(json.dumps(diagram), encoding="utf-8")
+        functor_file.write_text(json.dumps(functor), encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(canonical_csv), "--out", str(out)]
+        argv += ["--diagram", str(diagram_file), "--functor", str(functor_file)]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InputError"
+        assert "diagram.equal_paths[0][1][0]" in error["message"]
+        assert not out.exists()
+
     def test_single_stage_commands_match_pipeline(self, canonical_csv, tmp_path):
         scenario_file = tmp_path / "scenarios.json"
         scenario_file.write_text(

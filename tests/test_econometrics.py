@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bimonetary import econometrics as econ
 from bimonetary.errors import (
@@ -13,6 +14,38 @@ from bimonetary.panel import Panel, Series
 from tests import reference
 from tests.conftest import SEED, daily_dates
 from tests.reference import granger_f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lagged_matches_a_per_row_loop(draws):
+    """Rows start..stop-1 of [1, exog_t, data_{t-1}, ..., data_{t-p}]: lag j
+    of column v in column 1 + e + (j-1)K + v, zero before row 0."""
+    K, p = draws.draw(st.integers(1, 4)), draws.draw(st.integers(0, 4))
+    T = draws.draw(st.integers(0, 10))
+    start = draws.draw(st.integers(0, T))
+    stop = draws.draw(st.integers(start, T))
+    rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal(T if K == 1 and draws.draw(st.booleans()) else (T, K))
+    e, shape = draws.draw(st.sampled_from([(0, None), (1, (T,)), (2, (T, 2))]))
+    exog = None if shape is None else rng.standard_normal(shape)
+
+    X, Y = econ._lagged(data, p, start, stop, exog)
+
+    series = data.reshape(T, K)
+    given = np.zeros((T, 0)) if exog is None else exog.reshape(T, e)
+    want = np.zeros((stop - start, 1 + e + K * p))
+    for t in range(start, stop):
+        want[t - start, 0] = 1.0
+        for c in range(e):
+            want[t - start, 1 + c] = given[t, c]
+        for j in range(1, p + 1):
+            for v in range(K):
+                if t - j >= 0:
+                    want[t - start, 1 + e + (j - 1) * K + v] = series[t - j, v]
+    np.testing.assert_array_equal(X, want)
+    assert Y.shape == data[start:stop].shape
+    np.testing.assert_array_equal(Y, data[start:stop])
 
 
 def fresh_rng():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bimonetary import econometrics as econ, structural
-from bimonetary._regression import prefix_cross_products, qr_least_squares
+from bimonetary._regression import cross_products, factor_design, qr_least_squares
 from bimonetary.errors import InsufficientRows, RankDeficient
 from tests import reference
 from tests.conftest import SEED, make_canonical_panel
@@ -24,6 +24,13 @@ def oracle_cross_products(X, Y):
         residuals = Y if j == 0 else Y - X[:, :j] @ linalg.lstsq(X[:, :j], Y)[0]
         out.append(residuals.T @ residuals)
     return np.array(out)
+
+
+def prefix_cross_products(X, Y):
+    """``cross_products`` of ``factor_design(X, Y)``'s R: every prefix's
+    ``E_j' E_j``, or its SSR for a 1-d Y."""
+    cross = cross_products(factor_design(X, Y)[0], X.shape[1])
+    return cross[:, 0, 0] if Y.ndim == 1 else cross
 
 
 class TestPrefixCrossProducts:
