@@ -1,10 +1,10 @@
 """The one least-squares kernel shared by the calibration and time-series
 modules.
 
-Every regression is read from one factorization: the R factor
-(``mode="r"``, Q is never formed) of ``[X / norms | Y]``, the design with
-its k regressor columns scaled to unit norm. With ``R = [[R11, R12], [0,
-R22]]`` (Golub & Van Loan, *Matrix Computations*, 5.3):
+Every regression is read from one R factor (Q is never formed) of ``[X /
+norms | Y]``, the design with its k regressor columns scaled to unit norm.
+With ``R = [[R11, R12], [0, R22]]`` (Golub & Van Loan, *Matrix
+Computations*, 5.3):
 
 - the coefficients are ``R11^-1 R12 / norms``;
 - ``(X'X)^-1 = N^-1 R11^-1 R11^-T N^-1`` with ``N = diag(norms)``, so the
@@ -16,6 +16,21 @@ R22]]`` (Golub & Van Loan, *Matrix Computations*, 5.3):
   (Golub & Van Loan, 6.5.3, "adding rows"): a smaller lag, or the refit at
   a chosen lag, reads its R from a QR of at most ``len(R)`` plus its
   missing rows, however tall Z is.
+
+A design is given by its rows, never as one array: ``rows(a, b)`` builds
+design rows a..b-1 as ``(X, Y)``. R is a tall-skinny QR (Demmel, Grigori,
+Hoemmen & Langou, *SIAM J. Sci. Comput.* 34(1), 2012): each block of
+:data:`BLOCK_ROWS` rows of the unscaled ``[X | Y]`` is factored alone (a
+leaf), then the leaves are combined pairwise by the QR of the two R factors
+stacked, which is "adding rows" again. Equilibration comes last: ``Z = Q
+R``, so X's column norms are those of ``R11``, and R with its first k
+columns divided by them is the R factor of ``[X / norms | Y]``. The result
+is the one-shot R up to the signs of its rows, which nothing reads, and to
+rounding: each QR is backward stable column by column, so scaling after
+factoring is as accurate as scaling before. A design that differs from a
+factored one in some blocks only keeps that one's other leaves
+(:func:`leaf_factors`); the same combine then gives the bits of a fresh
+factorization.
 """
 
 from __future__ import annotations
@@ -29,6 +44,9 @@ from .errors import InsufficientRows, RankDeficient
 #: Relative pivot threshold below which a QR factor is declared rank deficient.
 PIVOT_RTOL = 1e-10
 
+#: Design rows per leaf of the blocked factorization.
+BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class LeastSquaresFit:
@@ -38,25 +56,50 @@ class LeastSquaresFit:
     stderr: np.ndarray        # beta's shape; df-corrected, NaN when n == k
 
 
-def factor(Z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """R factor of the preallocated design ``Z = [X | Y]`` after scaling its
-    first k columns to unit norm in place; returns ``(R, norms)``.
+def leaf_factors(rows, n: int, reuse=None) -> list[np.ndarray]:
+    """R factors of the unscaled ``[X | Y]``, one per block of
+    :data:`BLOCK_ROWS` design rows (block b holds rows ``b * BLOCK_ROWS``
+    onwards), of the n-row design ``rows`` builds.
 
-    Column equilibration makes the pivot test scale-invariant, so mixed
-    magnitudes (GDP levels next to an intercept) are not mistaken for
-    collinearity; a least-squares solution is unchanged by diagonal scaling.
-    The pivot test is left to the caller, which knows the design's columns.
+    ``reuse`` maps a block index to the leaf of a design whose rows in that
+    block equal these: that block is not built or factored again.
+    """
+    reuse = reuse or {}
+    return [
+        reuse[b]
+        if b in reuse
+        else np.linalg.qr(np.column_stack(rows(a, min(a + BLOCK_ROWS, n))), mode="r")
+        for b, a in enumerate(range(0, n, BLOCK_ROWS))
+    ]
+
+
+def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """R factor of ``[X / norms | Y]`` from the :func:`leaf_factors` of ``[X
+    | Y]``, whose first k columns are X; returns ``(R, norms)``.
+
+    The leaves are combined pairwise, in a fixed order, until one is left;
+    then R's first k columns are divided by their norms. Column
+    equilibration makes the pivot test scale-invariant, so mixed magnitudes
+    (GDP levels next to an intercept) are not mistaken for collinearity; a
+    least-squares solution is unchanged by diagonal scaling. The pivot test
+    is left to the caller, which knows the design's columns.
 
     Raises
     ------
     RankDeficient
         A zero column among the k, before anything is divided by it.
     """
-    norms = np.linalg.norm(Z[:, :k], axis=0)
+    while len(leaves) > 1:
+        pairs = [leaves[i : i + 2] for i in range(0, len(leaves), 2)]
+        leaves = [
+            np.linalg.qr(np.vstack(pair), mode="r") if len(pair) == 2 else pair[0]
+            for pair in pairs
+        ]
+    r = leaves[0]
+    norms = np.linalg.norm(r[:, :k], axis=0)
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")
-    Z[:, :k] /= norms
-    return np.linalg.qr(Z, mode="r"), norms
+    return np.hstack([r[:, :k] / norms, r[:, k:]]), norms
 
 
 def _check_pivots(r: np.ndarray, k: int) -> None:
@@ -67,9 +110,9 @@ def _check_pivots(r: np.ndarray, k: int) -> None:
         )
 
 
-def factor_design(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`factor` of ``[X | Y]``, built in one preallocated array, after
-    the checks.
+def factor_design(rows, n: int, leaves=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`factor` of the n-row design ``rows`` builds, after the checks;
+    ``leaves`` are its :func:`leaf_factors` when the caller has them.
 
     Raises
     ------
@@ -79,33 +122,31 @@ def factor_design(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         A zero column of X, or any |R_ii| of X's block below PIVOT_RTOL
         times the largest.
     """
-    n, k = X.shape
+    k = rows(0, 0)[0].shape[1]
     if n < k:
         raise InsufficientRows(f"{n} rows for {k} coefficients")
-    m = 1 if Y.ndim == 1 else Y.shape[1]
-    Z = np.empty((n, k + m))
-    Z[:, :k] = X
-    Z[:, k:] = Y.reshape(n, m)
-    r, norms = factor(Z, k)
+    r, norms = factor(leaf_factors(rows, n) if leaves is None else leaves, k)
     _check_pivots(r, k)
     return r, norms
 
 
-def read_fit(r: np.ndarray, norms: np.ndarray, blocks) -> LeastSquaresFit:
-    """The least-squares fit read from the R factor of ``[X / norms | Y]``.
+def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
+    """The least-squares fit of the n-row design ``rows`` builds, read from
+    the R factor of its ``[X / norms | Y]``.
 
-    ``blocks`` holds the design's rows as ``(X, Y)`` pairs, in row order;
-    the residuals ``Y - X beta`` are taken on each and stacked. The
+    The residuals ``Y - X beta`` are taken one block of rows at a time. The
     standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))`` with
     ``(X'X)^-1`` read from ``R11^-1``.
     """
     k = len(norms)
     # one triangular solve gives R11^-1 R12 and R11^-1
     solved = np.linalg.solve(r[:k, :k], np.hstack([r[:k, k:], np.eye(k)]))
-    beta = (solved[:, :-k] / norms[:, None]).reshape((k,) + blocks[0][1].shape[1:])
-    parts = [Y - X @ beta for X, Y in blocks]
-    residuals = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    n = len(residuals)
+    shape = rows(0, 0)[1].shape[1:]     # the response's: () or (m,)
+    beta = (solved[:, :-k] / norms[:, None]).reshape((k,) + shape)
+    residuals = np.empty((n,) + shape)
+    for a in range(0, n, BLOCK_ROWS):
+        X, Y = rows(a, min(a + BLOCK_ROWS, n))
+        residuals[a : a + len(Y)] = Y - X @ beta
     ssr = np.einsum("i...,i...->...", residuals, residuals)
     sigma2 = ssr / (n - k) if n > k else np.full_like(ssr, np.nan)
     scale = np.linalg.norm(solved[:, -k:], axis=1) / norms
@@ -113,14 +154,19 @@ def read_fit(r: np.ndarray, norms: np.ndarray, blocks) -> LeastSquaresFit:
     return LeastSquaresFit(beta, residuals, ssr, stderr)
 
 
+def fit_design(rows, n: int, leaves=None) -> LeastSquaresFit:
+    """The least-squares fit of the n-row design ``rows`` builds (see
+    :func:`factor_design` for the checks and :func:`read_fit` for the
+    standard errors)."""
+    return read_fit(*factor_design(rows, n, leaves), rows, n)
+
+
 def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
-    """Solve min ||X b - y|| from the R factor of ``[X / norms | y]``,
-    failing loudly on collinear regressors (see :func:`factor_design` for
-    the checks and :func:`read_fit` for the standard errors)."""
+    """Solve min ||X b - y||, failing loudly on collinear regressors
+    (:func:`fit_design` of the rows of ``X`` and ``y``)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    r, norms = factor_design(X, y)
-    return read_fit(r, norms, [(X, y)])
+    return fit_design(lambda a, b: (X[a:b], y[a:b]), len(X))
 
 
 def cross_products(r: np.ndarray, k: int) -> np.ndarray:
@@ -159,30 +205,23 @@ def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarra
 
 
 def prefix_fit(
-    r: np.ndarray,
-    norms: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    X_lead: np.ndarray,
-    Y_lead: np.ndarray,
+    r: np.ndarray, norms: np.ndarray, rows, n: int, lead: int
 ) -> LeastSquaresFit:
-    """:func:`qr_least_squares` of ``[Y_lead; Y]`` on ``[X_lead; X[:, :k]]``,
-    ``k = X_lead.shape[1]``, where ``(r, norms)`` is :func:`factor_design`
-    of ``(X, Y)``.
+    """:func:`fit_design` of the n-row design ``rows`` builds, where ``(r,
+    norms)`` is :func:`factor_design` of a design whose rows are this one's
+    after the first ``lead``, in more columns: this one's X is a column
+    prefix of that X, and the responses are the same.
 
-    This is the refit of a lag search at its chosen lag: the design is a
-    column prefix of the largest one plus the leading rows it lacks, so its
-    R comes from :func:`subset_factor` and the design is never copied. The
-    rows are scaled by the largest design's norms, which leaves the
-    least-squares solution unchanged.
+    This is the refit of a lag search at its chosen lag: its R comes from
+    :func:`subset_factor` of the ``lead`` rows, so nothing is factored
+    again. The rows are scaled by the larger design's norms, which leaves
+    the least-squares solution unchanged.
     """
-    k, n_y = X_lead.shape[1], 1 if Y.ndim == 1 else Y.shape[1]
-    columns = np.r_[:k, X.shape[1] : X.shape[1] + n_y]
-    rows = np.empty((len(X_lead), k + n_y))
-    rows[:, :k] = X_lead / norms[:k]
-    rows[:, k:] = Y_lead.reshape(len(Y_lead), n_y)
-    sub = subset_factor(r, columns, k, rows)
-    return read_fit(sub, norms[:k], [(X_lead, Y_lead), (X[:, :k], Y)])
+    X_lead, Y_lead = rows(0, lead)
+    k, width = X_lead.shape[1], len(norms)
+    columns = np.r_[:k, width : r.shape[1]]
+    sub = subset_factor(r, columns, k, np.column_stack([X_lead / norms[:k], Y_lead]))
+    return read_fit(sub, norms[:k], rows, n)
 
 
 def r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

@@ -86,6 +86,8 @@ class SensitivitySection:
 
     def __post_init__(self) -> None:
         reject_repeats("model_variables", self.model_variables)
+        if self.max_lags < 0:
+            raise ValueError(f"max_lags must be at least 0: {self.max_lags}")
 
 
 #: Smallest accepted value of each integer config key.

@@ -48,6 +48,13 @@ class ColimitConfig:
         reject_repeats("variables", self.variables)
         if not 1 <= self.n_components <= len(self.variables):
             raise ValueError("n_components must lie in 1..len(variables)")
+        for name in ("corr_window", "smooth_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
+        if not 1 <= self.corr_min_periods <= self.corr_window:
+            raise ValueError(
+                f"corr_min_periods must lie in 1..corr_window: {self.corr_min_periods}"
+            )
 
 
 @dataclass(frozen=True)

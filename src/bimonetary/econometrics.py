@@ -17,12 +17,15 @@ import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
+    BLOCK_ROWS,
     LeastSquaresFit,
     cross_products,
     factor,
     factor_design,
+    fit_design,
+    leaf_factors,
     prefix_fit,
-    qr_least_squares,
+    qr_least_squares,  # noqa: F401  bench/tracer.py wraps this name here
     subset_factor,
 )
 from .errors import (
@@ -47,6 +50,7 @@ __all__ = [
     "VarModel",
     "fit_var",
     "fit_var_order",
+    "var_leaves",
     "ljung_box",
     "LjungBoxResult",
     "IrfResult",
@@ -107,6 +111,12 @@ def _lagged(
     return X, data[start:stop]
 
 
+def _rows(data: np.ndarray, p: int, first: int, exog: np.ndarray | None = None):
+    """The row builder of the kernel (:mod:`._regression`) over
+    :func:`_lagged`: design row i is t = first + i."""
+    return lambda a, b: _lagged(data, p, first + a, first + b, exog)
+
+
 def _lag_search(
     data: np.ndarray, max_p: int, score, exog: np.ndarray | None = None
 ) -> tuple[int, float, LeastSquaresFit]:
@@ -114,19 +124,21 @@ def _lag_search(
     cross-product ``E'E`` on the common sample t = max_p..T-1 has the lowest
     ``score(p, E'E)`` (the first of equal scores), refit on all usable rows.
 
-    One tall QR serves both: order p is a column prefix of the largest design
-    plus the ``max_p - p`` rows it lacks (:func:`_regression.prefix_fit`).
+    One tall factorization serves both: order p is a column prefix of the
+    largest design plus the ``max_p - p`` rows it lacks
+    (:func:`_regression.prefix_fit`).
     """
-    X, Y = _lagged(data, max_p, max_p, len(data), exog)
-    r, norms = factor_design(X, Y)
-    cross = cross_products(r, X.shape[1])
+    T = len(data)
+    r, norms = factor_design(_rows(data, max_p, max_p, exog), T - max_p)
+    cross = cross_products(r, len(norms))
     K = cross.shape[1]                  # response columns: each lag adds K
     best_p, best = 0, math.inf
-    for p, moments in enumerate(cross[X.shape[1] - K * max_p :: K]):
+    for p, moments in enumerate(cross[len(norms) - K * max_p :: K]):
         value = score(p, moments)
         if value < best:
             best, best_p = value, p
-    fit = prefix_fit(r, norms, X, Y, *_lagged(data, best_p, best_p, max_p, exog))
+    rows = _rows(data, best_p, best_p, exog)
+    fit = prefix_fit(r, norms, rows, T - best_p, max_p - best_p)
     return best_p, best, fit
 
 
@@ -278,12 +290,15 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
 
     # row s of dy is dy_{s+1} = y_{s+1} - y_s, so the level y_{t-1} is data[s]
     dy = np.diff(data, axis=0)
-    z, d0 = _lagged(dy, k_ar_diff, k_ar_diff, len(dy))
-    rows = len(z)
+    rows = len(dy) - k_ar_diff
+
+    def design(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        z, d0 = _lagged(dy, k_ar_diff, k_ar_diff + a, k_ar_diff + b)
+        return z, np.hstack([d0, data[k_ar_diff + a : k_ar_diff + b]])
 
     # residual cross-product of [dy_t | y_{t-1}] on z, read from the kernel's R
-    r, _ = factor_design(z, np.hstack([d0, data[k_ar_diff : T - 1]]))
-    moments = cross_products(r, z.shape[1])[-1] / rows
+    r, norms = factor_design(design, rows)
+    moments = cross_products(r, len(norms))[-1] / rows
     s00, skk, sk0 = moments[:K, :K], moments[K:, K:], moments[K:, :K]
     try:
         l_kk = np.linalg.cholesky(skk)
@@ -336,11 +351,12 @@ def _granger_pairs(
     checked float matrix ``data``, from one tall factorization.
 
     ``Z`` is the VAR(max_lag) design ``[X | Y]`` of :func:`_lagged`, factored
-    without a pivot test (it may be wide). At lag L a pair's design, ``[1,
-    effect lags, cause lags | effect]`` on rows L..T-1, is some columns of Z
-    plus the ``max_lag - L`` rows Z lacks, so the pair reads SSR_r and SSR_u
-    from a small QR of those rows, scaled by Z's norms, stacked on its
-    columns of R (:func:`subset_factor`), with its own pivot test.
+    block by block without a pivot test (it may be wide). At lag L a pair's
+    design, ``[1, effect lags, cause lags | effect]`` on rows L..T-1, is some
+    columns of Z plus the ``max_lag - L`` rows Z lacks, so the pair reads
+    SSR_r and SSR_u from a small QR of those rows, scaled by Z's norms,
+    stacked on its columns of R (:func:`subset_factor`), with its own pivot
+    test.
     """
     T, K = data.shape
     if max_lag < 1:
@@ -352,10 +368,7 @@ def _granger_pairs(
             f"need more than {3 * max_lag + 3} observations, got {T}"
         )
     k = 1 + K * max_lag
-    # X stays bound through factor: freed first, it would raise glibc's mmap
-    # threshold and leave factor's temporaries resident on the heap
-    X, Y = _lagged(data, max_lag, max_lag, T)
-    r, norms = factor(np.hstack([X, Y]), k)
+    r, norms = factor(leaf_factors(_rows(data, max_lag, max_lag), T - max_lag), k)
     entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
         # the lags beyond `lag` of these rows reach before row 0: zero, unread
@@ -468,25 +481,57 @@ def _var_model(fit: LeastSquaresFit, p: int, names: tuple[str, ...]) -> VarModel
     return VarModel(p, names, c, A, sigma, resid, len(resid), fit.stderr)
 
 
+def _var_data(data, p: int) -> np.ndarray:
+    """``data`` as a checked (T, K) matrix on which a VAR(p) is identified."""
+    data = _as_matrix(data)
+    T, K = data.shape
+    if p < 0:
+        raise ValueError("lag order must be non-negative")
+    if T - p <= 1 + K * p:
+        raise InsufficientObservations(
+            f"T={T} cannot identify a VAR({p}) in {K} variables"
+        )
+    return data
+
+
+def var_leaves(data, p: int, base=None) -> list[np.ndarray]:
+    """The leaf R factors (:func:`_regression.leaf_factors`) of the VAR(p)
+    design of ``data``, for :func:`fit_var_order`.
+
+    ``base = (base_data, base_leaves)`` gives the leaves of the VAR(p)
+    design of a matrix of ``data``'s shape. Design row i reads data rows
+    i..i+p, so only the blocks holding a row that reads a row where ``data``
+    differs from ``base_data`` are factored; the others are taken from
+    ``base_leaves``, the same bits that factoring them would give.
+    """
+    data = _var_data(data, p)
+    n = len(data) - p
+    reuse = None
+    if base is not None:
+        base_data, base_leaves = base
+        if np.shape(base_data) != data.shape:
+            raise ShapeMismatch("base data differ in shape from data")
+        # changed[t] counts the rows before t where the two differ
+        changed = np.r_[0, np.cumsum((data != base_data).any(axis=1))]
+        dirty = changed[p + 1 :] > changed[:n]
+        touched = set(np.flatnonzero(dirty) // BLOCK_ROWS)
+        reuse = {b: leaf for b, leaf in enumerate(base_leaves) if b not in touched}
+    return leaf_factors(_rows(data, p, p), n, reuse)
+
+
 def fit_var_order(
-    data, p: int, names: Sequence[str] | None = None
+    data, p: int, names: Sequence[str] | None = None, leaves=None
 ) -> VarModel:
     """Per-equation OLS estimate of a VAR(p) with intercept.
 
     ``p = 0`` is the intercept-only model. The residual covariance uses the
     degrees-of-freedom-corrected denominator ``T_eff - (K*p + 1)``.
+    ``leaves`` are the design's :func:`var_leaves` when the caller has them.
     """
-    data = _as_matrix(data)
-    T, K = data.shape
-    names = _var_names(names, K)
-    if p < 0:
-        raise ValueError("lag order must be non-negative")
-    n_params = 1 + K * p
-    if T - p <= n_params:
-        raise InsufficientObservations(
-            f"T={T} cannot identify a VAR({p}) in {K} variables"
-        )
-    return _var_model(qr_least_squares(*_lagged(data, p, p, T)), p, names)
+    data = _var_data(data, p)
+    names = _var_names(names, data.shape[1])
+    fit = fit_design(_rows(data, p, p), len(data) - p, leaves)
+    return _var_model(fit, p, names)
 
 
 #: Lag-selection criteria accepted by :func:`fit_var`, in lower case.

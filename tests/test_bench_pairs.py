@@ -65,7 +65,7 @@ def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert verdict(parent, [20.0] * 10, "lower", 0.25) == "regressed"
 
 
-def checkout(root: Path, failed: int, log: Path) -> Path:
+def checkout(root: Path, failed: int, log: Path, run_s: float = 1.0) -> Path:
     """A stand-in checkout whose bench/run.py logs its seed and prints a
     result with fixed metrics."""
     (root / "bench").mkdir(parents=True)
@@ -78,7 +78,7 @@ def checkout(root: Path, failed: int, log: Path) -> Path:
         )
     )
     result = {"correct": not failed, "attempted": 2, "failed": failed,
-              "metrics": {"run_s": {"value": 1.0 + failed, "unit": "s"}}}
+              "metrics": {"run_s": {"value": run_s + failed, "unit": "s"}}}
     (root / "bench" / "run.py").write_text(
         "import sys\n"
         f"open({str(log)!r}, 'a').write({root.name!r} + ' ' + sys.argv[sys.argv.index('--seed') + 1] + '\\n')\n"
@@ -106,6 +106,16 @@ def test_pairs_alternate_and_a_failed_run_exits_one(tmp_path):
     assert "change won 0 of 3, gain not shown, verdict ok" in done.stdout
     broken = checkout(tmp_path / "broken", 1, log)
     assert run(parent, broken, "--workload", "w", "--pairs", 1).returncode == 1
+
+
+def test_medians_print_with_three_decimals(tmp_path):
+    # four significant digits would print both medians as "126"
+    log = tmp_path / "order.log"
+    parent = checkout(tmp_path / "parent", 0, log, run_s=126.0)
+    change = checkout(tmp_path / "change", 0, log, run_s=126.04)
+    done = run(parent, change, "--workload", "w", "--pairs", 1)
+    assert "pair 1 change: run_s 126.040" in done.stdout
+    assert "parent 126.000 [126.000, 126.000], change 126.040 [126.040, 126.040]" in done.stdout
 
 
 def test_bad_usage_exits_two(tmp_path):

@@ -281,6 +281,46 @@ def test_bad_invocation_fails_before_any_stage_writes(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sensitivity", "max_lags", -1),
+        ("colimit", "corr_window", 0),
+        ("colimit", "smooth_window", 0),
+        ("colimit", "corr_min_periods", 0),
+        ("colimit", "corr_min_periods", 181),      # above the default corr_window
+    ],
+    ids=[
+        "sensitivity-max-lags-negative",
+        "corr-window-zero",
+        "smooth-window-zero",
+        "corr-min-periods-zero",
+        "corr-min-periods-above-window",
+    ],
+)
+def test_config_range_is_checked_before_any_stage_writes(
+    canonical_csv, tmp_path, capsys, section, key, value
+):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    scenario_file = tmp_path / "scenarios.json"
+    scenario_file.write_text(
+        json.dumps([{"name": "s", "shocks": [_valid_shock()]}]), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    code = main([
+        "pipeline", "--input", str(canonical_csv), "--config", str(config_file),
+        "--scenarios", str(scenario_file),
+        "--stages", "equilibrium,colimit,sensitivity", "--out", str(out),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "InputError"
+    assert doc["message"].startswith(f"config.{section}: {key} must")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _valid_shock(**change):
     return {"variable": "M2", "kind": "additive", "magnitude": 1.0, **change}
 

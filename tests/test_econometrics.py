@@ -102,15 +102,23 @@ class TestAdf:
         assert mine.lags_used == lag_ref
         assert mine.approx_pvalue == pytest.approx(p_ref, abs=1e-6)
 
-    def test_matches_naive_oracle(self):
-        # the series of test_matches_reference_implementation
+    @staticmethod
+    def _matches_naive_oracle(T):
         rng = fresh_rng()
-        series = rng.standard_normal(300) + 0.5 * np.sin(np.arange(300) / 7)
+        series = rng.standard_normal(T) + 0.5 * np.sin(np.arange(T) / 7)
         mine = econ.adf_test(series)
-        # the default cap, floor(12 (T/100)^(1/4)) = 15 at T = 300
-        t_ref, lag_ref = reference.adf(series, max_lags=15)
+        # the default cap, floor(12 (T/100)^(1/4)): 15 at T = 300
+        t_ref, lag_ref = reference.adf(series, max_lags=int(12 * (T / 100) ** 0.25))
         assert mine.t_stat == pytest.approx(t_ref, rel=1e-8)
         assert mine.lags_used == lag_ref
+
+    def test_matches_naive_oracle(self):
+        # the series of test_matches_reference_implementation
+        self._matches_naive_oracle(300)
+
+    def test_blocked_design_matches_naive_oracle(self):
+        # 5000 rows: the design spans three blocks of BLOCK_ROWS
+        self._matches_naive_oracle(5000)
 
 
 class TestJohansen:
@@ -155,14 +163,22 @@ class TestJohansen:
             mine.critical_values_5pct, ref.cvt[:, 1], rtol=0
         )
 
-    def test_matches_naive_oracle(self):
-        # the input of test_matches_reference_implementation
+    @staticmethod
+    def _matches_naive_oracle(T):
         rng = fresh_rng()
-        data = np.column_stack([np.cumsum(rng.standard_normal(300)) for _ in range(3)])
+        data = np.column_stack([np.cumsum(rng.standard_normal(T)) for _ in range(3)])
         mine = econ.johansen_trace(data, 1)
         eigenvalues, trace = reference.johansen(data, 1)
         np.testing.assert_allclose(mine.eigenvalues, eigenvalues, rtol=1e-9)
         np.testing.assert_allclose(mine.trace_stats, trace, rtol=1e-9)
+
+    def test_matches_naive_oracle(self):
+        # the input of test_matches_reference_implementation
+        self._matches_naive_oracle(300)
+
+    def test_blocked_design_matches_naive_oracle(self):
+        # 5000 rows: the design spans three blocks of BLOCK_ROWS
+        self._matches_naive_oracle(5000)
 
 
 class TestGranger:
@@ -253,8 +269,10 @@ class TestGrangerMatrix:
             # is wider than tall, while each pair still has T > 3L + 3
             (28, 8, 4, None),
             (300, 5, 4, np.logspace(-4, 5, 5)),
+            # the shared design spans three blocks of BLOCK_ROWS rows
+            (5000, 4, 3, None),
         ],
-        ids=["K5-T300", "wide", "scales-1e-4-to-1e5"],
+        ids=["K5-T300", "wide", "scales-1e-4-to-1e5", "blocked-T5000"],
     )
     def test_every_entry_matches_the_reference(self, T, K, max_lag, scales):
         data = _granger_panel(T, K, scales)
@@ -338,12 +356,17 @@ class TestFitVar:
         np.testing.assert_allclose(mine.sigma, ref.sigma_u, rtol=1e-8)
 
     @pytest.mark.parametrize("criterion", econ.CRITERIA)
+    # 600 rows: the data of test_criteria_agree_with_reference; at 5000 rows
+    # the design spans three blocks of BLOCK_ROWS
     @pytest.mark.parametrize(
-        "max_lags, below_cap", [(6, True), (1, False)], ids=["rows-added", "p-at-cap"]
+        "max_lags, below_cap, T",
+        [(6, True, 600), (1, False, 600), (6, True, 5000), (1, False, 5000)],
+        ids=["rows-added", "p-at-cap", "blocked-rows-added", "blocked-p-at-cap"],
     )
-    def test_select_then_refit_matches_naive_oracle(self, criterion, max_lags, below_cap):
-        # the data of test_criteria_agree_with_reference
-        data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), 600, fresh_rng())
+    def test_select_then_refit_matches_naive_oracle(
+        self, criterion, max_lags, below_cap, T
+    ):
+        data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), T, fresh_rng())
         mine = econ.fit_var(data, max_lags, criterion)
         p, value, c, A, sigma, stderr = reference.var_select(data, max_lags, criterion)
         assert mine.p == p

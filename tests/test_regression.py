@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bimonetary import econometrics as econ, structural
-from bimonetary._regression import cross_products, factor_design, qr_least_squares
+from bimonetary._regression import (
+    BLOCK_ROWS,
+    cross_products,
+    factor_design,
+    qr_least_squares,
+)
 from bimonetary.errors import InsufficientRows, RankDeficient
 from tests import reference
 from tests.conftest import SEED, make_canonical_panel
@@ -29,7 +36,8 @@ def oracle_cross_products(X, Y):
 def prefix_cross_products(X, Y):
     """``cross_products`` of ``factor_design(X, Y)``'s R: every prefix's
     ``E_j' E_j``, or its SSR for a 1-d Y."""
-    cross = cross_products(factor_design(X, Y)[0], X.shape[1])
+    r, _ = factor_design(lambda a, b: (X[a:b], Y[a:b]), len(X))
+    cross = cross_products(r, X.shape[1])
     return cross[:, 0, 0] if Y.ndim == 1 else cross
 
 
@@ -81,14 +89,19 @@ class TestPrefixCrossProducts:
 
 
 class TestLeastSquares:
-    @pytest.mark.parametrize("m", [None, 3], ids=["vector", "matrix"])
-    def test_beta_and_stderr_match_naive_oracle(self, m):
+    # 5000 rows span three blocks of BLOCK_ROWS
+    @pytest.mark.parametrize(
+        "m, n",
+        [(None, 200), (3, 200), (None, 5000), (3, 5000)],
+        ids=["vector", "matrix", "blocked-vector", "blocked-matrix"],
+    )
+    def test_beta_and_stderr_match_naive_oracle(self, m, n):
         # regressor columns scaled from 1e-4 to 1e5 beside the intercept
         rng = np.random.default_rng(SEED)
-        X = np.ones((200, 6))
+        X = np.ones((n, 6))
         scales = np.logspace(-4, 5, 5)
-        X[:, 1:] = rng.standard_normal((200, 5)) * scales + scales
-        shape = (200,) if m is None else (200, m)
+        X[:, 1:] = rng.standard_normal((n, 5)) * scales + scales
+        shape = (n,) if m is None else (n, m)
         coef = (rng.standard_normal(shape[1:] + (6,)) / np.r_[1.0, scales]).T
         Y = X @ coef + rng.standard_normal(shape)
         fit = qr_least_squares(X, Y)
@@ -99,9 +112,10 @@ class TestLeastSquares:
 
 
 class TestFactorizationCount:
-    """One tall factorization per lag search, refit included, counted, so
-    the old per-candidate cost cannot come back unnoticed; counts repeat
-    exactly, timings do not."""
+    """One blocked tall factorization per lag search, refit included,
+    counted, so the old per-candidate cost or a full-design QR cannot come
+    back unnoticed; counts repeat exactly, timings do not. Every design here
+    spans at least three blocks of BLOCK_ROWS rows."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -117,47 +131,57 @@ class TestFactorizationCount:
         return calls
 
     @staticmethod
-    def _one_tall_then_refit(qr_calls, tall_rows, max_lags, chosen):
-        """One QR of the largest design, then the refit's QR of that R's
-        columns with the ``max_lags - chosen`` rows the chosen design adds."""
-        assert len(qr_calls) == 2
-        (rows, cols, _), (refit_rows, _, _) = qr_calls
-        assert rows == tall_rows
-        assert refit_rows <= cols + max_lags - chosen
+    def _blocked(qr_calls, tall_rows):
+        """Asserts that ``qr_calls`` open with the blocked factorization of
+        one ``tall_rows``-row design: one leaf per block of BLOCK_ROWS rows
+        (the last holds the rest), then one pairwise combine fewer, each a
+        QR of two stacked R factors of the design's width. Returns the
+        calls after it."""
+        leaves = -(-tall_rows // BLOCK_ROWS)
+        assert leaves >= 3
+        rows = [r for r, *_ in qr_calls[:leaves]]
+        assert rows == [BLOCK_ROWS] * (leaves - 1) + [tall_rows - BLOCK_ROWS * (leaves - 1)]
+        width = qr_calls[0][1]
+        combines = qr_calls[leaves : 2 * leaves - 1]
+        assert len(combines) == leaves - 1
+        assert all(r <= 2 * width and c == width for r, c, _ in combines)
+        return qr_calls[2 * leaves - 1 :]
+
+    def _one_tall_then_refit(self, qr_calls, tall_rows, max_lags, chosen):
+        """The blocked QR of the largest design, then the refit's QR of that
+        R's columns with the ``max_lags - chosen`` rows the chosen design
+        adds."""
+        width = qr_calls[0][1]
+        ((refit_rows, _, _),) = self._blocked(qr_calls, tall_rows)
+        assert refit_rows <= width + max_lags - chosen
 
     def test_adf_searches_then_refits(self, qr_calls):
-        walk = np.cumsum(np.random.default_rng(SEED).standard_normal(2000))
+        walk = np.cumsum(np.random.default_rng(SEED).standard_normal(9000))
         result = econ.adf_test(walk)
-        # the default cap, floor(12 (T/100)^(1/4)) = 25 at T = 2000
-        self._one_tall_then_refit(qr_calls, 2000 - 1 - 25, 25, result.lags_used)
+        # the default cap, floor(12 (T/100)^(1/4)) = 36 at T = 9000: 5 leaves
+        self._one_tall_then_refit(qr_calls, 9000 - 1 - 36, 36, result.lags_used)
 
     def test_fit_var_searches_then_refits(self, qr_calls):
         rng = np.random.default_rng(SEED)
-        data = np.cumsum(rng.standard_normal((500, 3)), axis=0) * 0.1
-        data += rng.standard_normal((500, 3))
+        data = np.cumsum(rng.standard_normal((7000, 3)), axis=0) * 0.1
+        data += rng.standard_normal((7000, 3))
         model = econ.fit_var(data, max_lags=8)
-        self._one_tall_then_refit(qr_calls, 500 - 8, 8, model.p)
-
-    @staticmethod
-    def _small_after_one_tall(qr_calls, T, max_lag):
-        """Asserts one QR of the (T - max_lag)-row design; returns the count
-        of the rest: the re-triangularised column subsets of its R factor,
-        with the leading rows a smaller lag adds."""
-        tall = [rows for rows, *_ in qr_calls if rows >= T - max_lag]
-        assert tall == [T - max_lag]
-        return len(qr_calls) - 1
+        self._one_tall_then_refit(qr_calls, 7000 - 8, 8, model.p)
 
     def test_granger_factors_once(self, qr_calls):
         rng = np.random.default_rng(SEED)
-        x, y = rng.standard_normal((2, 400))
+        x, y = rng.standard_normal((2, 7000))
         econ.granger(x, y, max_lag=6)
-        assert self._small_after_one_tall(qr_calls, 400, 6) <= 6   # one pair, six lags
+        # then one re-triangularised column subset per lag: one pair, six lags
+        assert len(self._blocked(qr_calls, 7000 - 6)) == 6
 
     def test_granger_matrix_factors_once_for_all_pairs(self, qr_calls):
         # pair by pair this would take K (K-1) max_lag = 450 tall factorizations
-        data = np.random.default_rng(SEED).standard_normal((2000, 10))
+        data = np.random.default_rng(SEED).standard_normal((9000, 10))
         econ.granger_matrix(data, max_lag=5)
-        assert self._small_after_one_tall(qr_calls, 2000, 5) <= 90 * 5
+        small = self._blocked(qr_calls, 9000 - 5)
+        assert len(small) == 90 * 5
+        assert all(rows <= 1 + 10 * 5 + 10 + 5 for rows, *_ in small)
 
     def test_every_factorization_forms_r_only(self, qr_calls):
         rng = np.random.default_rng(SEED)
@@ -171,6 +195,38 @@ class TestFactorizationCount:
         structural.calibrate(make_canonical_panel(200))
         assert qr_calls
         assert {mode for *_, mode in qr_calls} == {"r"}
+
+
+class TestPeakMemory:
+    """No kernel caller allocates a full lagged design or ``[X | Y]`` copy:
+    on a 20,000 x 10 panel each call's traced peak stays under 8 MB, where
+    the VAR(10) design alone takes 16 MB."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rng = np.random.default_rng(SEED)
+        walks = np.cumsum(rng.standard_normal((20_000, 10)), axis=0) * 0.1
+        return walks + rng.standard_normal((20_000, 10))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data: econ.fit_var(data, max_lags=10),
+            lambda data: econ.granger_matrix(data, 5),
+            lambda data: econ.adf_test(data[:, 0]),
+            lambda data: econ.johansen_trace(data),
+            lambda data: econ.fit_var_order(data, 2),
+        ],
+        ids=["fit_var", "granger_matrix", "adf_test", "johansen_trace", "fit_var_order"],
+    )
+    def test_traced_peak_stays_under_8_mb(self, panel, call):
+        tracemalloc.start()
+        try:
+            call(panel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestMonteCarlo:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimonetary.errors import UnknownVariable
+from bimonetary import econometrics as econ
+from bimonetary._regression import BLOCK_ROWS, factor
+from bimonetary.errors import ShapeMismatch, UnknownVariable
 from bimonetary.panel import Panel, Series
 from bimonetary.scenarios import (
     CategorySpec,
@@ -19,7 +21,7 @@ from bimonetary.scenarios import (
     load_scenarios,
     run_sensitivity,
 )
-from tests.conftest import SEED, daily_dates
+from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 
 def toy_panel(n=8, k=3, seed=SEED):
@@ -184,6 +186,60 @@ MODEL_VARS = CategorySpec(
     ("Ipc Argentina", "M2", "Long Interest", "Short Interest", "Embi+ARG",
      "Historical Ars Usd"),
 )
+
+
+class TestLeafReuse:
+    """A shocked design keeps the baseline's leaves for the blocks that read
+    no shocked row, and its R is the same bits as a fresh factorization."""
+
+    P = 2
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        rng = np.random.default_rng(SEED)
+        return np.cumsum(rng.standard_normal((7000, 3)), axis=0)
+
+    @pytest.mark.parametrize(
+        "changed, rebuilt",
+        [
+            # design row i reads data rows i..i+P; block b holds design rows
+            # b * BLOCK_ROWS onwards
+            ([BLOCK_ROWS + 1], [0, 1]),
+            ([BLOCK_ROWS + 2], [1]),
+            (list(range(3000, 3100)), [1]),
+            ([6999], [3]),
+            ([], []),
+        ],
+        ids=["straddles-a-boundary", "after-a-boundary", "window", "last-row", "none"],
+    )
+    def test_reused_leaves_equal_a_fresh_factorization(self, walk, changed, rebuilt):
+        base = econ.var_leaves(walk, self.P)
+        shocked = walk.copy()
+        shocked[changed, 1] *= 1.2
+        reused = econ.var_leaves(shocked, self.P, (walk, base))
+        fresh = econ.var_leaves(shocked, self.P)
+        assert len(base) == len(fresh) == 4
+        assert [b for b, (new, old) in enumerate(zip(reused, base)) if new is not old] == rebuilt
+        for new, scratch in zip(reused, fresh, strict=True):
+            assert np.array_equal(new, scratch)
+        k = 1 + 3 * self.P
+        for got, want in zip(factor(reused, k), factor(fresh, k), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_base_of_another_shape_is_rejected(self, walk):
+        with pytest.raises(ShapeMismatch):
+            econ.var_leaves(walk[1:], self.P, (walk, econ.var_leaves(walk, self.P)))
+
+    def test_shocked_fit_is_the_fresh_fit(self):
+        # 7000 rows: the VAR(3) design spans four blocks
+        panel = make_canonical_panel(7000)
+        shock = Shock("M2", "multiplicative", 1.3, (date(2024, 1, 1), date(2024, 3, 31)))
+        (out,) = run_sensitivity(panel, "Ipc Argentina", [("m2", [shock])], MODEL_VARS, 3)
+        matrix = forgetful_project(apply_scenario(panel, [shock]), MODEL_VARS).to_matrix()
+        model = econ.fit_var_order(matrix, 3, MODEL_VARS.variables)
+        fitted = matrix[3:, 0] - model.residuals[:, 0]
+        assert out.max_abs_difference > 0.0
+        assert np.array_equal(out.shocked.to_array(), fitted)
 
 
 class TestRunSensitivity:

@@ -11,6 +11,8 @@ counts for neither), and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs, and its median is better than the parent's
 by more than the distance between the parent's quartiles. It also prints a
 no-regression verdict against the metric's ``bound`` (see :func:`verdict`).
+Every value is printed with three decimals, which resolves 1 ms and 0.001
+MB, so two medians that print alike differ by less than that.
 
 Exits 0 when every run succeeded, 1 when a run reports ``failed > 0`` or
 gives no result, and 2 on bad usage.
@@ -140,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         for side, result in results.items():
             shown = (
-                ", ".join(f"{n} {m['value']:.4g}" for n, m in result["metrics"].items())
+                ", ".join(f"{n} {m['value']:.3f}" for n, m in result["metrics"].items())
                 if ok[side]
                 else "FAILED"
             )
@@ -162,9 +164,9 @@ def main(argv: list[str] | None = None) -> int:
         regression = verdict(parent, change, metric["better"], metric["bound"])
         print(
             f"{name} ({metric['unit']}, {metric['better']} is better): "
-            f"parent {s.parent_median:.4g} [{s.parent_quartiles[0]:.4g}, "
-            f"{s.parent_quartiles[1]:.4g}], change {s.change_median:.4g} "
-            f"[{s.change_quartiles[0]:.4g}, {s.change_quartiles[1]:.4g}], "
+            f"parent {s.parent_median:.3f} [{s.parent_quartiles[0]:.3f}, "
+            f"{s.parent_quartiles[1]:.3f}], change {s.change_median:.3f} "
+            f"[{s.change_quartiles[0]:.3f}, {s.change_quartiles[1]:.3f}], "
             f"change won {s.wins} of {s.pairs}, "
             f"gain {'holds' if s.gain else 'not shown'}, verdict {regression}"
         )
