@@ -56,18 +56,22 @@ class LeastSquaresFit:
     stderr: np.ndarray        # beta's shape; df-corrected, NaN when n == k
 
 
-def leaf_factors(rows, n: int, reuse=None) -> list[np.ndarray]:
+def leaf_factors(rows, n: int, base=None) -> list[np.ndarray]:
     """R factors of the unscaled ``[X | Y]``, one per block of
     :data:`BLOCK_ROWS` design rows (block b holds rows ``b * BLOCK_ROWS``
     onwards), of the n-row design ``rows`` builds.
 
-    ``reuse`` maps a block index to the leaf of a design whose rows in that
-    block equal these: that block is not built or factored again.
+    ``base = (leaves, dirty)`` gives the leaves of a design whose rows equal
+    these wherever the boolean ``dirty`` (one per row) is false: only the
+    blocks holding a dirty row are built and factored again.
     """
-    reuse = reuse or {}
+    old, touched = None, set()
+    if base is not None:
+        old, dirty = base
+        touched = set(np.flatnonzero(dirty) // BLOCK_ROWS)
     return [
-        reuse[b]
-        if b in reuse
+        old[b]
+        if old is not None and b not in touched
         else np.linalg.qr(np.column_stack(rows(a, min(a + BLOCK_ROWS, n))), mode="r")
         for b, a in enumerate(range(0, n, BLOCK_ROWS))
     ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
-    BLOCK_ROWS,
     LeastSquaresFit,
     cross_products,
     factor,
@@ -506,17 +505,14 @@ def var_leaves(data, p: int, base=None) -> list[np.ndarray]:
     """
     data = _var_data(data, p)
     n = len(data) - p
-    reuse = None
     if base is not None:
         base_data, base_leaves = base
         if np.shape(base_data) != data.shape:
             raise ShapeMismatch("base data differ in shape from data")
         # changed[t] counts the rows before t where the two differ
         changed = np.r_[0, np.cumsum((data != base_data).any(axis=1))]
-        dirty = changed[p + 1 :] > changed[:n]
-        touched = set(np.flatnonzero(dirty) // BLOCK_ROWS)
-        reuse = {b: leaf for b, leaf in enumerate(base_leaves) if b not in touched}
-    return leaf_factors(_rows(data, p, p), n, reuse)
+        base = (base_leaves, changed[p + 1 :] > changed[:n])
+    return leaf_factors(_rows(data, p, p), n, base)
 
 
 def fit_var_order(

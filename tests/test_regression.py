@@ -34,15 +34,16 @@ def oracle_cross_products(X, Y):
 
 
 def prefix_cross_products(X, Y):
-    """``cross_products`` of ``factor_design(X, Y)``'s R: every prefix's
-    ``E_j' E_j``, or its SSR for a 1-d Y."""
+    """``cross_products`` of the R that ``factor_design`` gives for ``[X |
+    Y]``: every prefix's ``E_j' E_j``, or its SSR for a 1-d Y."""
     r, _ = factor_design(lambda a, b: (X[a:b], Y[a:b]), len(X))
     cross = cross_products(r, X.shape[1])
     return cross[:, 0, 0] if Y.ndim == 1 else cross
 
 
 class TestPrefixCrossProducts:
-    @pytest.mark.parametrize("n", [200, 7], ids=["tall", "square"])
+    # 5000 rows span three blocks of BLOCK_ROWS
+    @pytest.mark.parametrize("n", [200, 7, 5000], ids=["tall", "square", "blocked"])
     @pytest.mark.parametrize("m", [None, 3], ids=["vector", "matrix"])
     def test_every_prefix_matches_lstsq_oracle(self, n, m):
         rng = np.random.default_rng(SEED)
