@@ -2,7 +2,9 @@
 
 Morphisms are *specifications* (plain data), not opaque callables, so
 composition can canonicalize, reports can print them, and diagrams round-trip
-through JSON. ``evaluate`` gives them data semantics over a :class:`Panel`.
+through JSON. A morphism's endpoints are object ids; an :class:`EconObject`
+appears only where it carries a description, as a diagram node or a functor's
+object image. ``evaluate`` gives morphisms data semantics over a :class:`Panel`.
 """
 
 from __future__ import annotations
@@ -73,15 +75,15 @@ class RiskDiscount:
 class Chain:
     """Left-to-right pipeline of already-specified morphisms."""
 
-    parts: tuple["MorphismSpec", ...]
+    parts: tuple[MorphismSpec, ...]
 
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("Chain must be non-empty")
         for left, right in zip(self.parts, self.parts[1:]):
-            if left.target.id != right.source.id:
+            if left.target != right.source:
                 raise IncompatibleEndpoints(
-                    f"chain link {left.target.id!r} -> {right.source.id!r}"
+                    f"chain link {left.target!r} -> {right.source!r}"
                 )
 
 
@@ -90,20 +92,23 @@ Kind = Affine | ScaleBySeries | Ratio | RiskDiscount | Chain
 
 @dataclass(frozen=True)
 class MorphismSpec:
+    """A morphism from the object with id ``source`` to the one with id
+    ``target``."""
+
     kind: Kind
-    source: EconObject
-    target: EconObject
+    source: str
+    target: str
 
 
 Path = tuple[MorphismSpec, ...]
 
 
-def identity(obj: EconObject) -> MorphismSpec:
+def identity(obj: str) -> MorphismSpec:
     return MorphismSpec(Affine(1.0, 0.0), obj, obj)
 
 
 def is_identity(m: MorphismSpec) -> bool:
-    return _is_noop(m) and m.source.id == m.target.id
+    return _is_noop(m) and m.source == m.target
 
 
 def _flatten(m: MorphismSpec) -> tuple[MorphismSpec, ...]:
@@ -149,9 +154,9 @@ def compose(f: MorphismSpec, g: MorphismSpec) -> MorphismSpec:
     with an identity returns the other morphism unchanged; anything else
     becomes a flattened normalized chain.
     """
-    if f.target.id != g.source.id:
+    if f.target != g.source:
         raise IncompatibleEndpoints(
-            f"target {f.target.id!r} does not match source {g.source.id!r}"
+            f"target {f.target!r} does not match source {g.source!r}"
         )
     if is_identity(g):
         return f
@@ -220,10 +225,10 @@ def evaluate(m: MorphismSpec, panel: Panel) -> Series:
     the first offending date.
     """
     if _needs_input(m.kind):
-        x = panel.column(m.source.id).array
+        x = panel.column(m.source).array
     else:
         x = np.full(panel.n_rows, np.nan)
-    return Series(_apply_kind(m.kind, x, panel, m.source.id))
+    return Series(_apply_kind(m.kind, x, panel, m.source))
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -231,23 +236,27 @@ def evaluate(m: MorphismSpec, panel: Panel) -> Series:
 
 @dataclass(frozen=True)
 class Diagram:
+    """Nodes, edges and the path pairs declared to commute. Each node id
+    appears once, and every morphism's endpoints are node ids."""
+
     nodes: tuple[EconObject, ...]
     edges: tuple[MorphismSpec, ...] = ()
-    declared_equal_paths: tuple[tuple[Path, Path], ...] = ()
+    equal_paths: tuple[tuple[Path, Path], ...] = ()
 
     def __post_init__(self) -> None:
-        ids = {node.id for node in self.nodes}
+        ids = [node.id for node in self.nodes]
+        reject_repeats("nodes", ids)
         paths = {f"edges[{i}]": (m,) for i, m in enumerate(self.edges)}
-        for i, pair in enumerate(self.declared_equal_paths):
+        for i, pair in enumerate(self.equal_paths):
             for side, path in enumerate(pair):
                 paths[f"equal_paths[{i}][{side}]"] = path
         for where, path in paths.items():
             if not path:
                 raise ValueError(f"{where} is an empty path")
             for m in path:
-                if m.source.id not in ids or m.target.id not in ids:
+                if m.source not in ids or m.target not in ids:
                     raise ValueError(
-                        f"{where} endpoint {m.source.id!r}->{m.target.id!r} "
+                        f"{where} endpoint {m.source!r}->{m.target!r} "
                         "not among diagram nodes"
                     )
 
@@ -261,8 +270,19 @@ class PathPairCheck:
 
 
 @dataclass(frozen=True)
-class CommutationReport:
-    checks: tuple[PathPairCheck, ...]
+class FunctorLawCheck:
+    law: str
+    subject: str
+    deviation: float
+    tolerance: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The checks of :func:`check_commutes` or :func:`check_functor_laws`."""
+
+    checks: tuple[PathPairCheck | FunctorLawCheck, ...]
 
     @property
     def passed(self) -> bool:
@@ -289,22 +309,20 @@ def _tolerance(tol: float | None, magnitude: float) -> float:
     return 1e-9 * max(1.0, magnitude) if tol is None else tol
 
 
-def check_commutes(
-    d: Diagram, panel: Panel, tol: float | None = None
-) -> CommutationReport:
+def check_commutes(d: Diagram, panel: Panel, tol: float | None = None) -> CheckReport:
     """Evaluate each declared path pair on the panel and compare pointwise.
 
     When ``tol`` is None the tolerance defaults to
     ``1e-9 * max(1, max |values|)`` per pair.
     """
     checks = []
-    for i, (left, right) in enumerate(d.declared_equal_paths):
+    for i, (left, right) in enumerate(d.equal_paths):
         a = evaluate(compose_path(left), panel)
         b = evaluate(compose_path(right), panel)
         dev, magnitude = _max_abs_deviation(a, b)
         pair_tol = _tolerance(tol, magnitude)
         checks.append(PathPairCheck(i, dev, pair_tol, dev <= pair_tol))
-    return CommutationReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 # -- functors -----------------------------------------------------------------
@@ -324,30 +342,30 @@ class Functor:
     object_map: Mapping[str, EconObject]
     morphism_map: Mapping[MorphismSpec, MorphismSpec] = field(default_factory=dict)
 
-    def map_object(self, obj: EconObject) -> EconObject:
+    def map_object(self, obj: str) -> EconObject:
         try:
-            return self.object_map[obj.id]
+            return self.object_map[obj]
         except KeyError:
             raise UnmappedObject(f"functor {self.name!r} has no image for "
-                                 f"object {obj.id!r}") from None
+                                 f"object {obj!r}") from None
 
     def map_morphism(self, m: MorphismSpec) -> MorphismSpec:
         if m in self.morphism_map:
             image = self.morphism_map[m]
-            src, tgt = self.map_object(m.source), self.map_object(m.target)
-            if image.source.id != src.id or image.target.id != tgt.id:
+            src, tgt = self.map_object(m.source).id, self.map_object(m.target).id
+            if image.source != src or image.target != tgt:
                 raise UnmappedMorphism(
-                    f"image endpoints {image.source.id!r}->{image.target.id!r}"
-                    f" disagree with mapped objects {src.id!r}->{tgt.id!r}"
+                    f"image endpoints {image.source!r}->{image.target!r}"
+                    f" disagree with mapped objects {src!r}->{tgt!r}"
                 )
             return image
         if is_identity(m):
-            return identity(self.map_object(m.source))
+            return identity(self.map_object(m.source).id)
         if isinstance(m.kind, Chain):
             return compose_path([self.map_morphism(p) for p in m.kind.parts])
         raise UnmappedMorphism(
             f"functor {self.name!r} has no image for morphism "
-            f"{m.source.id!r}->{m.target.id!r}"
+            f"{m.source!r}->{m.target!r}"
         )
 
     def map_composite(self, f: MorphismSpec, g: MorphismSpec) -> MorphismSpec:
@@ -377,30 +395,14 @@ def apply_functor(F: Functor, d: Diagram) -> Diagram:
                 raise type(error)(f"{where}[{i}]: {error}") from None
         return tuple(out)
 
-    nodes, edges = images("nodes", d.nodes, F.map_object), images("edges", d.edges)
+    nodes = images("nodes", [node.id for node in d.nodes], F.map_object)
+    edges = images("edges", d.edges)
     pairs = tuple(
         tuple(images(f"equal_paths[{i}][{j}]", path) for j, path in enumerate(pair))
-        for i, pair in enumerate(d.declared_equal_paths)
+        for i, pair in enumerate(d.equal_paths)
     )
-    return Diagram(nodes, edges, pairs)
-
-
-@dataclass(frozen=True)
-class FunctorLawCheck:
-    law: str
-    subject: str
-    deviation: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class FunctorLawReport:
-    checks: tuple[FunctorLawCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    # objects that share an image are one node of the image diagram
+    return Diagram(tuple(dict.fromkeys(nodes)), edges, pairs)
 
 
 def _law_deviation(
@@ -418,87 +420,48 @@ def check_functor_laws(
     sample_morphisms: Sequence[MorphismSpec],
     panel: Panel,
     tol: float | None = None,
-) -> FunctorLawReport:
+) -> CheckReport:
     """Verify F(id) = id on every sampled endpoint and
     ``evaluate(F(g . f)) = evaluate(F(g) . F(f))`` on every composable pair.
 
     The tolerance is :func:`check_commutes`' rule: ``tol``, or when it is
     None ``1e-9 * max(1, max |values|)`` per check (``1e-9`` where the two
     specifications are equal and nothing is evaluated)."""
-    seen: dict[str, EconObject] = {}
-    for m in sample_morphisms:
-        for obj in (m.source, m.target):
-            seen.setdefault(obj.id, obj)
+    seen = dict.fromkeys(obj for m in sample_morphisms for obj in (m.source, m.target))
     sides = [
-        ("identity", obj.id, F.map_morphism(identity(obj)), identity(F.map_object(obj)))
-        for obj in seen.values()
+        ("identity", obj, F.map_morphism(identity(obj)), identity(F.map_object(obj).id))
+        for obj in seen
     ]
     sides += [
         (
             "composition",
-            f"{f.source.id}->{f.target.id}->{g.target.id}",
+            f"{f.source}->{f.target}->{g.target}",
             F.map_composite(f, g),
             compose(F.map_morphism(f), F.map_morphism(g)),
         )
         for f in sample_morphisms
         for g in sample_morphisms
-        if f.target.id == g.source.id
+        if f.target == g.source
     ]
     checks = []
     for law, subject, lhs, rhs in sides:
         dev, magnitude = _law_deviation(lhs, rhs, panel)
         law_tol = _tolerance(tol, magnitude)
         checks.append(FunctorLawCheck(law, subject, dev, law_tol, dev <= law_tol))
-    return FunctorLawReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 # -- JSON round-trip ----------------------------------------------------------
-# Field names follow docs/diagram.schema.json. typed_json.parse reads a file
-# into the documents below, whose endpoints are node ids; each builds its model
-# object in __post_init__, so a check the model makes gets the key path.
-
-
-@dataclass
-class _Chain:
-    parts: tuple[_Morphism, ...]
-
-    def __post_init__(self) -> None:
-        self.chain = Chain(tuple(part.spec for part in self.parts))
-
-
-@dataclass
-class _Morphism:
-    source: str
-    target: str
-    kind: Affine | ScaleBySeries | Ratio | RiskDiscount | _Chain
-
-    def __post_init__(self) -> None:
-        kind = self.kind.chain if isinstance(self.kind, _Chain) else self.kind
-        self.spec = MorphismSpec(kind, EconObject(self.source), EconObject(self.target))
-
-
-@dataclass
-class _Diagram:
-    nodes: tuple[EconObject, ...]
-    edges: tuple[_Morphism, ...] = ()
-    equal_paths: tuple[tuple[tuple[_Morphism, ...], tuple[_Morphism, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        reject_repeats("nodes", [node.id for node in self.nodes])
-        self.diagram = Diagram(
-            self.nodes,
-            tuple(e.spec for e in self.edges),
-            tuple(
-                tuple(tuple(m.spec for m in path) for path in pair)
-                for pair in self.equal_paths
-            ),
-        )
+# Field names follow docs/diagram.schema.json, so typed_json.parse reads a
+# diagram file straight into Diagram, MorphismSpec and Chain, and a check one
+# of them makes gets the key path. A functor file's morphism_map is a list of
+# {"from", "to"} pairs, which _Functor turns into the model's dict.
 
 
 @dataclass
 class _MapEntry:
-    from_: _Morphism
-    to: _Morphism
+    from_: MorphismSpec
+    to: MorphismSpec
 
 
 @dataclass
@@ -508,7 +471,7 @@ class _Functor:
     morphism_map: tuple[_MapEntry, ...] = ()
 
     def __post_init__(self) -> None:
-        morphisms = {entry.from_.spec: entry.to.spec for entry in self.morphism_map}
+        morphisms = {entry.from_: entry.to for entry in self.morphism_map}
         self.functor = Functor(self.name, self.object_map, morphisms)
 
 
@@ -518,8 +481,8 @@ def _morphism_to_json(m: MorphismSpec) -> dict:
     else:
         fields = asdict(m.kind)
     return {
-        "source": m.source.id,
-        "target": m.target.id,
+        "source": m.source,
+        "target": m.target,
         "kind": {"type": tag(type(m.kind)), **fields},
     }
 
@@ -533,13 +496,13 @@ def diagram_to_json(d: Diagram) -> dict:
                 [_morphism_to_json(m) for m in left],
                 [_morphism_to_json(m) for m in right],
             ]
-            for left, right in d.declared_equal_paths
+            for left, right in d.equal_paths
         ],
     }
 
 
 def diagram_from_json(doc) -> Diagram:
-    return parse(_Diagram, doc, "diagram").diagram
+    return parse(Diagram, doc, "diagram")
 
 
 def functor_to_json(F: Functor) -> dict:

@@ -343,7 +343,9 @@ def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
         text_rows(panel.dates, *(s.array for s in columns)),
     )
     _write_json(out / "colimit_weights.json", indicator.dynamic_weights)
-    causality, prediction = colimit.validate_and_forecast(panel, indicator)
+    causality, prediction = colimit.validate_and_forecast(
+        panel, indicator, cfg.reference
+    )
     _write_json(
         out / "colimit_granger.json",
         {

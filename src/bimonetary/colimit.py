@@ -33,6 +33,10 @@ DEFAULT_VARIABLES = (
 
 EXTERNAL_FACTOR = "Embi+ARG"
 
+#: Granger lags and VAR order cap, and forecast horizon, of the validation.
+MAX_LAG = 5
+FORECAST_STEPS = 10
+
 
 @dataclass(frozen=True)
 class ColimitConfig:
@@ -46,6 +50,11 @@ class ColimitConfig:
 
     def __post_init__(self) -> None:
         reject_repeats("variables", self.variables)
+        if self.reference == EXTERNAL_FACTOR:
+            # the validation forecasts the reference jointly with the risk spread
+            raise ValueError(
+                f"reference must not be the risk spread {EXTERNAL_FACTOR!r}"
+            )
         if not 1 <= self.n_components <= len(self.variables):
             raise ValueError("n_components must lie in 1..len(variables)")
         for name in ("corr_window", "smooth_window"):
@@ -179,26 +188,19 @@ def build_indicator(panel: Panel, config: ColimitConfig = ColimitConfig()) -> Co
 
 
 def validate_and_forecast(
-    panel: Panel,
-    indicator: ColimitIndicator,
-    max_lag: int = 5,
-    steps: int = 10,
+    panel: Panel, indicator: ColimitIndicator, reference: str = ColimitConfig.reference
 ) -> tuple[econ.GrangerResult, np.ndarray]:
-    """Granger-test the smoothed index against the reference and forecast
-    [index, reference, risk spread] jointly with an AIC-selected VAR."""
+    """Granger-test the smoothed index against the reference at lags
+    1..MAX_LAG and forecast [index, reference, risk spread] FORECAST_STEPS
+    ahead jointly with an AIC-selected VAR."""
     if len(indicator.smoothed) != panel.n_rows:
         raise ShapeMismatch("indicator is not aligned with the panel")
-    causality = econ.granger(
-        indicator.smoothed.array, panel.column("E").array, max_lag
-    )
-    names = ("indicator", "E", EXTERNAL_FACTOR)
+    ref = panel.column(reference).array
+    causality = econ.granger(indicator.smoothed.array, ref, MAX_LAG)
+    names = ("indicator", reference, EXTERNAL_FACTOR)
     matrix = np.column_stack(
-        [
-            indicator.smoothed.array,
-            panel.column("E").array,
-            panel.column(EXTERNAL_FACTOR).array,
-        ]
+        [indicator.smoothed.array, ref, panel.column(EXTERNAL_FACTOR).array]
     )
-    model = econ.fit_var(matrix, max_lag, "aic", names)
-    prediction = econ.forecast(model, matrix[-max(model.p, 1) :], steps)
+    model = econ.fit_var(matrix, MAX_LAG, "aic", names)
+    prediction = econ.forecast(model, matrix[-max(model.p, 1) :], FORECAST_STEPS)
     return causality, prediction

@@ -204,7 +204,6 @@ class ProxyMap:
     peso_short_rate: str = "Short Interest"
     dollar_short_rate: str = "Short Term Usd Rate"
     risk_spread: str = "Embi+ARG"
-    observed_rate: str = "Historical Ars Usd"
 
 
 DEFAULT_PROXIES = ProxyMap()
@@ -242,6 +241,35 @@ def _fit_equation(
     return fit.beta, r_squared(y, fit.residuals)
 
 
+#: The equations calibrate fits, in order: the ProxyMap field of the target,
+#: the terms (regressor field -> coefficient), and the intercept coefficient.
+#: A leading "-" marks a term the equation subtracts, whose fitted slope is
+#: reported negated as the positive-sign sensitivity. Each target field also
+#: names the equation's R².
+_EQUATIONS = (
+    (
+        "peso_demand",
+        {"income": "alpha1", "peso_rate": "alpha2", "peso_inflation_exp": "-alpha3"},
+        "ars_intercept",
+    ),
+    (
+        "dollar_demand",
+        {"income": "beta1", "dollar_rate": "beta2", "dollar_inflation_exp": "-beta3"},
+        "usd_intercept",
+    ),
+    (
+        "inflation",
+        {"peso_inflation_exp": "gamma1", "money_supply": "gamma2"},
+        "inflation_intercept",
+    ),
+    (
+        "income",
+        {"money_supply": "delta1", "lending_borrowing": "delta2"},
+        "income_intercept",
+    ),
+)
+
+
 def calibrate(
     panel: Panel,
     proxies: ProxyMap = DEFAULT_PROXIES,
@@ -249,72 +277,27 @@ def calibrate(
 ) -> CalibrationResult:
     """Ordinary least squares fit of each model equation against the panel.
 
-    Returns the recovered coefficients together with per-equation R². Signs
-    follow the equation conventions: the expectation terms of the demand
-    equations enter negated, so their fitted slopes are reported as the
-    positive-sign sensitivities alpha3/beta3.
+    Returns the recovered coefficients together with per-equation R²;
+    without intercepts every intercept stays zero.
     """
-    px = proxies
-    ars_beta, ars_r2 = _fit_equation(
-        panel,
-        px.peso_demand,
-        [px.income, px.peso_rate, px.peso_inflation_exp],
-        include_intercepts,
-    )
-    usd_beta, usd_r2 = _fit_equation(
-        panel,
-        px.dollar_demand,
-        [px.income, px.dollar_rate, px.dollar_inflation_exp],
-        include_intercepts,
-    )
-    pi_beta, pi_r2 = _fit_equation(
-        panel,
-        px.inflation,
-        [px.peso_inflation_exp, px.money_supply],
-        include_intercepts,
-    )
-    y_beta, y_r2 = _fit_equation(
-        panel,
-        px.income,
-        [px.money_supply, px.lending_borrowing],
-        include_intercepts,
-    )
-
-    def opt(vec: np.ndarray, k: int) -> float:
-        return float(vec[k]) if include_intercepts else 0.0
-
-    coefficients = StructuralCoefficients(
-        alpha1=float(ars_beta[0]),
-        alpha2=float(ars_beta[1]),
-        alpha3=-float(ars_beta[2]),
-        beta1=float(usd_beta[0]),
-        beta2=float(usd_beta[1]),
-        beta3=-float(usd_beta[2]),
-        gamma1=float(pi_beta[0]),
-        gamma2=float(pi_beta[1]),
-        delta1=float(y_beta[0]),
-        delta2=float(y_beta[1]),
-        ars_intercept=opt(ars_beta, 3),
-        usd_intercept=opt(usd_beta, 3),
-        inflation_intercept=opt(pi_beta, 2),
-        income_intercept=opt(y_beta, 2),
-    )
-    return CalibrationResult(
-        coefficients,
-        {
-            "peso_demand": ars_r2,
-            "dollar_demand": usd_r2,
-            "inflation": pi_r2,
-            "income": y_r2,
-        },
-    )
+    values: dict[str, float] = {}
+    r2: dict[str, float] = {}
+    for target, terms, intercept in _EQUATIONS:
+        regressors = [getattr(proxies, field) for field in terms]
+        beta, r2[target] = _fit_equation(
+            panel, getattr(proxies, target), regressors, include_intercepts
+        )
+        for name, slope in zip(terms.values(), beta):
+            values[name.lstrip("-")] = -float(slope) if name[0] == "-" else float(slope)
+        if include_intercepts:
+            values[intercept] = float(beta[-1])
+    return CalibrationResult(StructuralCoefficients(**values), r2)
 
 
 def simulate(
     panel: Panel,
     c: StructuralCoefficients,
     proxies: ProxyMap = DEFAULT_PROXIES,
-    exponential_relative: bool = False,
 ) -> Panel:
     """Forecast panel: the input columns plus the model-implied series,
     prefixed ``model_``, for real-vs-forecast comparison.
@@ -342,9 +325,7 @@ def simulate(
     model = {
         "model_L_ars": l_ars,
         "model_L_usd": l_usd,
-        "model_relative_demand": relative_demand(
-            l_ars, l_usd, i_ars, i_usd, exponential_relative
-        ),
+        "model_relative_demand": relative_demand(l_ars, l_usd),
         "model_E": devaluation_expectation(
             pi_ars, pi_usd, short_ars, short_usd, embi
         ),

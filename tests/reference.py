@@ -171,3 +171,74 @@ def johansen(data, k_ar_diff: int) -> tuple[np.ndarray, np.ndarray]:
     )[::-1]
     trace = -n * np.cumsum(np.log(1.0 - eigenvalues)[::-1])[::-1]
     return eigenvalues, trace
+
+
+def ma_responses(A, sigma, horizon: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(psi, theta) of a VAR with lag matrices ``A``, h = 0..horizon.
+
+    Column j of ``psi[h]`` is the response at step h to a unit impulse in
+    variable j at step 0, found by running the VAR recursion without
+    intercept from zero history; ``theta[h] = psi[h] P`` with ``P`` the
+    lower ``scipy.linalg.cholesky`` factor of ``sigma``.
+    """
+    K = len(sigma)
+    p = len(A)
+    psi = [np.empty((K, K)) for _ in range(horizon + 1)]
+    for j in range(K):
+        path = [np.zeros(K)] * p + [np.eye(K)[j]]
+        for _ in range(horizon):
+            path.append(sum((A[s] @ path[-1 - s] for s in range(p)), np.zeros(K)))
+        for h in range(horizon + 1):
+            psi[h][:, j] = path[p + h]
+    chol = scipy.linalg.cholesky(sigma, lower=True)
+    return psi, [m @ chol for m in psi]
+
+
+def fevd(A, sigma, horizon: int) -> np.ndarray:
+    """(K, horizon, K) forecast-error variance shares: entry [i, h, j] is
+    ``sum_{s<=h} theta_s[i, j]^2`` over the variance of the (h+1)-step
+    forecast error of variable i, ``sum_{s<=h} (psi_s sigma psi_s')[i, i]``."""
+    psi, theta = ma_responses(A, sigma, horizon - 1)
+    contribution = np.cumsum([t**2 for t in theta], axis=0)           # (H, K, K)
+    variance = np.cumsum([np.diag(m @ sigma @ m.T) for m in psi], axis=0)  # (H, K)
+    return (contribution / variance[:, :, None]).transpose(1, 0, 2)
+
+
+def forecast_path(c, A, history, steps: int) -> np.ndarray:
+    """(steps, K) zero-shock forecast: ``y_t = c + sum_s A_s y_{t-s}``
+    iterated from the rows of ``history``, the last row being the latest."""
+    path = [np.asarray(row, dtype=float) for row in history]
+    for _ in range(steps):
+        path.append(c + sum(A[s] @ path[-1 - s] for s in range(len(A))))
+    return np.array(path[len(history) :])
+
+
+def var_log_likelihood(residuals) -> float:
+    """Gaussian log-likelihood of the VAR residuals at the maximum-likelihood
+    covariance ``U'U / T``: the sum of ``scipy.stats.multivariate_normal``
+    log-densities."""
+    U = np.asarray(residuals, dtype=float)
+    cov = U.T @ U / len(U)
+    density = scipy.stats.multivariate_normal(np.zeros(len(cov)), cov)
+    return float(density.logpdf(U).sum())
+
+
+def ljung_box(series, lags: int) -> tuple[float, float]:
+    """(Q, p) of the Ljung-Box test at ``lags``: ``Q = T(T+2) sum_k
+    r_k^2 / (T-k)`` with the autocorrelations ``r_k`` read off
+    ``np.correlate`` of the centered series, and p from ``scipy.stats.chi2``."""
+    x = np.asarray(series, dtype=float)
+    T = len(x)
+    x = x - x.mean()
+    acov = np.correlate(x, x, "full")[T - 1 :]
+    r = acov[1 : lags + 1] / acov[0]
+    q = T * (T + 2) * float(np.sum(r**2 / (T - np.arange(1, lags + 1))))
+    return q, float(scipy.stats.chi2.sf(q, lags))
+
+
+def pca(data, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(explained variance ratios, (K, n) axes) of the top n principal
+    components of the centered data, from ``scipy.linalg.svd``."""
+    X = np.asarray(data, dtype=float)
+    _, s, vt = scipy.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    return (s**2 / np.sum(s**2))[:n], vt[:n].T

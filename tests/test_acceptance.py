@@ -203,13 +203,13 @@ def test_category_laws():
                 kind = ScaleBySeries("scale")
             else:
                 kind = RiskDiscount("rho")
-            morphisms.append(MorphismSpec(kind, src, tgt))
+            morphisms.append(MorphismSpec(kind, src.id, tgt.id))
 
         composable = [
             (f, g)
             for f in morphisms
             for g in morphisms
-            if f.target.id == g.source.id
+            if f.target == g.source
         ]
         assert len(composable) > 50
         for f, g in composable:
@@ -225,7 +225,7 @@ def test_category_laws():
         checked = 0
         for f, g in composable[:40]:
             for h in morphisms:
-                if g.target.id != h.source.id:
+                if g.target != h.source:
                     continue
                 left = evaluate(compose(compose(f, g), h), panel).to_array()
                 right = evaluate(compose(f, compose(g, h)), panel).to_array()

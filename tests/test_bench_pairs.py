@@ -2,6 +2,7 @@
 the exit status."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,19 @@ def test_higher_is_better_counts_the_other_way():
     assert s.wins == 10
     assert s.gain
     assert summarize([1.0] * 10, [2.0] * 10, "lower").wins == 0
+
+
+def test_pair_ratios_cancel_a_drift_that_spreads_both_sides():
+    # the machine slows fourfold across the pairs; the change is 10% faster
+    # in every pair, which the sides' own quartiles cannot show
+    parent = [1.0, 2.0, 3.0, 4.0]
+    change = [0.9 * p for p in parent]
+    s = summarize(parent, change, "lower")
+    assert s.change_quartiles[1] > s.parent_quartiles[0]
+    assert s.ratio_median == pytest.approx(0.9)
+    assert s.ratio_quartiles == pytest.approx((0.9, 0.9))
+    assert summarize([0.0, 2.0], [1.0, 3.0], "lower").ratio_median == 1.5
+    assert math.isnan(summarize([0.0], [1.0], "lower").ratio_median)
 
 
 def test_verdict_bound_is_relative_to_the_parent_median():
@@ -103,6 +117,7 @@ def test_pairs_alternate_and_a_failed_run_exits_one(tmp_path):
     assert log.read_text().split("\n")[:-1] == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3",
     ]
+    assert "ratio change/parent 1.000 [1.000, 1.000], change won 0 of 3" in done.stdout
     assert "change won 0 of 3, gain not shown, verdict ok" in done.stdout
     broken = checkout(tmp_path / "broken", 1, log)
     assert run(parent, broken, "--workload", "w", "--pairs", 1).returncode == 1

@@ -24,6 +24,7 @@ from bimonetary.category import (
 from bimonetary.errors import (
     DivisionByZero,
     IncompatibleEndpoints,
+    InputError,
     UnknownVariable,
     UnmappedMorphism,
     UnmappedObject,
@@ -46,27 +47,27 @@ def small_panel(**columns):
 
 class TestCompose:
     def test_affine_canonical_form(self):
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(Affine(3, 0), L_ARS, R)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(Affine(3, 0), "L_ARS", "R")
         out = compose(f, g)
         assert out.kind == Affine(6.0, 3.0)
-        assert out.source == Y and out.target == R
+        assert out.source == "Y" and out.target == "R"
 
     def test_identity_left_and_right(self):
-        f = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
-        assert compose(identity(L_ARS), f) == f
-        assert compose(f, identity(L_USD)) == f
+        f = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
+        assert compose(identity("L_ARS"), f) == f
+        assert compose(f, identity("L_USD")) == f
 
     def test_incompatible_endpoints(self):
-        f = MorphismSpec(Affine(1, 0), Y, L_ARS)
-        g = MorphismSpec(Affine(1, 0), R, Y)
+        f = MorphismSpec(Affine(1, 0), "Y", "L_ARS")
+        g = MorphismSpec(Affine(1, 0), "R", "Y")
         with pytest.raises(IncompatibleEndpoints):
             compose(f, g)
 
     def test_chain_flattening_is_associative(self):
-        f = MorphismSpec(Affine(2, 0), Y, L_ARS)
-        g = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
-        h = MorphismSpec(Affine(0.5, 1), L_USD, R)
+        f = MorphismSpec(Affine(2, 0), "Y", "L_ARS")
+        g = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
+        h = MorphismSpec(Affine(0.5, 1), "L_USD", "R")
         left = compose(compose(f, g), h)
         right = compose(f, compose(g, h))
         assert left == right
@@ -75,53 +76,53 @@ class TestCompose:
 class TestEvaluate:
     def test_identity_returns_column(self):
         panel = small_panel(Y=[1.0, 2.0, 3.0])
-        assert evaluate(identity(Y), panel).values == (1.0, 2.0, 3.0)
+        assert evaluate(identity("Y"), panel).values == (1.0, 2.0, 3.0)
 
     def test_ratio(self):
         panel = small_panel(L_ARS=[4.0], L_USD=[2.0])
-        m = MorphismSpec(Ratio("L_ARS", "L_USD"), L_ARS, R)
+        m = MorphismSpec(Ratio("L_ARS", "L_USD"), "L_ARS", "R")
         assert evaluate(m, panel).values == (2.0,)
 
     def test_risk_discount_zero_premium(self):
         panel = small_panel(L_ARS=[10.0, 20.0], rho=[0.0, 0.0])
-        m = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
+        m = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
         assert evaluate(m, panel).values == (10.0, 20.0)
 
     def test_risk_discount_quarter_premium(self):
         # 100 held at a 25% peso premium is worth 80 in dollars
         panel = small_panel(L_ARS=[100.0], rho=[0.25])
-        m = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
+        m = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
         assert evaluate(m, panel).values == (80.0,)
 
     def test_scale_by_series(self):
         panel = small_panel(Y=[2.0, 3.0], s=[10.0, 10.0])
-        m = MorphismSpec(ScaleBySeries("s"), Y, Y)
+        m = MorphismSpec(ScaleBySeries("s"), "Y", "Y")
         assert evaluate(m, panel).values == (20.0, 30.0)
 
     def test_division_by_zero_carries_date(self):
         panel = small_panel(L_ARS=[1.0, 1.0], L_USD=[1.0, 0.0])
-        m = MorphismSpec(Ratio("L_ARS", "L_USD"), L_ARS, R)
+        m = MorphismSpec(Ratio("L_ARS", "L_USD"), "L_ARS", "R")
         with pytest.raises(DivisionByZero) as info:
             evaluate(m, panel)
         assert info.value.date == panel.dates[1]
 
     def test_unknown_variable(self):
         panel = small_panel(Y=[1.0])
-        m = MorphismSpec(ScaleBySeries("absent"), Y, Y)
+        m = MorphismSpec(ScaleBySeries("absent"), "Y", "Y")
         with pytest.raises(UnknownVariable):
             evaluate(m, panel)
 
     def test_missing_propagates(self):
         panel = Panel(daily_dates(2), {"Y": Series.of([1.0, None])})
-        out = evaluate(MorphismSpec(Affine(2, 0), Y, Y), panel)
+        out = evaluate(MorphismSpec(Affine(2, 0), "Y", "Y"), panel)
         assert out.values == (2.0, None)
 
 
 class TestCheckCommutes:
     def test_path_against_composed_edge(self):
         panel = small_panel(Y=[1.0, 2.0], L_ARS=[0.0, 0.0], R=[0.0, 0.0])
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(Affine(3, 0), L_ARS, R)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(Affine(3, 0), "L_ARS", "R")
         d = Diagram(
             (Y, L_ARS, R),
             (f, g),
@@ -139,8 +140,8 @@ class TestCheckCommutes:
             L_ARS=l_ars, L_USD=l_usd, pi_ars=pi_ars, pi_usd=pi_usd
         )
         flow = EconObject("flow")
-        left = MorphismSpec(ScaleBySeries("pi_ars"), L_ARS, flow)
-        right = MorphismSpec(ScaleBySeries("pi_usd"), L_USD, flow)
+        left = MorphismSpec(ScaleBySeries("pi_ars"), "L_ARS", "flow")
+        right = MorphismSpec(ScaleBySeries("pi_usd"), "L_USD", "flow")
         d = Diagram((L_ARS, L_USD, flow), (left, right), (((left,), (right,)),))
         assert check_commutes(d, panel, tol=1e-12).passed
 
@@ -152,8 +153,8 @@ class TestCheckCommutes:
             L_USD=[2.0, 3.0 + bump],
         )
         flow = EconObject("flow")
-        left = MorphismSpec(Affine(1, 0), L_ARS, flow)
-        right = MorphismSpec(Affine(1, 0), L_USD, flow)
+        left = MorphismSpec(Affine(1, 0), "L_ARS", "flow")
+        right = MorphismSpec(Affine(1, 0), "L_USD", "flow")
         d = Diagram((L_ARS, L_USD, flow), (left, right), (((left,), (right,)),))
         report = check_commutes(d, panel, tol=tol)
         assert not report.passed
@@ -162,8 +163,8 @@ class TestCheckCommutes:
     def test_monotone_in_tolerance(self):
         panel = small_panel(L_ARS=[1.0], L_USD=[1.0 + 5e-7])
         flow = EconObject("flow")
-        left = MorphismSpec(Affine(1, 0), L_ARS, flow)
-        right = MorphismSpec(Affine(1, 0), L_USD, flow)
+        left = MorphismSpec(Affine(1, 0), "L_ARS", "flow")
+        right = MorphismSpec(Affine(1, 0), "L_USD", "flow")
         d = Diagram((L_ARS, L_USD, flow), (left, right), (((left,), (right,)),))
         passed = [
             check_commutes(d, panel, tol).passed
@@ -182,7 +183,7 @@ def rename_functor():
 
 class TestFunctor:
     def test_identity_functor_preserves_diagram(self):
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
         ident = Functor(
             "id", {o.id: o for o in (Y, L_ARS)}, {f: f}
         )
@@ -191,17 +192,17 @@ class TestFunctor:
 
     def test_rename_keeps_edge_kinds(self):
         functor, primes = rename_functor()
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
         image = apply_functor(
             Functor(
                 "prime",
                 functor.object_map,
-                {f: MorphismSpec(f.kind, primes["Y"], primes["L_ARS"])},
+                {f: MorphismSpec(f.kind, primes["Y"].id, primes["L_ARS"].id)},
             ),
             Diagram((Y, L_ARS), (f,)),
         )
         assert image.edges[0].kind == f.kind
-        assert image.edges[0].source.id == "Y'"
+        assert image.edges[0].source == "Y'"
 
     def test_unmapped_object(self):
         functor = Functor("partial", {"Y": Y})
@@ -210,21 +211,21 @@ class TestFunctor:
 
     def test_unmapped_morphism(self):
         functor = Functor("empty", {o.id: o for o in (Y, L_ARS)})
-        m = MorphismSpec(RiskDiscount("rho"), Y, L_ARS)
+        m = MorphismSpec(RiskDiscount("rho"), "Y", "L_ARS")
         with pytest.raises(UnmappedMorphism):
             functor.map_morphism(m)
 
     def test_policy_functor_rewrites_affine_coefficients(self):
         # a rate-shift policy: i -> i + delta realized through the image map
         delta = 5.0
-        shifted = MorphismSpec(Affine(1, delta), Y, Y)
+        shifted = MorphismSpec(Affine(1, delta), "Y", "Y")
         policy = Functor(
             "rate shift",
             {"Y": Y},
-            {identity(Y): shifted},
+            {identity("Y"): shifted},
         )
         panel = small_panel(Y=[1.0, 2.0])
-        out = evaluate(policy.map_morphism(identity(Y)), panel)
+        out = evaluate(policy.map_morphism(identity("Y")), panel)
         assert out.values == (6.0, 7.0)
 
 
@@ -233,8 +234,8 @@ class TestFunctorLaws:
         panel = small_panel(
             Y=[1.0, 2.0], L_ARS=[3.0, 4.0], L_USD=[5.0, 6.0], rho=[0.1, 0.2]
         )
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
         functor = Functor("id", {o.id: o for o in (Y, L_ARS, L_USD)}, {f: f, g: g})
         report = check_functor_laws(functor, [f, g], panel)
         assert report.passed
@@ -252,14 +253,14 @@ class TestFunctorLaws:
                 "R'": [0.0, 0.0],
             }
         )
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(Affine(3, 0), L_ARS, R)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(Affine(3, 0), "L_ARS", "R")
         copy = Functor(
             "copy",
             functor.object_map,
             {
-                f: MorphismSpec(f.kind, primes["Y"], primes["L_ARS"]),
-                g: MorphismSpec(g.kind, primes["L_ARS"], primes["R"]),
+                f: MorphismSpec(f.kind, primes["Y"].id, primes["L_ARS"].id),
+                g: MorphismSpec(g.kind, primes["L_ARS"].id, primes["R"].id),
             },
         )
         assert check_functor_laws(copy, [f, g], panel).passed
@@ -269,7 +270,7 @@ class TestFunctorLaws:
         panel = small_panel(M2=[1.0, 2.0])
         m2 = EconObject("M2")
         flow = EconObject("flow")  # no such panel column
-        f = MorphismSpec(Affine(2.0, 0.0), m2, flow)
+        f = MorphismSpec(Affine(2.0, 0.0), "M2", "flow")
         functor = Functor("id", {"M2": m2, "flow": flow}, {f: f})
         report = check_functor_laws(functor, [f], panel)
         assert report.passed
@@ -286,15 +287,15 @@ class TestFunctorLaws:
                 "R'": [0.0, 0.0],
             }
         )
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(Affine(3, 0), L_ARS, R)
-        bad_composite = MorphismSpec(Affine(1, 99), primes["Y"], primes["R"])
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(Affine(3, 0), "L_ARS", "R")
+        bad_composite = MorphismSpec(Affine(1, 99), primes["Y"].id, primes["R"].id)
         violating = Functor(
             "broken",
             functor.object_map,
             {
-                f: MorphismSpec(f.kind, primes["Y"], primes["L_ARS"]),
-                g: MorphismSpec(g.kind, primes["L_ARS"], primes["R"]),
+                f: MorphismSpec(f.kind, primes["Y"].id, primes["L_ARS"].id),
+                g: MorphismSpec(g.kind, primes["L_ARS"].id, primes["R"].id),
                 compose(f, g): bad_composite,
             },
         )
@@ -310,7 +311,7 @@ def random_affine_suite(n=50):
         coeff = float(rng.uniform(-3, 3)) or 1.0
         shift = float(rng.uniform(-5, 5))
         morphisms.append(
-            MorphismSpec(Affine(coeff, shift), objects[a], objects[b])
+            MorphismSpec(Affine(coeff, shift), objects[a].id, objects[b].id)
         )
     columns = {
         obj.id: Series.of(rng.uniform(-10, 10, size=20)) for obj in objects
@@ -324,18 +325,18 @@ class TestRandomizedLaws:
         checked = 0
         for f in morphisms:
             for g in morphisms:
-                if f.target.id != g.source.id:
+                if f.target != g.source:
                     continue
                 fg = compose(f, g)
                 seq = evaluate(g, panel.with_columns(
-                    {g.source.id: evaluate(f, panel)}
+                    {g.source: evaluate(f, panel)}
                 ))
                 canon = evaluate(fg, panel)
                 np.testing.assert_allclose(
                     canon.to_array(), seq.to_array(), rtol=1e-12, atol=1e-12
                 )
                 for h in morphisms[:10]:
-                    if g.target.id != h.source.id:
+                    if g.target != h.source:
                         continue
                     left = compose(compose(f, g), h)
                     right = compose(f, compose(g, h))
@@ -357,8 +358,8 @@ class TestRandomizedLaws:
 
 class TestJsonRoundTrip:
     def test_diagram_round_trip(self):
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
-        g = MorphismSpec(RiskDiscount("rho"), L_ARS, L_USD)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
         chain = compose(f, g)
         d = Diagram(
             (Y, L_ARS, L_USD),
@@ -368,7 +369,7 @@ class TestJsonRoundTrip:
         assert diagram_from_json(diagram_to_json(d)) == d
 
     def test_functor_round_trip(self):
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
         functor = Functor("id", {o.id: o for o in (Y, L_ARS)}, {f: f})
         recovered = functor_from_json(functor_to_json(functor))
         assert recovered.name == functor.name
@@ -377,23 +378,50 @@ class TestJsonRoundTrip:
 
 
     def test_endpoints_outside_the_nodes_are_rejected(self):
-        f = MorphismSpec(Affine(2, 1), Y, L_ARS)
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
         with pytest.raises(ValueError, match=r"edges\[0\] endpoint 'Y'->'L_ARS'"):
             Diagram((Y,), (f,))
         with pytest.raises(ValueError, match=r"equal_paths\[0\]\[1\]"):
-            Diagram((Y, L_ARS), (f,), (((f,), (MorphismSpec(Affine(2, 1), Y, R),)),))
+            Diagram((Y, L_ARS), (f,), (((f,), (MorphismSpec(Affine(2, 1), "Y", "R"),)),))
+
+    def test_a_repeated_node_is_rejected_with_its_key_path(self):
+        with pytest.raises(ValueError, match="nodes lists 'Y' twice"):
+            Diagram((Y, L_ARS, EconObject("Y", "income again")))
+        doc = {"nodes": [{"id": "Y"}, {"id": "Y"}]}
+        with pytest.raises(InputError, match="^diagram: nodes lists 'Y' twice$"):
+            diagram_from_json(doc)
+
+    def test_file_endpoints_are_node_ids(self):
+        doc = {
+            "nodes": [{"id": "Y"}, {"id": "L_ARS"}],
+            "edges": [
+                {
+                    "source": "Y",
+                    "target": "L_ARS",
+                    "kind": {"type": "affine", "a": 2, "b": 1},
+                }
+            ],
+        }
+        edge = diagram_from_json(doc).edges[0]
+        assert edge == MorphismSpec(Affine(2.0, 1.0), "Y", "L_ARS")
+
+
+def test_objects_that_share_an_image_are_one_image_node():
+    f = MorphismSpec(Affine(2, 1), "L_ARS", "L_USD")
+    merge = Functor("merge", {"L_ARS": L_ARS, "L_USD": L_ARS}, {f: identity("L_ARS")})
+    image = apply_functor(merge, Diagram((L_ARS, L_USD), (f,)))
+    assert image.nodes == (L_ARS,)
+    assert image.edges == (identity("L_ARS"),)
 
 
 class TestRatioChains:
     def test_ratio_source_object_needs_no_column(self):
         panel = small_panel(num=[6.0, 8.0], den=[2.0, 4.0])
-        abstract = EconObject("relative")
-        m = MorphismSpec(Ratio("num", "den"), EconObject("L"), abstract)
+        m = MorphismSpec(Ratio("num", "den"), "L", "relative")
         assert evaluate(m, panel).values == (3.0, 2.0)
 
     def test_chain_starting_with_ratio(self):
         panel = small_panel(num=[6.0], den=[2.0])
-        abstract = EconObject("relative")
-        ratio = MorphismSpec(Ratio("num", "den"), EconObject("L"), abstract)
-        scale = MorphismSpec(Affine(10.0, 1.0), abstract, abstract)
+        ratio = MorphismSpec(Ratio("num", "den"), "L", "relative")
+        scale = MorphismSpec(Affine(10.0, 1.0), "relative", "relative")
         assert evaluate(compose(ratio, scale), panel).values == (31.0,)

@@ -719,8 +719,8 @@ class TestOtherCommands:
     def test_functor_check_on_commuting_diagram(self, canonical_csv, tmp_path):
         m2 = EconObject("M2")
         target = EconObject("flow")
-        f = MorphismSpec(Affine(2.0, 1.0), m2, target)
-        g = MorphismSpec(Affine(1.0, 0.0), target, target)
+        f = MorphismSpec(Affine(2.0, 1.0), "M2", "flow")
+        g = MorphismSpec(Affine(1.0, 0.0), "flow", "flow")
         diagram = Diagram(
             (m2, target), (f, g), (((f, g), (compose(f, g),)),)
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bimonetary import econometrics as econ
 from bimonetary.colimit import (
     ColimitConfig,
     build_indicator,
@@ -11,6 +12,7 @@ from bimonetary.colimit import (
 )
 from bimonetary.errors import AllZeroWeights, ConstantColumn, InsufficientRows
 from bimonetary.panel import Panel, Series
+from tests import reference
 from tests.conftest import SEED, daily_dates
 
 
@@ -82,6 +84,14 @@ class TestPcaFit:
         np.testing.assert_allclose(
             np.abs(mine.loadings), np.abs(ref.components_.T), atol=1e-8
         )
+
+    def test_matches_scipy_oracle(self):
+        # the data of test_matches_reference_implementation
+        data = fresh_rng().standard_normal((200, 4)) * [1, 3, 0.5, 2]
+        mine = pca_fit(data, 3, standardize=False)
+        ratios, axes = reference.pca(data, 3)
+        np.testing.assert_allclose(mine.explained_variance_ratio, ratios, atol=1e-10)
+        np.testing.assert_allclose(np.abs(mine.loadings), np.abs(axes), atol=1e-8)
 
 
 class TestPcaAggregate:
@@ -273,5 +283,24 @@ class TestValidateAndForecast:
 
     def test_forecast_shape_contract(self, canonical_panel):
         indicator = build_indicator(canonical_panel)
-        _, forecast = validate_and_forecast(canonical_panel, indicator, steps=10)
+        _, forecast = validate_and_forecast(canonical_panel, indicator)
         assert forecast.shape == (10, 3)
+
+    def test_the_risk_spread_cannot_be_the_reference(self):
+        with pytest.raises(ValueError, match="reference must not be the risk spread"):
+            ColimitConfig(reference="Embi+ARG")
+
+    def test_the_configured_reference_is_tested_and_forecast(self, canonical_panel):
+        indicator = build_indicator(canonical_panel, ColimitConfig(reference="Pi Exp"))
+        panel = canonical_panel
+        causality, forecast = validate_and_forecast(panel, indicator, "Pi Exp")
+        smoothed = indicator.smoothed.array
+        matrix = np.column_stack(
+            [smoothed, *(panel.column(n).array for n in ("Pi Exp", "Embi+ARG"))]
+        )
+        assert causality == econ.granger(smoothed, matrix[:, 1], 5)
+        model = econ.fit_var(matrix, 5, "aic")
+        expected = econ.forecast(model, matrix[-max(model.p, 1) :], 10)
+        np.testing.assert_array_equal(forecast[:, 1], expected[:, 1])
+        _, against_e = validate_and_forecast(panel, indicator)
+        assert not np.allclose(forecast[:, 1], against_e[:, 1])

@@ -528,6 +528,14 @@ class TestFevd:
         mine = econ.fevd(model, 8)
         np.testing.assert_allclose(mine.shares, ref.decomp, rtol=1e-6, atol=1e-8)
 
+    def test_matches_scipy_oracle(self):
+        # the data of test_matches_reference_implementation
+        data = simulate_var1(np.array([[0.5, 0.1], [-0.2, 0.3]]), 500, fresh_rng())
+        model = econ.fit_var_order(data, 2)
+        ref = reference.fevd(model.A, model.sigma, 8)
+        mine = econ.fevd(model, 8)
+        np.testing.assert_allclose(mine.shares, ref, rtol=1e-6, atol=1e-8)
+
 
 class TestForecast:
     def test_intercept_only_returns_constant(self):
@@ -718,3 +726,44 @@ class TestReferenceAgreement:
         ref = diagnostic.acorr_ljungbox(resid, lags=[10])
         assert result.q_stat == pytest.approx(float(ref["lb_stat"].iloc[0]), rel=1e-10)
         assert result.p_value == pytest.approx(float(ref["lb_pvalue"].iloc[0]), abs=1e-10)
+
+
+class TestScipyOracleAgreement:
+    """TestReferenceAgreement's checks, on its data, against the scipy and
+    plain-recursion oracles of tests/reference.py."""
+
+    @pytest.fixture
+    def fitted(self):
+        A = np.array([[0.5, 0.1], [-0.2, 0.3]])
+        data = simulate_var1(A, 800, fresh_rng(), np.array([0.3, -0.1]))
+        return data, econ.fit_var_order(data, 2)
+
+    def test_forecast_path(self, fitted):
+        data, mine = fitted
+        np.testing.assert_allclose(
+            econ.forecast(mine, data[-2:], 12),
+            reference.forecast_path(mine.c, mine.A, data[-2:], 12),
+            atol=1e-10,
+        )
+
+    def test_orthogonalized_responses(self, fitted):
+        _, mine = fitted
+        result = econ.irf(mine, 8)
+        psi, theta = reference.ma_responses(mine.A, mine.sigma, 8)
+        for h in range(9):
+            np.testing.assert_allclose(result.psi[h], psi[h], atol=1e-12)
+            np.testing.assert_allclose(result.theta[h], theta[h], atol=1e-12)
+
+    def test_log_likelihood(self, fitted):
+        _, mine = fitted
+        doc = econ.var_summary_json(mine)
+        ref = reference.var_log_likelihood(mine.residuals)
+        assert doc["log_likelihood"] == pytest.approx(ref, rel=1e-12)
+
+    def test_ljung_box(self, fitted):
+        _, mine = fitted
+        resid = mine.residuals[:, 0]
+        result = econ.ljung_box(resid, 10)
+        q, p = reference.ljung_box(resid, 10)
+        assert result.q_stat == pytest.approx(q, rel=1e-10)
+        assert result.p_value == pytest.approx(p, abs=1e-10)

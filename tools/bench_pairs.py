@@ -10,7 +10,10 @@ prints each side's median and quartiles, the pairs the change won (a tie
 counts for neither), and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs, and its median is better than the parent's
 by more than the distance between the parent's quartiles. It also prints a
-no-regression verdict against the metric's ``bound`` (see :func:`verdict`).
+no-regression verdict against the metric's ``bound`` (see :func:`verdict`),
+and the median and quartiles of the per-pair ratio change/parent: the two
+runs of a pair are back to back, so a slow drift of the machine's speed
+cancels in their ratio while it spreads the sides' own quartiles.
 Every value is printed with three decimals, which resolves 1 ms and 0.001
 MB, so two medians that print alike differ by less than that.
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -38,6 +42,8 @@ class Summary:
     wins: int
     pairs: int
     gain: bool
+    ratio_median: float
+    ratio_quartiles: tuple[float, float]
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -49,11 +55,13 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     """Compare one metric's values, ``parent[i]`` paired with ``change[i]``;
-    ``better`` is ``"lower"`` or ``"higher"``."""
+    ``better`` is ``"lower"`` or ``"higher"``. The ratios change/parent skip
+    the pairs whose parent value is 0, and are NaN when every pair does."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     low, high = quartiles(parent)
     gap = sign * (statistics.median(parent) - statistics.median(change))
+    ratios = [c / p for p, c in zip(parent, change) if p != 0] or [math.nan]
     return Summary(
         statistics.median(parent),
         (low, high),
@@ -62,6 +70,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
         wins,
         len(parent),
         10 * wins >= 9 * len(parent) and gap > high - low,
+        statistics.median(ratios),
+        quartiles(ratios),
     )
 
 
@@ -167,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
             f"parent {s.parent_median:.3f} [{s.parent_quartiles[0]:.3f}, "
             f"{s.parent_quartiles[1]:.3f}], change {s.change_median:.3f} "
             f"[{s.change_quartiles[0]:.3f}, {s.change_quartiles[1]:.3f}], "
-            f"change won {s.wins} of {s.pairs}, "
+            f"ratio change/parent {s.ratio_median:.3f} [{s.ratio_quartiles[0]:.3f}, "
+            f"{s.ratio_quartiles[1]:.3f}], change won {s.wins} of {s.pairs}, "
             f"gain {'holds' if s.gain else 'not shown'}, verdict {regression}"
         )
     return 1 if failed else 0
