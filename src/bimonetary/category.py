@@ -237,7 +237,10 @@ def evaluate(m: MorphismSpec, panel: Panel) -> Series:
 @dataclass(frozen=True)
 class Diagram:
     """Nodes, edges and the path pairs declared to commute. Each node id
-    appears once, and every morphism's endpoints are node ids."""
+    appears once, every morphism's endpoints are node ids, each declared
+    path links end to start, and both paths of a pair end at one node. Their
+    sources may differ: the equilibrium condition equates paths from
+    ``L_ARS`` and from ``L_USD`` into one flow."""
 
     nodes: tuple[EconObject, ...]
     edges: tuple[MorphismSpec, ...] = ()
@@ -259,6 +262,18 @@ class Diagram:
                         f"{where} endpoint {m.source!r}->{m.target!r} "
                         "not among diagram nodes"
                     )
+            for j, (left, right) in enumerate(zip(path, path[1:]), start=1):
+                if left.target != right.source:
+                    raise ValueError(
+                        f"{where}[{j}] starts at {right.source!r}, not where "
+                        f"{where}[{j - 1}] ends, {left.target!r}"
+                    )
+        for i, (left, right) in enumerate(self.equal_paths):
+            if left[-1].target != right[-1].target:
+                raise ValueError(
+                    f"equal_paths[{i}] pairs a path into {left[-1].target!r} "
+                    f"with one into {right[-1].target!r}"
+                )
 
 
 @dataclass(frozen=True)

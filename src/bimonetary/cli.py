@@ -147,8 +147,17 @@ def _load_config(path: str | None) -> tuple[dict, Config]:
     return doc, parse(Config, doc, "config")
 
 
+def _sha256(path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB chunks rather than held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(out: Path, args, doc: dict) -> None:
-    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+    digest = _sha256(args.input)
     _write_json(
         out / "run_manifest.json",
         {

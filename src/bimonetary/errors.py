@@ -35,6 +35,15 @@ class UnparseableValue(InputError):
         self.text = text
 
 
+class MalformedRecord(InputError):
+    """A CSV record the ``csv`` module cannot split, such as one with a field
+    over its size limit (an unterminated quote reads to the end of the file)."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: malformed CSV record: {reason}")
+        self.row = row
+
+
 class DuplicateDate(InputError):
     def __init__(self, date):
         super().__init__(f"duplicate date {date.isoformat()}")

@@ -11,6 +11,7 @@ their inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateRange,
     DuplicateDate,
     LeadingOrTrailingGap,
+    MalformedRecord,
     MissingColumn,
     SeriesTooShort,
     UnknownVariable,
@@ -215,6 +217,20 @@ class CsvScan(NamedTuple):
     matrix: np.ndarray       # (rows, len(columns)) float64, NaN for missing
 
 
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each record of a ``csv.reader``, the header
+    being row 1; a record the reader cannot split raises
+    :class:`MalformedRecord` naming its row."""
+    for row_no in itertools.count(1):
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as error:
+            raise MalformedRecord(row_no, str(error)) from None
+        yield row_no, record
+
+
 def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     """Parse a comma-separated UTF-8 file with a header row; a leading
     byte-order mark, which spreadsheet tools write, is dropped.
@@ -224,11 +240,12 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     :class:`MissingColumn`. Blank rows are skipped. Empty cells are missing
     values; a row too short for a loaded column, a cell that is not a finite
     dot-decimal number (``nan`` and ``inf`` included) and a bad date raise
-    :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`.
+    :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`,
+    and a record the ``csv`` module cannot split :class:`MalformedRecord`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(csv.reader(fh))
+        _, header = next(records, (1, None))
         if header is None or DATE_COLUMN not in header:
             raise MissingColumn(DATE_COLUMN)
         columns = (
@@ -244,7 +261,7 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
         dates: list[Date] = []
         seen: set[Date] = set()
         rows: list[list[float]] = []
-        for row_no, record in enumerate(reader, start=2):
+        for row_no, record in records:
             if not record or all(cell.strip() == "" for cell in record):
                 continue
             if len(record) <= last:
@@ -374,11 +391,92 @@ def difference(series: Series, order: int = 1) -> Series:
     return Series(np.diff(series.array, n=order))
 
 
-def _trailing_offsets(n: int, window: int) -> Iterator[tuple[slice, slice]]:
-    """For each offset k of a trailing window, the slot slice ``[k:]`` and
-    the aligned element slice ``[:n-k]``: slot t meets element t - k."""
-    for k in range(min(window, n)):
-        yield slice(k, None), slice(None, n - k)
+# A trailing window ending at slot t is a suffix of the block before t's
+# block and a prefix of t's own block, when the series is cut into blocks
+# of the window's length; so one running pass forwards and one backwards
+# over each block give every window in O(T), whatever its length.
+
+
+def _blocks(values: np.ndarray, window: int, fill: float) -> np.ndarray:
+    """``values`` cut into rows of ``min(window, T)`` entries, the last row
+    padded with ``fill``; a window longer than the series is a prefix of it."""
+    length = max(1, min(window, len(values)))
+    out = np.full(-(-len(values) // length) * length, fill)
+    out[: len(values)] = values
+    return out.reshape(-1, length)
+
+
+def _older(suffix: np.ndarray, fill: float) -> np.ndarray:
+    """Entry (b, j) is ``suffix``'s entry (b-1, j+1): of the window ending at
+    (b, j), the part in the block before; ``fill`` where that part is empty."""
+    out = np.full_like(suffix, fill)
+    out[1:, :-1] = suffix[:-1, 1:]
+    return out
+
+
+def _trailing(
+    fn: np.ufunc, values: np.ndarray, window: int, fill: float
+) -> np.ndarray:
+    """``fn`` over the trailing window ending at each slot, for an associative
+    ``fn`` with identity ``fill``: ``np.add`` with 0, or ``np.fmin`` or
+    ``np.fmax`` with NaN (van Herk 1992; Gil & Werman 1993)."""
+    blocks = _blocks(values, window, fill)
+    suffix = fn.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+    merged = fn(_older(suffix, fill), fn.accumulate(blocks, axis=1))
+    return merged.ravel()[: len(values)]
+
+
+def _running_moments(ok: np.ndarray, dx: np.ndarray, dy: np.ndarray):
+    """Along each row, over the entries up to each position that ``ok``
+    marks with 1 (``dx`` and ``dy`` are 0 elsewhere): the count, the means,
+    and the centred sums of products xx, yy and xy by Welford's update. Each
+    term is a deviation from the mean before its entry times one from the
+    mean after it, so an xx or yy term is never negative beyond rounding."""
+    n = np.cumsum(ok, axis=1)
+    scale = 1.0 / np.maximum(n, 1.0)
+    mx = np.cumsum(dx, axis=1) * scale
+    my = np.cumsum(dy, axis=1) * scale
+    ex, ey = (dx - mx) * ok, (dy - my) * ok
+    zero = np.zeros((len(ok), 1))
+    bx = dx - np.hstack((zero, mx[:, :-1]))
+    by = dy - np.hstack((zero, my[:, :-1]))
+    products = (bx * ex, by * ey, bx * ey)
+    return (n, mx, my, *(np.cumsum(p, axis=1) for p in products))
+
+
+def _window_moments(x: np.ndarray, y: np.ndarray, window: int):
+    """Per trailing window, over the complete pairs of ``x`` and ``y``: the
+    count and the centred sums of products xx, yy and xy, in O(T) for any
+    window.
+
+    Each block is shifted by the mean of its complete pairs. The two parts
+    of a window take their moments from running sums inside their own
+    blocks, and merge by the pairwise update of Chan, Golub & LeVeque
+    (1983). No sum runs across blocks: a moment taken as the difference of
+    two running sums over the whole series cancels, and goes negative, on a
+    series that drifts far from zero.
+    """
+    ok = ~(np.isnan(x) | np.isnan(y))
+    okb = _blocks(ok, window, 0.0)
+    count = np.maximum(okb.sum(axis=1, keepdims=True), 1.0)
+    shifted, steps = [], []
+    for values in (x, y):
+        blocks = _blocks(np.where(ok, values, 0.0), window, 0.0)
+        shift = blocks.sum(axis=1, keepdims=True) / count
+        shifted.append((blocks - shift) * okb)
+        steps.append(np.diff(shift, axis=0, prepend=shift[:1]))
+    dx, dy = shifted
+    # part b: the prefix of each slot's own block; part a: the older suffix
+    nb, mb_x, mb_y, *sums_b = _running_moments(okb, dx, dy)
+    backward = _running_moments(okb[:, ::-1], dx[:, ::-1], dy[:, ::-1])
+    na, ma_x, ma_y, *sums_a = (_older(m[:, ::-1], 0.0) for m in backward)
+    n = na + nb
+    # part a's mean less part b's, both in the shift of part b's block
+    gx, gy = ma_x - mb_x - steps[0], ma_y - mb_y - steps[1]
+    weight = na * nb / np.maximum(n, 1.0)
+    pairs = ((gx, gx), (gy, gy), (gx, gy))
+    sums = (a + b + weight * g * h for a, b, (g, h) in zip(sums_a, sums_b, pairs))
+    return tuple(m.ravel()[: len(x)] for m in (n, *sums))
 
 
 def rolling_mean(series: Series, window: int, min_periods: int) -> Series:
@@ -393,12 +491,8 @@ def rolling_mean(series: Series, window: int, min_periods: int) -> Series:
         raise ValueError("window and min_periods must be positive")
     arr = series.array
     present = ~np.isnan(arr)
-    values = np.where(present, arr, 0.0)
-    total = np.zeros(len(arr))
-    count = np.zeros(len(arr))
-    for slots, elements in _trailing_offsets(len(arr), window):
-        total[slots] += values[elements]
-        count[slots] += present[elements]
+    count = _trailing(np.add, present, window, 0.0)
+    total = _trailing(np.add, np.where(present, arr, 0.0), window, 0.0)
     out = np.full(len(arr), np.nan)
     ok = count >= min_periods
     out[ok] = total[ok] / count[ok]
@@ -411,39 +505,22 @@ def rolling_corr(x: Series, y: Series, window: int, min_periods: int) -> Series:
     Uses the sample (n-1) covariance in numerator and denominator so the
     factor cancels. A window with fewer than ``min_periods`` complete pairs,
     or with either side constant (its smallest present value equals its
-    largest), yields a missing slot. Each window's means come first, then
-    the sums of centred products, as in a per-window two-pass computation.
+    largest), yields a missing slot. The centred sums come from
+    :func:`_window_moments`.
     """
     if len(x) != len(y):
         raise ValueError("series lengths differ")
     if min_periods > window:
         raise ValueError("min_periods must not exceed window")
-    T = len(x)
-    ok = ~(np.isnan(x.array) | np.isnan(y.array))
-    # complete pairs only: NaN where either side is missing
-    px = np.where(ok, x.array, np.nan)
-    py = np.where(ok, y.array, np.nan)
-    vx, vy = np.where(ok, x.array, 0.0), np.where(ok, y.array, 0.0)
-    n, sx, sy = np.zeros(T), np.zeros(T), np.zeros(T)
-    lo_x, hi_x, lo_y, hi_y = (np.full(T, np.nan) for _ in range(4))
-    for slots, elements in _trailing_offsets(T, window):
-        n[slots] += ok[elements]
-        sx[slots] += vx[elements]
-        sy[slots] += vy[elements]
-        np.fmin(lo_x[slots], px[elements], out=lo_x[slots])
-        np.fmax(hi_x[slots], px[elements], out=hi_x[slots])
-        np.fmin(lo_y[slots], py[elements], out=lo_y[slots])
-        np.fmax(hi_y[slots], py[elements], out=hi_y[slots])
-    valid = (n >= max(min_periods, 2)) & (lo_x < hi_x) & (lo_y < hi_y)
-    mx, my = sx / np.maximum(n, 1.0), sy / np.maximum(n, 1.0)
-    sxx, syy, sxy = np.zeros(T), np.zeros(T), np.zeros(T)
-    for slots, elements in _trailing_offsets(T, window):
-        dx = np.where(ok[elements], vx[elements] - mx[slots], 0.0)
-        dy = np.where(ok[elements], vy[elements] - my[slots], 0.0)
-        sxx[slots] += dx * dx
-        syy[slots] += dy * dy
-        sxy[slots] += dx * dy
-    out = np.full(T, np.nan)
+    n, sxx, syy, sxy = _window_moments(x.array, y.array, window)
+    missing = np.isnan(x.array) | np.isnan(y.array)
+    valid = n >= max(min_periods, 2)
+    for values in (x.array, y.array):
+        paired = np.where(missing, np.nan, values)
+        lo = _trailing(np.fmin, paired, window, math.nan)
+        hi = _trailing(np.fmax, paired, window, math.nan)
+        valid &= lo < hi
+    out = np.full(len(x), np.nan)
     out[valid] = sxy[valid] / np.sqrt(sxx[valid] * syy[valid])
     return Series(out)
 

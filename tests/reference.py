@@ -242,3 +242,29 @@ def pca(data, n: int) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(data, dtype=float)
     _, s, vt = scipy.linalg.svd(X - X.mean(axis=0), full_matrices=False)
     return (s**2 / np.sum(s**2))[:n], vt[:n].T
+
+
+def trailing_windows(
+    x, y, window: int, min_periods: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(means, correlations) per trailing window, one window at a time: at
+    slot t, over the last ``min(window, t+1)`` slots, the mean of the present
+    values of ``x`` when at least ``min_periods`` are present, and the
+    two-pass Pearson correlation of ``x`` with ``y`` over their complete pairs
+    when there are at least ``max(min_periods, 2)`` and neither side is
+    constant; NaN otherwise."""
+    means = np.full(len(x), np.nan)
+    corrs = np.full(len(x), np.nan)
+    for t in range(len(x)):
+        cx = x[max(0, t - window + 1) : t + 1]
+        cy = y[max(0, t - window + 1) : t + 1]
+        px = cx[~np.isnan(cx)]
+        if len(px) >= min_periods:
+            means[t] = px.mean()
+        ok = ~(np.isnan(cx) | np.isnan(cy))
+        vx, vy = cx[ok], cy[ok]
+        if len(vx) < max(min_periods, 2) or np.ptp(vx) == 0 or np.ptp(vy) == 0:
+            continue
+        dx, dy = vx - vx.mean(), vy - vy.mean()
+        corrs[t] = (dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy))
+    return means, corrs

@@ -1,7 +1,9 @@
 """`bench/tracer.py` still wraps names the program has: it runs the
 four-stage pipeline under its span-recording wrappers. A wrapped function
 that is renamed or moved makes the child fail here, rather than only in a
-traced benchmark run."""
+traced benchmark run, and a layer that stops being called through its
+wrapped name, such as a rolling window inlined into its caller, fails the
+span check."""
 
 import json
 import os
@@ -45,3 +47,5 @@ def test_tracer_runs_the_pipeline_and_records_every_stage(tmp_path):
     assert child.returncode == 0, child.stderr
     names = {name for name, *_ in json.loads(spans.read_text())["spans"]}
     assert {f"cli.{stage}" for stage in STAGES} <= names
+    # the colimit's windows stay calls into `panel`, so their layers are timed
+    assert {"panel.rolling_corr", "panel.rolling_mean"} <= names

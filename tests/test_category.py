@@ -384,6 +384,20 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=r"equal_paths\[0\]\[1\]"):
             Diagram((Y, L_ARS), (f,), (((f,), (MorphismSpec(Affine(2, 1), "Y", "R"),)),))
 
+    def test_a_declared_path_must_link_and_a_pair_end_at_one_node(self):
+        f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
+        g = MorphismSpec(RiskDiscount("rho"), "L_ARS", "L_USD")
+        h = MorphismSpec(Affine(2, 1), "Y", "L_USD")
+        nodes = (Y, L_ARS, L_USD)
+        broken = r"equal_paths\[0\]\[1\]\[1\] starts at 'Y', not where .*'L_ARS'"
+        with pytest.raises(ValueError, match=broken):
+            Diagram(nodes, (f, g, h), (((h,), (f, f)),))
+        ends = "a path into 'L_ARS' with one into 'L_USD'"
+        with pytest.raises(ValueError, match=ends):
+            Diagram(nodes, (f, h), (((f,), (h,)),))
+        Diagram(nodes, (f, g, h), (((f, g), (h,)),))
+        Diagram(nodes, (g, h), (((g,), (h,)),))  # sources may differ
+
     def test_a_repeated_node_is_rejected_with_its_key_path(self):
         with pytest.raises(ValueError, match="nodes lists 'Y' twice"):
             Diagram((Y, L_ARS, EconObject("Y", "income again")))

@@ -1,7 +1,11 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -19,9 +23,15 @@ from bimonetary.category import (
     compose,
     diagram_to_json,
 )
-from bimonetary.cli import main
+from bimonetary.cli import _sha256, main
 from bimonetary.panel import CANONICAL_VARIABLES, load_csv, write_csv
 from tests.conftest import SEED, daily_dates, make_canonical_panel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def whole_file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -129,6 +139,48 @@ class TestValidate:
             doc = json.loads(line)
             errors.append((doc["error"], doc["message"]))
         assert errors[0] == errors[1] == ("UnparseableValue", message)
+
+    @pytest.mark.parametrize(
+        "n_rows, cell",
+        [(300, '"' + "1" * 200_000 + '"'), (500, '"12')],
+        ids=["cell-over-field-limit", "unterminated-quote"],
+    )
+    def test_record_the_csv_module_cannot_split_names_its_row(
+        self, tmp_path, n_rows, cell
+    ):
+        # the csv module stops a field at 131,072 characters; an unterminated
+        # quote runs to the end of the file, so any input over that size hits it
+        plain = tmp_path / "plain.csv"
+        write_csv(make_canonical_panel(n_rows), plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        cells = lines[50].split(",")
+        cells[3] = cell
+        lines[50] = ",".join(cells)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert path.stat().st_size > 131_072
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        for command, extra in (
+            ("validate", []),
+            ("pipeline", ["--out", str(tmp_path / "out")]),
+        ):
+            child = subprocess.run(
+                [sys.executable, "-m", "bimonetary", command, "--input", str(path)]
+                + extra,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert child.returncode == 1
+            assert "Traceback" not in child.stderr
+            (line,) = child.stderr.strip().splitlines()
+            doc = json.loads(line)
+            assert doc["error"] == "MalformedRecord"
+            assert doc["message"].startswith("row 51: ")
 
 
 @pytest.mark.parametrize(
@@ -390,6 +442,21 @@ def _functor(**change):
             _functor(morphism_map=[{"to": _edge(a=2.0, b=1.0)}]),
             "functor.morphism_map[0].from",
         ),
+        (
+            "diagram",
+            _diagram(
+                equal_paths=[[[_edge(a=1, b=0), _edge(a=1, b=0)], [_edge(a=1, b=0)]]]
+            ),
+            "diagram: equal_paths[0][0][1] starts at 'M2'",
+        ),
+        (
+            "diagram",
+            _diagram(
+                nodes=[{"id": "M2"}, {"id": "flow"}, {"id": "flow2"}],
+                equal_paths=[[[_edge(a=1, b=0)], [_edge(target="flow2", a=1, b=0)]]],
+            ),
+            "diagram: equal_paths[0] pairs a path into 'flow' with one into 'flow2'",
+        ),
     ],
     ids=[
         "coefficients-unknown-key",
@@ -409,6 +476,8 @@ def _functor(**change):
         "morphism-type-unknown",
         "edge-target-not-a-node",
         "functor-map-entry-without-from",
+        "equal-path-links-broken",
+        "equal-paths-endpoints-differ",
     ],
 )
 def test_malformed_input_file_is_one_input_error_line(
@@ -826,6 +895,7 @@ class TestOtherCommands:
                 assert main([*argv, *common, "--out", str(out)]) == 0
                 manifest = json.loads((out / "run_manifest.json").read_text())
                 assert manifest["command"] == argv[0]
+                assert manifest["input_sha256"] == whole_file_digest(canonical_csv)
                 (out / "run_manifest.json").unlink()
                 trees.append(tree_bytes(out))
             assert trees[0] and trees[0] == trees[1]
@@ -865,6 +935,12 @@ class TestOtherCommands:
         )
         assert code == 1
         assert capsys.readouterr().err.strip()
+
+
+def test_input_digest_is_the_whole_file_digest_when_read_in_chunks(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(np.random.default_rng(SEED).bytes((5 << 19) + 7))
+    assert _sha256(path) == whole_file_digest(path)
 
 
 # -- mutated input files --------------------------------------------------------

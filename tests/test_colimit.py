@@ -11,9 +11,9 @@ from bimonetary.colimit import (
     validate_and_forecast,
 )
 from bimonetary.errors import AllZeroWeights, ConstantColumn, InsufficientRows
-from bimonetary.panel import Panel, Series
+from bimonetary.panel import Panel, Series, rolling_corr, rolling_mean
 from tests import reference
-from tests.conftest import SEED, daily_dates
+from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 
 def fresh_rng():
@@ -190,6 +190,79 @@ class TestDynamicWeights:
         )
         with pytest.raises(AllZeroWeights):
             dynamic_weights(panel, ["v"], "ref", 10, 2)
+
+
+def _stressed_canonical_panel() -> Panel:
+    """``make_canonical_panel(2500)`` with its drifting Historical Ars Usd
+    scaled by 1e8, so that it reaches 2e10 as over 20,000 rows; a constant
+    stretch longer than the default window cut into M2; and NaN gaps, one of
+    them 200 rows long, cut into Pi Exp and E."""
+    panel = make_canonical_panel(2500)
+    rng = fresh_rng()
+    m2, pi, e = (panel.column(name).to_array() for name in ("M2", "Pi Exp", "E"))
+    m2[700:1000] = m2[700]
+    pi[rng.random(2500) < 0.1] = np.nan
+    pi[1500:1700] = np.nan
+    e[rng.random(2500) < 0.05] = np.nan
+    changed = {"M2": m2, "Pi Exp": pi, "E": e}
+    changed["Historical Ars Usd"] = panel.column("Historical Ars Usd").array * 1e8
+    return panel.with_columns({name: Series(v) for name, v in changed.items()})
+
+
+class TestWindowsOnCanonicalPanel:
+    """``rolling_corr``, ``rolling_mean`` and ``dynamic_weights`` against the
+    window-at-a-time oracle. The worst measured differences are 1.1e-13 in a
+    correlation and 1.6e-14 relative in a mean (both M2, with a window longer
+    than the panel), and 2e-16 in a weight."""
+
+    NAMES = ("Historical Ars Usd", "M2", "Pi Exp", "Gdp_usa")
+    CORR_ATOL = 5e-13
+    MEAN_RTOL = 1e-13
+    WEIGHT_ATOL = 2e-15
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        panel = _stressed_canonical_panel()
+        ref = panel.column("E").array
+        return panel, {
+            (window, min_periods): {
+                name: reference.trailing_windows(
+                    panel.column(name).array, ref, window, min_periods
+                )
+                for name in self.NAMES
+            }
+            for window, min_periods in ((180, 1), (1, 1), (5000, 1), (30, 20))
+        }
+
+    def test_rolling_corr_and_mean_match_the_oracle(self, cases):
+        panel, oracle = cases
+        for (window, min_periods), expected in oracle.items():
+            for name, (means, corrs) in expected.items():
+                x = panel.column(name)
+                corr = rolling_corr(x, panel.column("E"), window, min_periods).array
+                mean = rolling_mean(x, window, min_periods).array
+                np.testing.assert_array_equal(np.isnan(corr), np.isnan(corrs))
+                np.testing.assert_array_equal(np.isnan(mean), np.isnan(means))
+                np.testing.assert_allclose(corr, corrs, rtol=0, atol=self.CORR_ATOL)
+                np.testing.assert_allclose(mean, means, rtol=self.MEAN_RTOL)
+
+    def test_dynamic_weights_match_the_oracle(self, cases):
+        panel, oracle = cases
+        for (window, min_periods), expected in oracle.items():
+            raw = {}
+            for name, (_, corrs) in expected.items():
+                present = corrs[~np.isnan(corrs)]
+                raw[name] = abs(present.mean()) if present.size else 0.0
+            total = sum(raw.values())
+            if total == 0.0:  # window 1: no window holds two pairs
+                with pytest.raises(AllZeroWeights):
+                    dynamic_weights(panel, self.NAMES, "E", window, min_periods)
+                continue
+            weights = dynamic_weights(panel, self.NAMES, "E", window, min_periods)
+            for name in self.NAMES:
+                assert weights[name] == pytest.approx(
+                    raw[name] / total, rel=0, abs=self.WEIGHT_ATOL
+                )
 
 
 class TestBuildIndicator:

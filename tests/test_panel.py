@@ -36,6 +36,7 @@ from bimonetary.panel import (
     write_rows,
 )
 from bimonetary.scenarios import CategorySpec, Shock, apply_scenario, learning_enrich
+from tests import reference
 from tests.conftest import daily_dates, make_canonical_panel
 
 
@@ -413,26 +414,6 @@ class TestPanel:
             panel.with_columns({"y": Series.of([1.0])})
 
 
-def _window_oracle(x, y, window, min_periods):
-    """Per-window reference: trailing windows over complete pairs, the mean
-    of ``x`` and the Pearson correlation of ``x`` with ``y``."""
-    means = np.full(len(x), np.nan)
-    corrs = np.full(len(x), np.nan)
-    for t in range(len(x)):
-        cx = x[max(0, t - window + 1) : t + 1]
-        cy = y[max(0, t - window + 1) : t + 1]
-        px = cx[~np.isnan(cx)]
-        if len(px) >= min_periods:
-            means[t] = px.mean()
-        ok = ~(np.isnan(cx) | np.isnan(cy))
-        vx, vy = cx[ok], cy[ok]
-        if len(vx) < max(min_periods, 2) or np.ptp(vx) == 0 or np.ptp(vy) == 0:
-            continue
-        dx, dy = vx - vx.mean(), vy - vy.mean()
-        corrs[t] = (dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy))
-    return means, corrs
-
-
 class TestRollingOracle:
     @pytest.mark.parametrize("window, min_periods", [(1, 1), (7, 3), (40, 1), (250, 20)])
     def test_matches_per_window_loop_with_gaps(self, window, min_periods):
@@ -441,7 +422,7 @@ class TestRollingOracle:
         y = 0.5 * x + rng.standard_normal(300)
         x[rng.random(300) < 0.1] = np.nan
         y[rng.random(300) < 0.1] = np.nan
-        means, corrs = _window_oracle(x, y, window, min_periods)
+        means, corrs = reference.trailing_windows(x, y, window, min_periods)
         mean = rolling_mean(Series(x), window, min_periods).array
         corr = rolling_corr(Series(x), Series(y), window, min_periods).array
         np.testing.assert_array_equal(np.isnan(mean), np.isnan(means))
