@@ -27,6 +27,14 @@ class MissingColumn(InputError):
         self.name = name
 
 
+class DuplicateColumn(InputError):
+    """A header names ``Date`` or a loaded column more than once."""
+
+    def __init__(self, name: str):
+        super().__init__(f"column {name!r} appears more than once in the header")
+        self.name = name
+
+
 class UnparseableValue(InputError):
     def __init__(self, row: int, column: str, text: str):
         super().__init__(f"row {row}, column {column!r}: cannot parse {text!r}")

@@ -11,17 +11,20 @@ their inputs.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
+from datetime import time as Time
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     DegenerateRange,
+    DuplicateColumn,
     DuplicateDate,
     LeadingOrTrailingGap,
     MalformedRecord,
@@ -200,10 +203,15 @@ class Panel:
 
 
 def parse_panel_date(text: str, row: int) -> Date:
-    """ISO date, tolerating a time-of-day suffix (``2018-01-01 00:00:00``)."""
-    head = text.strip().replace("T", " ").split(" ")[0]
+    """ISO date, tolerating a time-of-day suffix after a space or ``T`` that
+    ``datetime.time.fromisoformat`` reads (``2018-01-01 00:00:00``); any
+    other suffix raises :class:`UnparseableValue`."""
+    stripped = text.strip()
+    day = stripped.replace("T", " ").split(" ")[0]
     try:
-        return Date.fromisoformat(head)
+        if day != stripped:
+            Time.fromisoformat(stripped[len(day) + 1 :])
+        return Date.fromisoformat(day)
     except ValueError:
         raise UnparseableValue(row, DATE_COLUMN, text) from None
 
@@ -215,6 +223,71 @@ class CsvScan(NamedTuple):
     columns: list[str]       # the loaded columns, in matrix order
     dates: list[Date]
     matrix: np.ndarray       # (rows, len(columns)) float64, NaN for missing
+
+
+def _resolve_header(
+    header: list[str] | None, schema: Sequence[str] | None
+) -> tuple[list[str], int, list[int]]:
+    """The loaded columns and the header positions of ``Date`` and of each
+    loaded column; raises :class:`MissingColumn` for an absent one and
+    :class:`DuplicateColumn` for one the header names twice."""
+    if header is None or DATE_COLUMN not in header:
+        raise MissingColumn(DATE_COLUMN)
+    columns = (
+        [c for c in header if c != DATE_COLUMN] if schema is None else list(schema)
+    )
+    for name in columns:
+        if name not in header:
+            raise MissingColumn(name)
+    for name in [DATE_COLUMN, *columns]:
+        if header.count(name) > 1:
+            raise DuplicateColumn(name)
+    return columns, header.index(DATE_COLUMN), [header.index(c) for c in columns]
+
+
+def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
+    """The file's text read by ``np.loadtxt``, or None for the record loop
+    to read it. None comes before the parse for a double quote, which only
+    the ``csv`` module reads, two adjacent commas (a gappy file's empty
+    cell), a CR inside the header line or a line longer than the ``csv``
+    module's field limit; after it for a cell numpy rejects (an empty one
+    at a line's end too), a non-finite value, a bad or repeated date, or no
+    data line."""
+    if '"' in text or ",," in text:
+        return None
+    lines = text.split("\n")
+    head = lines[0].removesuffix("\r")
+    if "\r" in head or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = head.split(",")
+    columns, date_idx, col_idx = _resolve_header(header, schema)
+    # the lines np.loadtxt skips as empty, so that dates and rows pair up;
+    # with none left it would warn that the input holds no data
+    body = [line for line in lines[1:] if line not in ("", "\r")]
+    if not body:
+        return None
+    try:
+        matrix = np.loadtxt(
+            body,
+            delimiter=",",
+            comments=None,
+            usecols=col_idx,
+            dtype=np.float64,
+            ndmin=2,
+        )
+        dates = [
+            parse_panel_date(line.split(",", date_idx + 1)[date_idx], 0)
+            for line in body
+        ]
+    except (IndexError, ValueError, UnparseableValue):
+        return None
+    if (
+        not np.isfinite(matrix).all()
+        or len(set(dates)) < len(dates)
+        or len(matrix) != len(dates)
+    ):
+        return None
+    return CsvScan(header, columns, dates, matrix)
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -231,65 +304,73 @@ def _records(reader) -> Iterator[tuple[int, list[str]]]:
         yield row_no, record
 
 
+def _scan_records(text: str, schema: Sequence[str] | None) -> CsvScan:
+    """The record loop: the file's text read by ``csv.reader`` one record at
+    a time, the only reader that names a failing row, reads quoted cells and
+    turns an empty cell into NaN."""
+    # streamed from UTF-8 bytes as from the file, not from an io.StringIO,
+    # which would hold four bytes per character of the text
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+    records = _records(csv.reader(stream))
+    _, header = next(records, (1, None))
+    columns, date_idx, col_idx = _resolve_header(header, schema)
+    last = max([date_idx, *col_idx])
+
+    dates: list[Date] = []
+    seen: set[Date] = set()
+    rows: list[list[float]] = []
+    for row_no, record in records:
+        if not record or all(cell.strip() == "" for cell in record):
+            continue
+        if len(record) <= last:
+            raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
+        when = parse_panel_date(record[date_idx], row_no)
+        if when in seen:
+            raise DuplicateDate(when)
+        seen.add(when)
+        dates.append(when)
+        cells: list[float] = []
+        for name, j in zip(columns, col_idx):
+            token = record[j].strip()
+            if token == "":
+                cells.append(math.nan)
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                raise UnparseableValue(row_no, name, token) from None
+            # the empty cell is the only missing representation; nan/inf
+            # tokens are data corruption, not values
+            if not math.isfinite(value):
+                raise UnparseableValue(row_no, name, token)
+            cells.append(value)
+        rows.append(cells)
+
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return CsvScan(header, columns, dates, matrix)
+
+
 def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     """Parse a comma-separated UTF-8 file with a header row; a leading
     byte-order mark, which spreadsheet tools write, is dropped.
 
     Loads the ``schema`` columns, or every non-Date header column when
     ``schema`` is omitted; a schema column absent from the header raises
-    :class:`MissingColumn`. Blank rows are skipped. Empty cells are missing
+    :class:`MissingColumn`, and ``Date`` or a loaded column named twice
+    :class:`DuplicateColumn`. Blank rows are skipped. Empty cells are missing
     values; a row too short for a loaded column, a cell that is not a finite
     dot-decimal number (``nan`` and ``inf`` included) and a bad date raise
     :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`,
     and a record the ``csv`` module cannot split :class:`MalformedRecord`.
+
+    A file with no double quote and no empty field is read by numpy's C
+    reader; any other file, and any file that reader does not accept whole,
+    by the record loop, so both give the same results and the same errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _records(csv.reader(fh))
-        _, header = next(records, (1, None))
-        if header is None or DATE_COLUMN not in header:
-            raise MissingColumn(DATE_COLUMN)
-        columns = (
-            [c for c in header if c != DATE_COLUMN] if schema is None else list(schema)
-        )
-        for name in columns:
-            if name not in header:
-                raise MissingColumn(name)
-        date_idx = header.index(DATE_COLUMN)
-        col_idx = [header.index(name) for name in columns]
-        last = max([date_idx, *col_idx])
-
-        dates: list[Date] = []
-        seen: set[Date] = set()
-        rows: list[list[float]] = []
-        for row_no, record in records:
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if len(record) <= last:
-                raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
-            when = parse_panel_date(record[date_idx], row_no)
-            if when in seen:
-                raise DuplicateDate(when)
-            seen.add(when)
-            dates.append(when)
-            cells: list[float] = []
-            for name, j in zip(columns, col_idx):
-                text = record[j].strip()
-                if text == "":
-                    cells.append(math.nan)
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise UnparseableValue(row_no, name, text) from None
-                # the empty cell is the only missing representation; nan/inf
-                # tokens are data corruption, not values
-                if not math.isfinite(value):
-                    raise UnparseableValue(row_no, name, text)
-                cells.append(value)
-            rows.append(cells)
-
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
-    return CsvScan(header, columns, dates, matrix)
+        text = fh.read()
+    scan = _scan_plain(text, schema)
+    return _scan_records(text, schema) if scan is None else scan
 
 
 def load_csv(path, schema: Sequence[str] | None = None) -> Panel:

@@ -47,5 +47,6 @@ def test_tracer_runs_the_pipeline_and_records_every_stage(tmp_path):
     assert child.returncode == 0, child.stderr
     names = {name for name, *_ in json.loads(spans.read_text())["spans"]}
     assert {f"cli.{stage}" for stage in STAGES} <= names
-    # the colimit's windows stay calls into `panel`, so their layers are timed
-    assert {"panel.rolling_corr", "panel.rolling_mean"} <= names
+    # the read and the colimit's windows stay calls into `panel` through the
+    # names the tracer wraps, so their layers are timed
+    assert {"panel.load_csv", "panel.rolling_corr", "panel.rolling_mean"} <= names

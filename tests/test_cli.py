@@ -115,6 +115,23 @@ class TestValidate:
             errors.append(json.loads(line)["error"])
         assert errors == ["DuplicateDate", "DuplicateDate"]
 
+    def test_repeated_header_name_exits_one_and_names_it(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("Date,M2,M2\n2018-01-01,1,2\n", encoding="utf-8")
+        errors = []
+        for argv in (
+            ["validate", "--input", str(path)],
+            ["pipeline", "--input", str(path), "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.strip().splitlines()
+            doc = json.loads(line)
+            errors.append((doc["error"], doc["message"]))
+        message = "column 'M2' appears more than once in the header"
+        assert errors == [("DuplicateColumn", message)] * 2
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from bimonetary import panel as panel_module
 from bimonetary.errors import (
+    BimonetaryError,
     DegenerateRange,
+    DuplicateColumn,
     DuplicateDate,
     LeadingOrTrailingGap,
+    MalformedRecord,
     MissingColumn,
     SeriesTooShort,
     UnparseableValue,
@@ -31,6 +35,7 @@ from bimonetary.panel import (
     quote,
     rolling_corr,
     rolling_mean,
+    scan_csv,
     text_rows,
     write_csv,
     write_rows,
@@ -50,6 +55,73 @@ def canonical_header():
 
 def canonical_row(day, value):
     return ",".join([day] + [str(value)] * len(CANONICAL_VARIABLES))
+
+
+def read_outcome(read, source, schema):
+    """What ``read`` gives: the scan, its matrix as bits, or the error's type
+    and message."""
+    try:
+        scan = read(source, schema)
+    except BimonetaryError as error:
+        return type(error), str(error)
+    matrix = scan.matrix
+    return scan.header, scan.columns, scan.dates, matrix.shape, matrix.tobytes()
+
+
+PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+# cells other than a plain number: padded, underscored, non-finite, empty,
+# blank, quoted, or no number at all
+ODD_NUMBERS = st.sampled_from(
+    [" 1.5 ", "\t-2\t", "\xa03", "1_000", "nan", "NaN", "inf", "-inf", "Infinity",
+     "1e400", "-1e400", "", " ", "  ", '"2.5"', '"1,5"', '""', "abc", "1e", "0x10",
+     "+.5", "-0.0", "１"]
+)
+ODD_DATES = st.sampled_from(
+    [" 2018-01-02 ", "2018-01-03T00:00:00", "2018-01-04 12:30", "2018-01-05 garbage",
+     "2018-01-06Tnonsense", "2018-13-01", "20180107", "", "  ", '"2018-01-08"']
+)
+
+
+@st.composite
+def panel_texts(draw):
+    """The text of a small panel CSV and a schema to load it with. One draw
+    in two is complete and quote-free with distinct dates, so numpy reads
+    it; the others mix in odd cells, repeated dates, blank lines, short and
+    long rows, repeated names, stray CRs and absent schema columns."""
+    plain = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(["x", "y", "M2"]), unique=True, max_size=3))
+    header = draw(st.permutations(["Date", *names]))
+    if not plain and draw(st.booleans()):
+        header.append(draw(st.sampled_from(header)))
+    numbers = PLAIN_NUMBERS if plain else st.one_of(PLAIN_NUMBERS, ODD_NUMBERS)
+    days = draw(st.permutations(range(1, 10)))
+    lines = [",".join(header)]
+    for day in days[: draw(st.integers(0, 6))]:
+        date = f"2018-01-0{day}"
+        if not plain:
+            date = draw(st.sampled_from([date, "2018-01-01"]) | ODD_DATES)
+        cells = [date if name == "Date" else draw(numbers) for name in header]
+        if not plain and draw(st.booleans()):
+            cells = cells[: draw(st.integers(0, len(cells)))]
+            cells += draw(st.lists(numbers, max_size=1))
+        lines.append(",".join(cells))
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            blank = draw(st.sampled_from(["", " ", ",,", " , "]))
+            lines.insert(draw(st.integers(1, len(lines))), blank)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    if not plain and draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    schema_names = names if plain else [*names, "w"]
+    schema = None
+    if draw(st.booleans()):
+        schema = [n for n in draw(st.permutations(schema_names)) if draw(st.booleans())]
+    return text, schema
 
 
 class TestLoadCsv:
@@ -163,6 +235,107 @@ class TestLoadCsv:
         write_csv(panel, path)
         assert path.read_bytes().startswith(b'Date,"spread, ""EMBI"" basis",x\r\n')
         assert load_csv(path) == panel
+
+    @pytest.mark.parametrize(
+        "stamp",
+        ["2018-01-01 garbage", "2018-01-01Tnonsense", "2018-01-01T", "2018-01-01 0:0"],
+    )
+    def test_suffix_that_is_not_a_time_of_day_is_rejected(self, tmp_path, stamp):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["Date,x", "2018-01-02T00:00:00,2", f"{stamp},1"])
+        with pytest.raises(UnparseableValue) as info:
+            load_csv(path)
+        error = info.value
+        assert (error.row, error.column, error.text) == (3, "Date", stamp)
+
+    @pytest.mark.parametrize(
+        "header, schema, name",
+        [
+            ("Date,M2,M2", None, "M2"),
+            ("Date,M2,x,Date", None, "Date"),
+            ("Date,x,M2,M2", ["M2"], "M2"),
+            ('Date,"M2",M2', ["M2"], "M2"),
+        ],
+        ids=["loaded", "date", "schema", "quoted"],
+    )
+    def test_repeated_header_name_is_an_error(self, tmp_path, header, schema, name):
+        path = tmp_path / "data.csv"
+        write_lines(path, [header, "2018-01-01,1,2,3"])
+        with pytest.raises(DuplicateColumn) as info:
+            load_csv(path, schema)
+        assert info.value.name == name
+
+    def test_repeated_unloaded_header_name_is_ignored(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["Date,note,M2,note", "2018-01-01,1,2,3"])
+        assert load_csv(path, ["M2"]).column("M2").values == (2.0,)
+
+    def test_header_only_file_is_empty_and_warns_nothing(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"Date,x,y\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            panel = load_csv(path)
+        assert (panel.n_rows, panel.variables) == (0, ("x", "y"))
+
+    def test_unquoted_cell_over_the_csv_field_limit_names_its_row(self, tmp_path):
+        # numpy would read the file, as the long cell is in no loaded column;
+        # the csv module stops a field at 131,072 characters
+        path = tmp_path / "long.csv"
+        long_row = "2018-01-02,2," + "a" * 200_000
+        write_lines(path, ["Date,x,note", "2018-01-01,1,a", long_row])
+        with pytest.raises(MalformedRecord) as info:
+            load_csv(path, ["x"])
+        assert info.value.row == 3
+
+
+class TestCsvRoutes:
+    """`scan_csv` reads a quote-free file without empty cells with
+    `np.loadtxt` and every other file, and every error, with the record
+    loop; the two must agree on everything they both read."""
+
+    def test_complete_quote_free_file_never_reaches_the_csv_module(
+        self, tmp_path, monkeypatch
+    ):
+        class Reached(Exception):
+            pass
+
+        def reader(*args, **kwargs):
+            raise Reached
+
+        panel = make_canonical_panel(2000)
+        path = tmp_path / "panel.csv"
+        write_csv(panel, path)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        cells = lines[1001].split(",")
+        cells[1 + CANONICAL_VARIABLES.index("M2")] = ""
+        lines[1001] = ",".join(cells)
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+        monkeypatch.setattr(csv, "reader", reader)
+        assert load_csv(path) == panel
+        with pytest.raises(Reached):
+            load_csv(gappy)
+        monkeypatch.undo()
+        m2 = panel.column("M2").to_array()
+        m2[1000] = math.nan
+        assert load_csv(gappy) == panel.with_columns({"M2": Series(m2)})
+
+    @given(panel_texts())
+    @example(("Date,x\ry\n2018-01-01,1\n", None))
+    @example(("Date,x\n2018-01-01,1\n\n2018-01-02,2\r\n", None))
+    @example(("Date,x,y\n2018-01-01,1,2,\n", ["x"]))
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_read_alike(self, case):
+        text, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            for mark in ("", "\ufeff"):
+                path.write_bytes((mark + text).encode("utf-8"))
+                assert read_outcome(scan_csv, path, schema) == read_outcome(
+                    panel_module._scan_records, text, schema
+                )
 
 
 # special values of the writer's text contract, then any finite float
