@@ -28,11 +28,13 @@ from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
     Panel,
+    Table,
     load_csv,
     quote,
     scan_csv,
     text_rows,
     write_csv,
+    write_tables,
 )
 from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
@@ -44,8 +46,9 @@ EXIT_NUMERICAL = 2
 
 
 #: Failures reported as one JSON line on stderr instead of a traceback;
-#: ValueError covers np.linalg.LinAlgError and json.JSONDecodeError.
-HANDLED_ERRORS = (BimonetaryError, FileNotFoundError, ValueError)
+#: ValueError covers np.linalg.LinAlgError and json.JSONDecodeError, and
+#: OSError a file that cannot be read or written.
+HANDLED_ERRORS = (BimonetaryError, OSError, ValueError)
 
 
 def _fail(stage: str, error: Exception) -> int:
@@ -369,8 +372,9 @@ def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
     )
 
 
-def _safe_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+def _scenario_file(name: str) -> str:
+    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+    return f"scenario_{safe}.csv"
 
 
 def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
@@ -390,12 +394,18 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
     # baseline cells are formatted once for all scenario files
     baseline = comparisons[0].baseline.array
     shared = text_rows(range(len(baseline)), baseline)
-    for comparison in comparisons:
-        _write_csv(
-            out / f"scenario_{_safe_name(comparison.name)}.csv",
-            ["index", "baseline", "shocked", "difference"],
-            text_rows(shared, comparison.shocked.array, comparison.difference.array),
+    header = ["index", "baseline", "shocked", "difference"]
+    tables = [
+        Table(
+            out / _scenario_file(c.name),
+            header,
+            (shared, c.shocked.array, c.difference.array),
         )
+        for c in comparisons
+    ]
+    # the writer is looked up at call time, so a wrapper set on the module
+    # sees this process's files
+    write_tables(tables, _write_csv)
 
 
 def _stage_calibrate(panel: Panel, out: Path, config: Config) -> None:
@@ -469,7 +479,17 @@ def _plan(args, config: Config) -> dict[str, tuple]:
     if "sensitivity" in inputs:
         if not args.scenarios:
             raise InputError("--scenarios is required for the sensitivity stage")
-        inputs["sensitivity"] = (scen.load_scenarios(args.scenarios),)
+        specs = scen.load_scenarios(args.scenarios)
+        owners: dict[str, str] = {}  # scenario file -> scenario name
+        for spec in specs:
+            file = _scenario_file(spec.name)
+            if file in owners:
+                raise InputError(
+                    f"scenarios {owners[file]!r} and {spec.name!r} would both "
+                    f"write {file}"
+                )
+            owners[file] = spec.name
+        inputs["sensitivity"] = (specs,)
     if "simulate" in inputs:
         inputs["simulate"] = (_load_coefficients(config),)
     if "functor-check" in inputs:
@@ -490,16 +510,17 @@ def _plan(args, config: Config) -> dict[str, tuple]:
 def run_stages(args) -> int:
     """Every command but `validate`: check the config, the stage list and
     the stages' input files, then make the out dir, load the panel, run the
-    stages and write the manifest. Once the out dir exists, a failure is
-    reported under the step it happened in: ``load``, the stage, or
-    ``manifest``; before, `main` reports it under the command's name."""
+    stages and write the manifest. A failure in those four steps is
+    reported under the step it happened in: ``out``, ``load``, the stage,
+    or ``manifest``; before, `main` reports it under the command's name."""
     doc, config = _load_config(args.config)
     plan = _plan(args, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
-    stage = "load"
+    stage = "out"
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = "load"
         panel = load_csv(args.input, config.schema)
         panel = panel.clean() if config.interpolate else panel
         for stage, inputs in plan.items():

@@ -11,9 +11,10 @@ their inputs.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
+import os
+import pickle
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -203,14 +204,20 @@ class Panel:
 
 
 def parse_panel_date(text: str, row: int) -> Date:
-    """ISO date, tolerating a time-of-day suffix after a space or ``T`` that
-    ``datetime.time.fromisoformat`` reads (``2018-01-01 00:00:00``); any
-    other suffix raises :class:`UnparseableValue`."""
+    """ISO date, tolerating one space or ``T`` followed by a time of day
+    without a UTC offset that ``datetime.time.fromisoformat`` reads
+    (``2018-01-01 00:00:00``); any other suffix raises
+    :class:`UnparseableValue`."""
     stripped = text.strip()
     day = stripped.replace("T", " ").split(" ")[0]
     try:
         if day != stripped:
-            Time.fromisoformat(stripped[len(day) + 1 :])
+            clock = stripped[len(day) + 1 :]
+            # fromisoformat also reads a leading "T" and a UTC offset, which
+            # would pass a doubled separator and drop a zone without
+            # shifting the day
+            if not (clock[:1].isdigit() and Time.fromisoformat(clock).tzinfo is None):
+                raise ValueError(clock)
         return Date.fromisoformat(day)
     except ValueError:
         raise UnparseableValue(row, DATE_COLUMN, text) from None
@@ -304,14 +311,11 @@ def _records(reader) -> Iterator[tuple[int, list[str]]]:
         yield row_no, record
 
 
-def _scan_records(text: str, schema: Sequence[str] | None) -> CsvScan:
-    """The record loop: the file's text read by ``csv.reader`` one record at
-    a time, the only reader that names a failing row, reads quoted cells and
-    turns an empty cell into NaN."""
-    # streamed from UTF-8 bytes as from the file, not from an io.StringIO,
-    # which would hold four bytes per character of the text
-    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
-    records = _records(csv.reader(stream))
+def _scan_records(lines: Iterable[str], schema: Sequence[str] | None) -> CsvScan:
+    """The record loop: the file's lines, ends kept, read by ``csv.reader``
+    one record at a time, the only reader that names a failing row, reads
+    quoted cells and turns an empty cell into NaN."""
+    records = _records(csv.reader(lines))
     _, header = next(records, (1, None))
     columns, date_idx, col_idx = _resolve_header(header, schema)
     last = max([date_idx, *col_idx])
@@ -368,9 +372,13 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     by the record loop, so both give the same results and the same errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    scan = _scan_plain(text, schema)
-    return _scan_records(text, schema) if scan is None else scan
+        scan = _scan_plain(fh.read(), schema)
+        if scan is None:
+            # the text is gone by now: the record loop streams the file
+            # again rather than hold the text beside its rows
+            fh.seek(0)
+            scan = _scan_records(fh, schema)
+    return scan
 
 
 def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
@@ -413,15 +421,14 @@ def text_rows(*columns: Iterable) -> list[str]:
     """CSV records of equal-length columns, without line ends. A float array
     goes through :func:`format_column`; any other column's items through
     ``str``, so dates come out in ISO form and names must be :func:`quote`d."""
-    cells = [
-        format_column(c)
-        if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-        else map(str, c)
-        for c in columns
-    ]
+    cells = [format_column(c) if _is_float(c) else map(str, c) for c in columns]
     rows = list(map(",".join, zip(*cells, strict=True)))
     # csv.writer quotes the only cell of a one-cell record when it is empty
     return [row or '""' for row in rows] if len(cells) == 1 else rows
+
+
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
 def write_rows(path, header: Sequence[str], rows: Sequence[str]) -> None:
@@ -431,6 +438,113 @@ def write_rows(path, header: Sequence[str], rows: Sequence[str]) -> None:
     head = ",".join(map(quote, header)) or '""'
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join([head, *rows, ""]))
+
+
+#: Float cells per writer process of :func:`write_tables`. Forking a child
+#: costs about what formatting a few tens of thousands of cells does
+#: (``repr`` takes over a microsecond a float), so each process gets at
+#: least this many.
+CELLS_PER_WRITER = 200_000
+
+
+class Table(NamedTuple):
+    """One file of :func:`write_tables`: the path and header of
+    :func:`write_rows` and the :func:`text_rows` columns of its records."""
+
+    path: object
+    header: Sequence[str]
+    columns: Sequence
+
+
+def writer_count(tables: Sequence[Table]) -> int:
+    """The processes :func:`write_tables` writes ``tables`` with: at most
+    one per CPU this process may run on, one per table and one per
+    :data:`CELLS_PER_WRITER` float cells, and at least one. Without
+    ``os.fork`` or a CPU affinity mask (off Linux), one."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cells = sum(len(c) for table in tables for c in table.columns if _is_float(c))
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, len(tables), cells // CELLS_PER_WRITER))
+
+
+def _write_share(tables, first: int, step: int, write) -> list[tuple[int, OSError]]:
+    """Write tables ``first``, ``first + step``, ... until one fails with an
+    OSError; that table's index and error, or nothing."""
+    for i in range(first, len(tables), step):
+        path, header, columns = tables[i]
+        try:
+            write(path, header, text_rows(*columns))
+        except OSError as error:
+            return [(i, error)]
+    return []
+
+
+def _fork_writer(tables, first: int, step: int, write) -> tuple[int, int]:
+    """A child process that writes its :func:`_write_share` and exits: its
+    pid and the read end of the pipe on which it reports a failure."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # the child never leaves this block: os._exit skips the parent's
+        # cleanup, buffered output and exit handlers
+        code = 1
+        try:
+            os.close(read_end)
+            failed = _write_share(tables, first, step, write)
+            if failed:
+                os.write(write_end, pickle.dumps(failed[0]))
+            else:
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(pid: int, read_end: int) -> list[tuple[int, OSError]]:
+    """Wait for a :func:`_fork_writer` child: the failure it reported, or
+    one for a child that ended badly without a report, or nothing."""
+    with open(read_end, "rb") as pipe:
+        report = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if report:
+        # written by our own child just now
+        return [pickle.loads(report)]
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        # a child that ended without a report (killed, say) comes first
+        error = ChildProcessError(f"a CSV writer process ended with code {code}")
+        return [(-1, error)]
+    return []
+
+
+def write_tables(tables: Sequence[Table], write=write_rows) -> None:
+    """Write every table as ``write(path, header, text_rows(*columns))``,
+    with the tables dealt round-robin over :func:`writer_count` processes:
+    this one writes tables 0, n, 2n, ... and each of n - 1 forked children
+    its own share, each with the same code, so a file's bytes do not depend
+    on n. Every child is waited for before this returns or raises. An
+    OSError raised writing a table, in this process or a child, is raised
+    here; when several tables fail, the first in table order, as one
+    process would have stopped there."""
+    n = writer_count(tables)
+    children: list[tuple[int, int]] = []
+    failures: list[tuple[int, OSError]] = []
+    try:
+        for first in range(1, n):
+            children.append(_fork_writer(tables, first, n, write))
+        failures += _write_share(tables, 0, n, write)
+    finally:
+        for pid, read_end in children:
+            failures += _reap(pid, read_end)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def write_csv(panel: Panel, path) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bimonetary import panel as panel_module
 from bimonetary.category import (
     Affine,
     Diagram,
@@ -654,6 +655,32 @@ class TestPipeline:
         assert doc["variables"] == ["v2", "v0", "v1"]
 
 
+def _scenario_file(tmp_path, names):
+    path = tmp_path / "scenarios.json"
+    shock = {"variable": "M2", "kind": "multiplicative", "magnitude": 1.5}
+    doc = [{"name": name, "shocks": [shock]} for name in names]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _count_writers(monkeypatch):
+    """Lets every float cell count as a writer's share, so that the scenario
+    files are written by min(CPUs, files) processes; returns the pids of the
+    children forked."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
+    return forked
+
+
 class TestScenarioCommand:
     def test_three_scenarios_three_csvs(self, canonical_csv, tmp_path):
         scenario_file = tmp_path / "scenarios.json"
@@ -751,6 +778,62 @@ class TestScenarioCommand:
         )
         assert code == 1
         assert "Nope" in capsys.readouterr().err
+
+    def test_scenario_files_do_not_depend_on_the_writer_count(
+        self, canonical_csv, tmp_path, monkeypatch, capfd
+    ):
+        forked = _count_writers(monkeypatch)
+        scenarios = _scenario_file(tmp_path, ["m2 up", "rate up", "both"])
+        trees = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"writers-{cpus}"
+            argv = ["scenario", "--input", str(canonical_csv)]
+            argv += ["--scenarios", str(scenarios), "--out", str(out)]
+            assert main(argv) == 0
+            trees.append(tree_bytes(out))
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # no writer outlives the run
+            os.waitpid(-1, os.WNOHANG)
+        assert trees[0] == trees[1]
+        assert len([name for name in trees[0] if name.startswith("scenario_")]) == 3
+        assert capfd.readouterr().err == ""
+
+    def test_scenario_names_sharing_a_file_are_an_input_error(
+        self, canonical_csv, tmp_path, capsys
+    ):
+        scenarios = _scenario_file(tmp_path, ["a b", "a_b"])
+        out = tmp_path / "scen"
+        argv = ["scenario", "--input", str(canonical_csv)]
+        argv += ["--scenarios", str(scenarios), "--out", str(out)]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("InputError", "scenario")
+        assert "'a b'" in doc["message"] and "'a_b'" in doc["message"]
+        assert "scenario_a_b.csv" in doc["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["m2_up", "rate_up"], ids=["own", "child"])
+    def test_scenario_file_that_is_a_directory_exits_one(
+        self, canonical_csv, tmp_path, monkeypatch, capsys, blocked
+    ):
+        # two writers: this process writes scenarios 0 and 2, a child 1
+        forked = _count_writers(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        scenarios = _scenario_file(tmp_path, ["m2 up", "rate up", "both"])
+        out = tmp_path / "scen"
+        (out / f"scenario_{blocked}.csv").mkdir(parents=True)
+        argv = ["scenario", "--input", str(canonical_csv)]
+        argv += ["--scenarios", str(scenarios), "--out", str(out)]
+        assert main(argv) == 1
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("IsADirectoryError", "sensitivity")
+        assert f"scenario_{blocked}.csv" in doc["message"]
 
 
 class TestOtherCommands:
@@ -944,6 +1027,16 @@ class TestOtherCommands:
         assert main(argv) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert json.loads(line)["stage"] == "load"
+
+    def test_out_that_is_a_file_exits_one(self, canonical_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        argv = ["equilibrium", "--input", str(canonical_csv), "--out", str(out)]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("FileExistsError", "out")
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import os
+import signal
 import tempfile
 import warnings
 from datetime import date
@@ -27,6 +29,7 @@ from bimonetary.panel import (
     CANONICAL_VARIABLES,
     Panel,
     Series,
+    Table,
     difference,
     format_cell,
     linear_interpolate,
@@ -39,10 +42,12 @@ from bimonetary.panel import (
     text_rows,
     write_csv,
     write_rows,
+    write_tables,
+    writer_count,
 )
 from bimonetary.scenarios import CategorySpec, Shock, apply_scenario, learning_enrich
 from tests import reference
-from tests.conftest import daily_dates, make_canonical_panel
+from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 
 def write_lines(path, lines):
@@ -238,7 +243,27 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "stamp",
-        ["2018-01-01 garbage", "2018-01-01Tnonsense", "2018-01-01T", "2018-01-01 0:0"],
+        ["2018-01-01T00:00", "2018-01-01 12:30:15.500", "2018-01-01T23"],
+    )
+    def test_one_separator_and_a_time_of_day_are_read(self, tmp_path, stamp):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["Date,x", f"{stamp},1", "2018-01-02,2"])
+        assert load_csv(path).dates[0] == date(2018, 1, 1)
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2018-01-01 garbage",
+            "2018-01-01Tnonsense",
+            "2018-01-01T",
+            "2018-01-01 0:0",
+            # one separator only, and a time of day without a UTC offset
+            "2018-01-01TT00:00",
+            "2018-01-01 T00:00",
+            "2018-01-01  00:00",
+            "2018-01-01 00:00:00Z",
+            "2018-01-01T00:00+05:00",
+        ],
     )
     def test_suffix_that_is_not_a_time_of_day_is_rejected(self, tmp_path, stamp):
         path = tmp_path / "data.csv"
@@ -334,7 +359,7 @@ class TestCsvRoutes:
             for mark in ("", "\ufeff"):
                 path.write_bytes((mark + text).encode("utf-8"))
                 assert read_outcome(scan_csv, path, schema) == read_outcome(
-                    panel_module._scan_records, text, schema
+                    panel_module._scan_records, io.StringIO(text, newline=""), schema
                 )
 
 
@@ -404,6 +429,139 @@ class TestCsvWriter:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             text_rows(["a", "b"], np.array([1.0]))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Sets the CPUs `write_tables` sees, and counts every float cell as a
+    writer's share, so that it writes with min(cpus, tables) processes;
+    returns the pids of the children it forks."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def use(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return forked
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
+    return use
+
+
+def scenario_like_tables(root, count):
+    rng = np.random.default_rng(SEED)
+    shared = text_rows(range(4), rng.standard_normal(4))
+    special = np.array([math.nan, -0.0, 5e-324, 1e22])
+    return [
+        Table(root / f"t{i}.csv", ["index", "a", "b"], (shared, rng.random(4), special))
+        for i in range(count)
+    ]
+
+
+class TestTableWriter:
+    def test_bytes_do_not_depend_on_the_writer_count(self, tmp_path, writers):
+        trees = []
+        for cpus in (1, 2, 3):
+            forked = writers(cpus)
+            root = tmp_path / str(cpus)
+            root.mkdir()
+            tables = scenario_like_tables(root, 5)
+            assert writer_count(tables) == cpus
+            write_tables(tables)
+            trees.append({p.name: p.read_bytes() for p in root.iterdir()})
+        assert_no_child_left()
+        assert len(forked) == 0 + 1 + 2
+        assert trees[0] == trees[1] == trees[2]
+        path, header, columns = scenario_like_tables(tmp_path, 1)[0]
+        write_rows(path, header, text_rows(*columns))
+        assert trees[2]["t0.csv"] == path.read_bytes()
+
+    def test_processes_are_bounded_by_cpus_tables_and_cells(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        column = np.zeros(1000)
+        many = [Table(tmp_path / f"{i}.csv", ["x"], (column,)) for i in range(1000)]
+        assert writer_count(many) == 1_000_000 // panel_module.CELLS_PER_WRITER
+        # text columns are formatted already, so they are no share of work
+        cells = ["1.5"] * 10**6
+        text = [Table(tmp_path / f"{i}.csv", ["x"], (cells,)) for i in range(4)]
+        assert writer_count(text) == 1
+        monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
+        assert writer_count(many) == 64
+        assert writer_count(many[:3]) == 3
+        assert writer_count([]) == 1
+        monkeypatch.delattr(os, "fork")
+        assert writer_count(many) == 1
+
+    def test_many_tables_fork_one_child_per_extra_cpu(self, tmp_path, writers):
+        forked = writers(4)
+        tables = scenario_like_tables(tmp_path, 200)
+        write_tables(tables)
+        assert len(forked) == 3
+        assert len(list(tmp_path.iterdir())) == 200
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "blocked",
+        [[1], [0], [1, 2], [2, 3]],
+        ids=["child", "own", "child-first", "own-first"],
+    )
+    def test_first_failing_table_is_raised_after_every_child_ends(
+        self, tmp_path, writers, blocked
+    ):
+        messages = []
+        for cpus in (1, 2):  # with 2, this process writes tables 0 and 2
+            writers(cpus)
+            root = tmp_path / str(cpus)
+            root.mkdir()
+            tables = scenario_like_tables(root, 4)
+            for i in blocked:
+                tables[i].path.mkdir()
+            with pytest.raises(IsADirectoryError) as info:
+                write_tables(tables)
+            assert_no_child_left()
+            assert info.value.filename == str(tables[blocked[0]].path)
+            messages.append(str(info.value).replace(str(root), "ROOT"))
+        assert messages[0] == messages[1]
+
+    def test_child_that_dies_is_an_error(self, tmp_path, writers):
+        writers(2)
+        parent = os.getpid()
+
+        def write(path, header, rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(path, header, rows)
+
+        with pytest.raises(ChildProcessError, match="code -9"):
+            write_tables(scenario_like_tables(tmp_path, 2), write)
+        assert_no_child_left()
+
+    def test_own_failure_waits_for_every_child(self, tmp_path, writers):
+        writers(3)
+        parent = os.getpid()
+
+        def write(path, header, rows):
+            if os.getpid() == parent:
+                raise MemoryError
+            write_rows(path, header, rows)
+
+        with pytest.raises(MemoryError):
+            write_tables(scenario_like_tables(tmp_path, 3), write)
+        assert_no_child_left()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.csv", "t2.csv"]
 
 
 class TestSeriesStorage:
