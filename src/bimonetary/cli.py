@@ -38,7 +38,7 @@ from .panel import (
 )
 from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
-from .typed_json import parse, read_json, reject_repeats
+from .typed_json import parse, read_json, reject_repeats, reject_reversed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,6 +89,7 @@ class SensitivitySection:
 
     def __post_init__(self) -> None:
         reject_repeats("model_variables", self.model_variables)
+        reject_reversed("window", self.window)
         if self.max_lags < 0:
             raise ValueError(f"max_lags must be at least 0: {self.max_lags}")
 

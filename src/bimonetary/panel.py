@@ -14,7 +14,6 @@ import csv
 import itertools
 import math
 import os
-import pickle
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -98,10 +97,6 @@ class Series:
         v = float(self.array[i])
         return None if math.isnan(v) else v
 
-    @property
-    def is_complete(self) -> bool:
-        return not np.isnan(self.array).any()
-
     def to_array(self) -> np.ndarray:
         """A writable copy of the column."""
         return self.array.copy()
@@ -157,9 +152,6 @@ class Panel:
             return self.columns[name]
         except KeyError:
             raise UnknownVariable(name) from None
-
-    def has_column(self, name: str) -> bool:
-        return name in self.columns
 
     def select(self, names: Sequence[str]) -> "Panel":
         return Panel._on_checked_dates(
@@ -468,60 +460,26 @@ def writer_count(tables: Sequence[Table]) -> int:
     return max(1, min(cpus, len(tables), cells // CELLS_PER_WRITER))
 
 
-def _write_share(tables, first: int, step: int, write) -> list[tuple[int, OSError]]:
-    """Write tables ``first``, ``first + step``, ... until one fails with an
-    OSError; that table's index and error, or nothing."""
-    for i in range(first, len(tables), step):
-        path, header, columns = tables[i]
-        try:
-            write(path, header, text_rows(*columns))
-        except OSError as error:
-            return [(i, error)]
-    return []
+def _write_share(tables, first: int, step: int, write) -> None:
+    """Write tables ``first``, ``first + step``, ... in that order."""
+    for path, header, columns in tables[first::step]:
+        write(path, header, text_rows(*columns))
 
 
-def _fork_writer(tables, first: int, step: int, write) -> tuple[int, int]:
-    """A child process that writes its :func:`_write_share` and exits: its
-    pid and the read end of the pipe on which it reports a failure."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+def _fork_writer(tables, first: int, step: int, write) -> int:
+    """The pid of a forked child that writes its :func:`_write_share` and
+    exits 0, or 1 when a table fails."""
+    pid = os.fork()
     if pid == 0:
         # the child never leaves this block: os._exit skips the parent's
         # cleanup, buffered output and exit handlers
         code = 1
         try:
-            os.close(read_end)
-            failed = _write_share(tables, first, step, write)
-            if failed:
-                os.write(write_end, pickle.dumps(failed[0]))
-            else:
-                code = 0
+            _write_share(tables, first, step, write)
+            code = 0
         finally:
             os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _reap(pid: int, read_end: int) -> list[tuple[int, OSError]]:
-    """Wait for a :func:`_fork_writer` child: the failure it reported, or
-    one for a child that ended badly without a report, or nothing."""
-    with open(read_end, "rb") as pipe:
-        report = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if report:
-        # written by our own child just now
-        return [pickle.loads(report)]
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        # a child that ended without a report (killed, say) comes first
-        error = ChildProcessError(f"a CSV writer process ended with code {code}")
-        return [(-1, error)]
-    return []
+    return pid
 
 
 def write_tables(tables: Sequence[Table], write=write_rows) -> None:
@@ -529,22 +487,28 @@ def write_tables(tables: Sequence[Table], write=write_rows) -> None:
     with the tables dealt round-robin over :func:`writer_count` processes:
     this one writes tables 0, n, 2n, ... and each of n - 1 forked children
     its own share, each with the same code, so a file's bytes do not depend
-    on n. Every child is waited for before this returns or raises. An
-    OSError raised writing a table, in this process or a child, is raised
-    here; when several tables fail, the first in table order, as one
-    process would have stopped there."""
+    on n. Every child is waited for before this returns or raises. A child
+    ended by a signal is a ChildProcessError. When a fork or this process's
+    share fails with an OSError, or a child exits 1, this process writes
+    every table again in table order, so what it raises is what one process
+    raises, and a failure that does not recur leaves every file written."""
     n = writer_count(tables)
-    children: list[tuple[int, int]] = []
-    failures: list[tuple[int, OSError]] = []
+    if n == 1:
+        return _write_share(tables, 0, 1, write)
+    pids: list[int] = []
+    failed = False
     try:
         for first in range(1, n):
-            children.append(_fork_writer(tables, first, n, write))
-        failures += _write_share(tables, 0, n, write)
+            pids.append(_fork_writer(tables, first, n, write))
+        _write_share(tables, 0, n, write)
+    except OSError:
+        failed = True
     finally:
-        for pid, read_end in children:
-            failures += _reap(pid, read_end)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if min(codes, default=0) < 0:
+        raise ChildProcessError(f"a CSV writer process ended with code {min(codes)}")
+    if failed or any(codes):
+        _write_share(tables, 0, 1, write)
 
 
 def write_csv(panel: Panel, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import econometrics as econ
 from .errors import UnknownVariable
 from .panel import Panel, Series
-from .typed_json import parse, read_json
+from .typed_json import parse, read_json, reject_reversed
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class Shock:
             raise ValueError(f"unknown shock kind {self.kind!r}")
         if self.kind == "multiplicative" and not self.magnitude > 0:
             raise ValueError("multiplicative magnitude must be positive")
+        reject_reversed("window", self.window)
 
     def apply(self, value: np.ndarray) -> np.ndarray:
         if self.kind == "multiplicative":

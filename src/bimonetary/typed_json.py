@@ -38,6 +38,14 @@ def reject_repeats(key: str, names) -> None:
         seen.add(name)
 
 
+def reject_reversed(key: str, window) -> None:
+    """For a dataclass's ``__post_init__``: a ``ValueError`` when the
+    ``(start, end)`` date window ``key`` starts after it ends."""
+    start, end = window
+    if start is not None and end is not None and start > end:
+        raise ValueError(f"{key} must not start after it ends: {start} > {end}")
+
+
 def tag(cls) -> str:
     """The ``"type"`` of a dataclass in a tagged union: its name in snake
     case, without a leading underscore (``ScaleBySeries`` -> ``scale_by_series``)."""

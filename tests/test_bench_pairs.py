@@ -31,6 +31,14 @@ def test_nine_of_ten_wins_is_enough_and_eight_is_not():
     assert not summarize(parent, eight, "lower").gain
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    parent = [10.0 + 0.01 * i for i in range(10)]
+    s = summarize(parent[:9], [5.0] * 9, "lower")
+    assert (s.wins, s.pairs) == (9, 9)
+    assert not s.gain
+    assert summarize(parent, [5.0] * 10, "lower").gain
+
+
 def test_gap_inside_the_parent_interquartile_distance_is_no_gain():
     parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
     change = [p - 0.5 for p in parent]        # wins every pair by 0.5

@@ -359,6 +359,7 @@ def test_bad_invocation_fails_before_any_stage_writes(
         ("colimit", "smooth_window", 0),
         ("colimit", "corr_min_periods", 0),
         ("colimit", "corr_min_periods", 181),      # above the default corr_window
+        ("sensitivity", "window", ["2018-06-01", "2018-03-01"]),
     ],
     ids=[
         "sensitivity-max-lags-negative",
@@ -366,6 +367,7 @@ def test_bad_invocation_fails_before_any_stage_writes(
         "smooth-window-zero",
         "corr-min-periods-zero",
         "corr-min-periods-above-window",
+        "sensitivity-window-reversed",
     ],
 )
 def test_config_range_is_checked_before_any_stage_writes(
@@ -430,6 +432,16 @@ def _functor(**change):
         ),
         (
             "scenarios",
+            [
+                {
+                    "name": "w",
+                    "shocks": [_valid_shock(window=["2018-06-01", "2018-03-01"])],
+                }
+            ],
+            "scenarios[0].shocks[0]: window must not start after it ends",
+        ),
+        (
+            "scenarios",
             [{"name": "m", "shocks": [_valid_shock(magnitude=True)]}],
             "scenarios[0].shocks[0].magnitude",
         ),
@@ -482,6 +494,7 @@ def _functor(**change):
         "coefficients-not-object",
         "scenario-name-not-string",
         "shock-window-three-elements",
+        "shock-window-reversed",
         "shock-magnitude-bool",
         "diagram-list",
         "diagram-empty-object",

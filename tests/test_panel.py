@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import math
 import os
@@ -563,6 +564,45 @@ class TestTableWriter:
         assert_no_child_left()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.csv", "t2.csv"]
 
+    def test_child_failure_that_does_not_recur_writes_every_table(
+        self, tmp_path, writers
+    ):
+        forked = writers(3)
+        parent = os.getpid()
+
+        def write(path, header, rows):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            write_rows(path, header, rows)
+
+        (tmp_path / "tables").mkdir()
+        tables = scenario_like_tables(tmp_path / "tables", 5)
+        write_tables(tables, write)
+        assert_no_child_left()
+        assert len(forked) == 2
+        (tmp_path / "one").mkdir()
+        for path, header, columns in tables:
+            expected = tmp_path / "one" / path.name
+            write_rows(expected, header, text_rows(*columns))
+            assert path.read_bytes() == expected.read_bytes()
+
+    def test_failed_fork_still_writes_every_table(self, tmp_path, writers, monkeypatch):
+        forked = writers(3)
+        fork = os.fork
+
+        def second_fork_fails():
+            if forked:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        write_tables(scenario_like_tables(tmp_path, 5))
+        assert_no_child_left()
+        assert len(forked) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"t{i}.csv" for i in range(5)
+        ]
+
 
 class TestSeriesStorage:
     def test_column_array_is_read_only(self):
@@ -707,7 +747,7 @@ class TestPanel:
         )
         cleaned = panel.clean()
         assert cleaned.column("x").values == (1.0, 2.0, 3.0, 4.0)
-        assert cleaned.column("y").is_complete
+        assert not np.isnan(cleaned.column("y").array).any()
 
     def test_duplicate_dates_rejected(self):
         with pytest.raises(DuplicateDate):

@@ -315,7 +315,7 @@ class TestSimulate:
         panel = exact_panel(n_rows=1)
         out = simulate(panel, TRUE)
         assert out.n_rows == 1
-        assert out.has_column("model_relative_demand")
+        assert "model_relative_demand" in out.variables
 
     def test_model_e_is_the_parity_formula(self):
         panel = exact_panel(n_rows=5)

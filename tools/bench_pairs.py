@@ -7,14 +7,14 @@ For pair i (i = 1..N) it runs ``DIR/bench/run.py --workload W --seed i
 the change first in even ones. S is ``run_seconds`` of ``BENCHMARK.json``,
 which must be the same in both checkouts. For each end-to-end metric it
 prints each side's median and quartiles, the pairs the change won (a tie
-counts for neither), and whether a gain may be claimed: the change wins at
-least nine tenths of the pairs, and its median is better than the parent's
-by more than the distance between the parent's quartiles. It also prints a
-no-regression verdict against the metric's ``bound`` (see :func:`verdict`),
-and the median and quartiles of the per-pair ratio change/parent: the two
-runs of a pair are back to back, so a slow drift of the machine's speed
-cancels in their ratio while it spreads the sides' own quartiles.
-Every value is printed with three decimals, which resolves 1 ms and 0.001
+counts for neither), and whether a gain may be claimed: there are at least
+ten pairs, the change wins at least nine tenths of them, and its median is
+better than the parent's by more than the distance between the parent's
+quartiles. It also prints a no-regression verdict against the metric's
+``bound`` (see :func:`verdict`), and the median and quartiles of the
+per-pair ratio change/parent: the two runs of a pair are back to back, so
+a slow drift of the machine's speed cancels in their ratio while it
+spreads the sides' own quartiles. Every value is printed with three decimals, which resolves 1 ms and 0.001
 MB, so two medians that print alike differ by less than that.
 
 Exits 0 when every run succeeded, 1 when a run reports ``failed > 0`` or
@@ -55,7 +55,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     """Compare one metric's values, ``parent[i]`` paired with ``change[i]``;
-    ``better`` is ``"lower"`` or ``"higher"``. The ratios change/parent skip
+    ``better`` is ``"lower"`` or ``"higher"``. Fewer than ten pairs show no
+    gain, however many the change wins. The ratios change/parent skip
     the pairs whose parent value is 0, and are NaN when every pair does."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
@@ -69,7 +70,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
         quartiles(change),
         wins,
         len(parent),
-        10 * wins >= 9 * len(parent) and gap > high - low,
+        len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > high - low,
         statistics.median(ratios),
         quartiles(ratios),
     )
