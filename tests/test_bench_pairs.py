@@ -87,6 +87,14 @@ def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert verdict(parent, [20.0] * 10, "lower", 0.25) == "regressed"
 
 
+def test_verdict_is_never_ok_from_fewer_than_ten_pairs():
+    assert verdict([10.0] * 9, [10.0] * 9, "lower", 0.25) == "unresolved"
+    # not even when every change run beats every parent run
+    assert verdict([10.0] * 9, [5.0] * 9, "lower", 0.25) == "unresolved"
+    assert verdict([10.0] * 3, [13.0] * 3, "lower", 0.25) == "regressed"
+    assert verdict([10.0] * 10, [10.0] * 10, "lower", 0.25) == "ok"
+
+
 def checkout(root: Path, failed: int, log: Path, run_s: float = 1.0) -> Path:
     """A stand-in checkout whose bench/run.py logs its seed and prints a
     result with fixed metrics."""
@@ -126,7 +134,7 @@ def test_pairs_alternate_and_a_failed_run_exits_one(tmp_path):
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3",
     ]
     assert "ratio change/parent 1.000 [1.000, 1.000], change won 0 of 3" in done.stdout
-    assert "change won 0 of 3, gain not shown, verdict ok" in done.stdout
+    assert "change won 0 of 3, gain not shown, verdict unresolved" in done.stdout
     broken = checkout(tmp_path / "broken", 1, log)
     assert run(parent, broken, "--workload", "w", "--pairs", 1).returncode == 1
 

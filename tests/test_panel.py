@@ -4,6 +4,7 @@ import io
 import math
 import os
 import signal
+import sys
 import tempfile
 import warnings
 from datetime import date
@@ -33,6 +34,7 @@ from bimonetary.panel import (
     Table,
     difference,
     format_cell,
+    format_column,
     linear_interpolate,
     load_csv,
     minmax_rescale,
@@ -430,6 +432,61 @@ class TestCsvWriter:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
             text_rows(["a", "b"], np.array([1.0]))
+
+
+def kernel_sample(seed: int, n: int) -> np.ndarray:
+    """Random 64-bit patterns (NaN and infinities dropped), magnitudes
+    log-uniform over the whole exponent range, subnormals included, and
+    integers up to 2**63, each of either sign."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    log_uniform = np.exp(rng.uniform(math.log(5e-324), math.log(sys.float_info.max), n))
+    integers = rng.integers(-(2**63), 2**63, n, dtype=np.int64, endpoint=False)
+    signs = rng.choice([-1.0, 1.0], n)
+    values = np.concatenate([bits, log_uniform * signs, integers.astype(np.float64)])
+    return values[np.isfinite(values)]
+
+
+#: A value for every path of the column kernel, each tried with both signs.
+FLOAT_EDGES = [
+    0.0,  # laid out without digits, as is NaN
+    math.nan,
+    5e-324,  # outside [1e-290, 1e290]: repr
+    sys.float_info.max,
+    1e-291,
+    1e291,
+    *(2.0**k for k in range(-1074, 1024)),  # power-of-two mantissas: repr
+    *(10.0**k for k in range(-30, 31)),
+    *(math.nextafter(v, to) for v in (1e16, 1e-5) for to in (0.0, math.inf)),
+    9.999999999999999e-05,  # log10 rounds up to -4: repr
+    1e23,  # a double below 10**23 whose log10 is 23.0: repr
+    1234567890123456.25,  # a tie at 17 digits: repr
+    1234567890123456.5,  # a tie at 16 digits: repr
+    18014398509481988.0,  # a 16-digit decimal on an end of the interval: repr
+    18014398509481992.0,  # the same, where the end reads back: repr
+    0.1,
+    2 / 3,
+    123456789012345.67,
+    1e-4,
+]
+
+
+class TestFloatKernel:
+    def test_matches_format_cell_on_a_million_values(self):
+        values = kernel_sample(SEED, 350_000)
+        assert len(values) > 1_000_000
+        assert format_column(values) == [format_cell(v) for v in values.tolist()]
+
+    def test_matches_format_cell_on_every_path(self):
+        values = np.array(FLOAT_EDGES + [-v for v in FLOAT_EDGES])
+        assert format_column(values) == [format_cell(v) for v in values.tolist()]
+        assert format_column(values[:0]) == []
+
+    @given(st.lists(st.floats(allow_infinity=False), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format_cell(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert format_column(column) == [format_cell(v) for v in values]
 
 
 def assert_no_child_left():

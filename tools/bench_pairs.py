@@ -81,12 +81,16 @@ def verdict(
 ) -> str:
     """``"regressed"`` when the change's median is worse than the parent's by
     more than ``bound`` times the parent's median; otherwise ``"unresolved"``
-    when the parent's quartiles lie further apart than that, unless every
-    change run beats every parent run; otherwise ``"ok"``."""
+    from fewer than ten pairs, or when the parent's quartiles lie further
+    apart than that bound, unless every change run beats every parent run;
+    otherwise ``"ok"``."""
     sign = 1.0 if better == "lower" else -1.0
     limit = bound * abs(statistics.median(parent))
     if sign * (statistics.median(change) - statistics.median(parent)) > limit:
         return "regressed"
+    if len(parent) < 10:
+        # three pairs once read a run_s ratio of 1.104 where ten read 1.000
+        return "unresolved"
     low, high = quartiles(parent)
     if high - low > limit and not all(
         sign * (p - c) > 0 for p in parent for c in change
