@@ -10,7 +10,7 @@ object image. ``evaluate`` gives morphisms data semantics over a :class:`Panel`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     UnmappedObject,
 )
 from .panel import Panel, Series
-from .typed_json import parse, reject_repeats, tag
+from .typed_json import dump, parse, reject_repeats
 
 
 @dataclass(frozen=True)
@@ -469,8 +469,9 @@ def check_functor_laws(
 # -- JSON round-trip ----------------------------------------------------------
 # Field names follow docs/diagram.schema.json, so typed_json.parse reads a
 # diagram file straight into Diagram, MorphismSpec and Chain, and a check one
-# of them makes gets the key path. A functor file's morphism_map is a list of
-# {"from", "to"} pairs, which _Functor turns into the model's dict.
+# of them makes gets the key path; typed_json.dump writes them back. A functor
+# file's morphism_map is a list of {"from", "to"} pairs, which _Functor turns
+# into the model's dict.
 
 
 @dataclass
@@ -490,30 +491,8 @@ class _Functor:
         self.functor = Functor(self.name, self.object_map, morphisms)
 
 
-def _morphism_to_json(m: MorphismSpec) -> dict:
-    if isinstance(m.kind, Chain):
-        fields = {"parts": [_morphism_to_json(p) for p in m.kind.parts]}
-    else:
-        fields = asdict(m.kind)
-    return {
-        "source": m.source,
-        "target": m.target,
-        "kind": {"type": tag(type(m.kind)), **fields},
-    }
-
-
 def diagram_to_json(d: Diagram) -> dict:
-    return {
-        "nodes": [asdict(n) for n in d.nodes],
-        "edges": [_morphism_to_json(e) for e in d.edges],
-        "equal_paths": [
-            [
-                [_morphism_to_json(m) for m in left],
-                [_morphism_to_json(m) for m in right],
-            ]
-            for left, right in d.equal_paths
-        ],
-    }
+    return dump(Diagram, d)
 
 
 def diagram_from_json(doc) -> Diagram:
@@ -521,14 +500,8 @@ def diagram_from_json(doc) -> Diagram:
 
 
 def functor_to_json(F: Functor) -> dict:
-    return {
-        "name": F.name,
-        "object_map": {src: asdict(obj) for src, obj in F.object_map.items()},
-        "morphism_map": [
-            {"from": _morphism_to_json(k), "to": _morphism_to_json(v)}
-            for k, v in F.morphism_map.items()
-        ],
-    }
+    entries = tuple(_MapEntry(k, v) for k, v in F.morphism_map.items())
+    return dump(_Functor, _Functor(dict(F.object_map), F.name, entries))
 
 
 def functor_from_json(doc) -> Functor:

@@ -12,10 +12,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import date as Date
 from pathlib import Path
+
+# one BLAS thread unless the caller set a count: a pool costs CPU, saves no time
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .panel import (
     Panel,
     Table,
     load_csv,
-    quote,
     scan_csv,
     text_rows,
     write_csv,
@@ -227,8 +231,8 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     )
 
     matrix = transformed.to_matrix()
-    K = matrix.shape[1]
-    if 2 <= K <= 12:
+    K, dims = matrix.shape[1], econ.JOHANSEN_DIMENSIONS
+    if K in dims:
         joh = econ.johansen_trace(matrix, config.johansen_k_ar_diff)
         _write_json(
             out / "johansen.json",
@@ -244,10 +248,10 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     else:
         _write_json(
             out / "johansen.json",
-            {"skipped": f"K={K} outside the tabulated range 2..12"},
+            {"skipped": f"K={K} outside the tabulated range {dims[0]}..{dims[-1]}"},
         )
 
-    names = np.array([quote(name) for name in transformed.variables], dtype=object)
+    names = np.array(transformed.variables, dtype=object)
     tests = [
         (names[cause], names[effect], entry.lag, entry.f_stat, entry.p_value)
         for (cause, effect), result in econ.granger_matrix(
@@ -296,7 +300,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     )
 
     steps = config.forecast_steps
-    prediction = econ.forecast(model, matrix[-max(model.p, 1) :], steps)
+    prediction = econ.forecast(model, matrix, steps)
     _write_csv(
         out / "forecast.csv",
         ["step", *model.variable_order],

@@ -202,5 +202,5 @@ def validate_and_forecast(
         [indicator.smoothed.array, ref, panel.column(EXTERNAL_FACTOR).array]
     )
     model = econ.fit_var(matrix, MAX_LAG, "aic", names)
-    prediction = econ.forecast(model, matrix[-max(model.p, 1) :], FORECAST_STEPS)
+    prediction = econ.forecast(model, matrix, FORECAST_STEPS)
     return causality, prediction

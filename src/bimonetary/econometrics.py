@@ -10,7 +10,7 @@ incomplete gamma/beta tails, so there is no statistics dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "AdfResult",
     "adf_test",
     "JohansenResult",
+    "JOHANSEN_DIMENSIONS",
     "johansen_trace",
     "GrangerLag",
     "GrangerResult",
@@ -49,7 +50,6 @@ __all__ = [
     "VarModel",
     "fit_var",
     "fit_var_order",
-    "var_leaves",
     "ljung_box",
     "LjungBoxResult",
     "IrfResult",
@@ -253,6 +253,9 @@ _JOHANSEN_TRACE_CRIT = (
     (326.5354, 334.9795, 351.2150),
 )
 
+#: The K that :func:`johansen_trace` tests: from two to the table's length.
+JOHANSEN_DIMENSIONS = range(2, len(_JOHANSEN_TRACE_CRIT) + 1)
+
 
 @dataclass(frozen=True)
 class JohansenResult:
@@ -433,6 +436,9 @@ class VarModel:
     stderr: np.ndarray                # (1 + K*p, K): const row, then lag blocks
     criterion: str = "aic"
     criterion_value: float = math.nan
+    # the data and design leaves of a fit_var_order model, for a refit's base
+    data: np.ndarray | None = field(default=None, repr=False, compare=False)
+    leaves: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def k_vars(self) -> int:
@@ -493,41 +499,31 @@ def _var_data(data, p: int) -> np.ndarray:
     return data
 
 
-def var_leaves(data, p: int, base=None) -> list[np.ndarray]:
-    """The leaf R factors (:func:`_regression.leaf_factors`) of the VAR(p)
-    design of ``data``, for :func:`fit_var_order`.
-
-    ``base = (base_data, base_leaves)`` gives the leaves of the VAR(p)
-    design of a matrix of ``data``'s shape. Design row i reads data rows
-    i..i+p, so only the blocks holding a row that reads a row where ``data``
-    differs from ``base_data`` are factored; the others are taken from
-    ``base_leaves``, the same bits that factoring them would give.
-    """
-    data = _var_data(data, p)
-    n = len(data) - p
-    if base is not None:
-        base_data, base_leaves = base
-        if np.shape(base_data) != data.shape:
-            raise ShapeMismatch("base data differ in shape from data")
-        # changed[t] counts the rows before t where the two differ
-        changed = np.r_[0, np.cumsum((data != base_data).any(axis=1))]
-        base = (base_leaves, changed[p + 1 :] > changed[:n])
-    return leaf_factors(_rows(data, p, p), n, base)
-
-
 def fit_var_order(
-    data, p: int, names: Sequence[str] | None = None, leaves=None
+    data, p: int, names: Sequence[str] | None = None, base: VarModel | None = None
 ) -> VarModel:
     """Per-equation OLS estimate of a VAR(p) with intercept.
 
     ``p = 0`` is the intercept-only model. The residual covariance uses the
     degrees-of-freedom-corrected denominator ``T_eff - (K*p + 1)``.
-    ``leaves`` are the design's :func:`var_leaves` when the caller has them.
+
+    With ``base``, a VAR(p) this function fit to data of this shape, only the
+    blocks of design rows that read a row where ``data`` differs from
+    ``base.data`` are factored (design row i reads rows i..i+p); the others
+    are ``base.leaves``, the same bits. Another base raises ShapeMismatch.
     """
     data = _var_data(data, p)
     names = _var_names(names, data.shape[1])
-    fit = fit_design(_rows(data, p, p), len(data) - p, leaves)
-    return _var_model(fit, p, names)
+    rows, n = _rows(data, p, p), len(data) - p
+    if base is not None:
+        if base.leaves is None or base.p != p or base.data.shape != data.shape:
+            raise ShapeMismatch(f"base is not a VAR({p}) fit of {data.shape} data")
+        # changed[t] counts the rows before t where the two differ
+        changed = np.r_[0, np.cumsum((data != base.data).any(axis=1))]
+        base = (base.leaves, changed[p + 1 :] > changed[:n])
+    leaves = leaf_factors(rows, n, base)
+    model = _var_model(fit_design(rows, n, leaves), p, names)
+    return replace(model, data=data, leaves=leaves)
 
 
 #: Lag-selection criteria accepted by :func:`fit_var`, in lower case.

@@ -44,8 +44,8 @@ class UnparseableValue(InputError):
 
 
 class MalformedRecord(InputError):
-    """A CSV record the ``csv`` module cannot split, such as one with a field
-    over its size limit (an unterminated quote reads to the end of the file)."""
+    """A CSV record the ``csv`` module cannot split (a field over its size
+    limit, as an open quote makes) or with a non-empty cell past the header."""
 
     def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: malformed CSV record: {reason}")

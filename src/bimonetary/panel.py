@@ -197,13 +197,15 @@ class Panel:
 
 
 def parse_panel_date(text: str, row: int) -> Date:
-    """ISO date, tolerating one space or ``T`` followed by a time of day
-    without a UTC offset that ``datetime.time.fromisoformat`` reads
-    (``2018-01-01 00:00:00``); any other suffix raises
+    """ISO ``YYYY-MM-DD`` date, tolerating one space or ``T`` followed by a
+    time of day without a UTC offset that ``datetime.time.fromisoformat``
+    reads (``2018-01-01 00:00:00``); any other form or suffix raises
     :class:`UnparseableValue`."""
     stripped = text.strip()
     day = stripped.replace("T", " ").split(" ")[0]
     try:
+        if len(day) != 10 or day[4] + day[7] != "--":  # 3.11 reads 20180101 too
+            raise ValueError(day)
         if day != stripped:
             clock = stripped[len(day) + 1 :]
             # fromisoformat also reads a leading "T" and a UTC offset, which
@@ -249,10 +251,10 @@ def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     """The file's text read by ``np.loadtxt``, or None for the record loop
     to read it. None comes before the parse for a double quote, which only
     the ``csv`` module reads, two adjacent commas (a gappy file's empty
-    cell), a CR inside the header line or a line longer than the ``csv``
-    module's field limit; after it for a cell numpy rejects (an empty one
-    at a line's end too), a non-finite value, a bad or repeated date, or no
-    data line."""
+    cell), a CR inside the header line, a line longer than the ``csv``
+    module's field limit, a line with more or fewer cells than the header,
+    or no data line; after it for a cell numpy rejects (an empty one at a
+    line's end too), a non-finite value, or a bad or repeated date."""
     if '"' in text or ",," in text:
         return None
     lines = text.split("\n")
@@ -264,7 +266,12 @@ def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     # the lines np.loadtxt skips as empty, so that dates and rows pair up;
     # with none left it would warn that the input holds no data
     body = [line for line in lines[1:] if line not in ("", "\r")]
-    if not body:
+    # a line of another cell count than the header's is the record loop's; the
+    # comma total misses one only beside a short line lacking no read column
+    width = len(header) - 1
+    if not body or text.count(",") != width * (len(body) + 1):
+        return None
+    if max([date_idx, *col_idx]) < width and any(x.count(",") != width for x in body):
         return None
     try:
         matrix = np.loadtxt(
@@ -321,6 +328,8 @@ def _scan_records(lines: Iterable[str], schema: Sequence[str] | None) -> CsvScan
             continue
         if len(record) <= last:
             raise UnparseableValue(row_no, header[len(record)], "<absent cell>")
+        if any(cell.strip() for cell in record[len(header) :]):
+            raise MalformedRecord(row_no, f"more than the header's {len(header)} cells")
         when = parse_panel_date(record[date_idx], row_no)
         if when in seen:
             raise DuplicateDate(when)
@@ -335,10 +344,10 @@ def _scan_records(lines: Iterable[str], schema: Sequence[str] | None) -> CsvScan
             try:
                 value = float(token)
             except ValueError:
-                raise UnparseableValue(row_no, name, token) from None
-            # the empty cell is the only missing representation; nan/inf
-            # tokens are data corruption, not values
-            if not math.isfinite(value):
+                value = math.nan
+            # the empty cell is the only missing marker; nan/inf tokens are
+            # corruption, as are the 1_000 and non-ASCII digits float() reads
+            if not (math.isfinite(value) and token.isascii() and "_" not in token):
                 raise UnparseableValue(row_no, name, token)
             cells.append(value)
         rows.append(cells)
@@ -357,12 +366,13 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     :class:`DuplicateColumn`. Blank rows are skipped. Empty cells are missing
     values; a row too short for a loaded column, a cell that is not a finite
     dot-decimal number (``nan`` and ``inf`` included) and a bad date raise
-    :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`,
-    and a record the ``csv`` module cannot split :class:`MalformedRecord`.
+    :class:`UnparseableValue`; a repeated date raises :class:`DuplicateDate`;
+    a record the ``csv`` module cannot split or with a non-empty cell past
+    the header raises :class:`MalformedRecord`.
 
-    A file with no double quote and no empty field is read by numpy's C
-    reader; any other file, and any file that reader does not accept whole,
-    by the record loop, so both give the same results and the same errors.
+    A quote-free file of complete lines as wide as the header is read by
+    numpy's C reader; any other, and any that reader does not accept whole,
+    by the record loop, so both give the same results and errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         scan = _scan_plain(fh.read(), schema)
@@ -409,10 +419,10 @@ def quote(text: str) -> str:
 
 
 def _text_cells(column) -> np.ndarray:
-    """Padded rows of the UTF-8 of each item's ``str``, or of the records."""
+    """Padded UTF-8 rows of each item's :func:`quote`d ``str``, or the records."""
     if isinstance(column, np.ndarray) and column.ndim == 2:
         return column[:, :-2]
-    text = [str(item).encode("utf-8") for item in column]
+    text = [(quote(x) if isinstance(x, str) else str(x)).encode() for x in column]
     size = np.fromiter(map(len, text), np.intp, len(text))
     keep = np.arange(size.max(initial=0)) < size[:, None]
     cells = np.full(keep.shape, PAD, np.uint8)
@@ -426,7 +436,7 @@ def text_rows(*columns: Iterable) -> np.ndarray:
     ``base``). A float array's cells are :func:`format_cell`'s text, made
     for the whole column at once; the records of an earlier call are a
     column of their own; any other column's items go through ``str``, so
-    dates come out in ISO form and names must be :func:`quote`d."""
+    dates come out in ISO form, and a ``str`` item is :func:`quote`d."""
     cells = [float_cells(c) if _is_float(c) else _text_cells(c) for c in columns]
     if len({len(c) for c in cells}) > 1:
         raise ValueError("columns differ in length")

@@ -155,8 +155,8 @@ def run_sensitivity(
     Fits a VAR(max_lags) on the model variables, then refits on each shocked
     panel and compares the target's fitted path; the optional date window
     restricts the sample first (e.g. to a single unstable year). A refit
-    factors only the blocks of design rows that read a shocked row and keeps
-    the baseline's leaves for the rest (:func:`econometrics.var_leaves`).
+    factors only the blocks of design rows that read a shocked row, the
+    baseline being its ``base`` (:func:`econometrics.fit_var_order`).
     """
     if target not in model_vars.variables:
         raise UnknownVariable(target)
@@ -164,10 +164,7 @@ def run_sensitivity(
     base_panel = forgetful_project(scoped, model_vars)
     matrix = base_panel.to_matrix()
     idx = model_vars.variables.index(target)
-    baseline_leaves = econ.var_leaves(matrix, max_lags)
-    baseline_model = econ.fit_var_order(
-        matrix, max_lags, model_vars.variables, baseline_leaves
-    )
+    baseline_model = econ.fit_var_order(matrix, max_lags, model_vars.variables)
     baseline_fit = _fitted_target(baseline_model, matrix, idx)
     baseline = Series(baseline_fit)     # one object, shared by every comparison
 
@@ -177,9 +174,8 @@ def run_sensitivity(
         # variable outside model_vars is exactly irrelevant
         shocked_panel = forgetful_project(apply_scenario(scoped, shocks), model_vars)
         shocked_matrix = shocked_panel.to_matrix()
-        leaves = econ.var_leaves(shocked_matrix, max_lags, (matrix, baseline_leaves))
         shocked_model = econ.fit_var_order(
-            shocked_matrix, max_lags, model_vars.variables, leaves
+            shocked_matrix, max_lags, model_vars.variables, baseline_model
         )
         shocked_fit = _fitted_target(shocked_model, shocked_matrix, idx)
         diff = shocked_fit - baseline_fit
@@ -225,8 +221,8 @@ def dual_model_compare(
     for spec in (domestic, enriched):
         sub = forgetful_project(panel, spec)
         model = econ.fit_var(sub.to_matrix(), max_lags, "aic", spec.variables)
-        tail = forgetful_project(shocked, spec).to_matrix()[-max(model.p, 1) :]
-        prediction = econ.forecast(model, tail, steps)
+        history = forgetful_project(shocked, spec).to_matrix()
+        prediction = econ.forecast(model, history, steps)
         paths.append(Series(prediction[:, spec.variables.index(target)]))
     return paths[0], paths[1]
 

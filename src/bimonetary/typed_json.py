@@ -6,7 +6,7 @@ A dataclass states the accepted keys, their types and defaults once;
 unknown key, a missing required key, a wrong JSON type or a value that the
 dataclass's ``__post_init__`` rejects with a ``ValueError`` or an
 ``InputError`` is one :class:`InputError` naming the key path
-(``scenarios[0].shocks[1].window``).
+(``scenarios[0].shocks[1].window``). :func:`dump` is its inverse.
 """
 
 from __future__ import annotations
@@ -109,6 +109,27 @@ def parse(tp, doc, where: str):
     if type(doc) is not tp:
         raise _wrong(where, _KINDS[tp], doc)
     return doc
+
+
+def dump(tp, value):
+    """The document that :func:`parse` reads as ``value`` of type ``tp``, for
+    the types of written documents: a dataclass, a union of dataclasses, a
+    tuple, ``dict[str, X]`` and a scalar (written as it is)."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return {
+            key.removesuffix("_"): dump(hints[key], getattr(value, key))
+            for key in (spec.name for spec in dataclasses.fields(tp))
+        }
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):
+        return {"type": tag(type(value)), **dump(type(value), value)}
+    if origin is dict:
+        return {key: dump(args[1], v) for key, v in value.items()}
+    if origin is tuple:
+        args = args[:1] * len(value) if args[1:] == (...,) else args
+        return [dump(arg, item) for arg, item in zip(args, value)]
+    return value
 
 
 def _parse_object(cls, doc, where: str):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -20,9 +21,16 @@ from bimonetary.category import (
     Affine,
     Diagram,
     EconObject,
+    Functor,
     MorphismSpec,
+    Ratio,
+    RiskDiscount,
+    ScaleBySeries,
+    apply_functor,
     compose,
+    diagram_from_json,
     diagram_to_json,
+    functor_to_json,
 )
 from bimonetary.cli import _sha256, main
 from bimonetary.panel import CANONICAL_VARIABLES, load_csv, write_csv
@@ -577,6 +585,30 @@ class TestPipeline:
         header = (out / "equilibrium.csv").read_text().splitlines()[0]
         assert header == "Date,equilibrio_tipo_de_cambio,observed,gap,penalty"
 
+    def test_names_with_a_comma_and_a_quote_read_back(self, tmp_path):
+        from bimonetary.panel import Panel, Series
+
+        rng = np.random.default_rng(SEED)
+        names = ('spread, "EMBI"', "v1", "v2")
+        columns = {
+            name: Series.of(np.cumsum(rng.standard_normal(300)) * 0.1 + 5)
+            for name in names
+        }
+        csv_path = tmp_path / "quoted.csv"
+        write_csv(Panel(daily_dates(300), columns), csv_path)
+        out = tmp_path / "core"
+        argv = ["pipeline", "--stages", "core", "--input", str(csv_path)]
+        assert main([*argv, "--out", str(out)]) == 0
+        for artifact, name_columns in [
+            ("granger_matrix.csv", ("cause", "effect")),
+            ("irf.csv", ("impulse", "response")),
+            ("fevd.csv", ("response", "shock")),
+        ]:
+            with open(out / artifact, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            for column in name_columns:
+                assert {row[column] for row in rows} == set(names), artifact
+
     def test_determinism_byte_identical_runs(self, canonical_csv, tmp_path):
         csv_path = synthetic_csv(tmp_path)
         config = tmp_path / "config.json"
@@ -924,6 +956,41 @@ class TestOtherCommands:
         doc = json.loads((out / "commutation.json").read_text())
         assert doc["passed"] is True
 
+    def test_image_diagram_reads_back_as_the_same_diagram(
+        self, canonical_csv, tmp_path
+    ):
+        # every morphism kind, a chain among them; the functor maps each
+        # object and morphism to itself, so its image diagram is the diagram
+        nodes = tuple(EconObject(n) for n in ("M2", "flow", "flow2"))
+        scale = MorphismSpec(Affine(2.0, 1.0), "M2", "flow")
+        by_rate = MorphismSpec(ScaleBySeries("E"), "flow", "flow2")
+        ratio = MorphismSpec(Ratio("M2", "E"), "M2", "flow2")
+        discount = MorphismSpec(RiskDiscount("Embi+ARG"), "flow2", "flow2")
+        chain = compose(scale, by_rate)
+        edges = (scale, by_rate, ratio, discount, chain)
+        diagram = Diagram(
+            nodes, edges, (((scale, by_rate), (chain,)), ((ratio,), (ratio, discount)))
+        )
+        functor = Functor(
+            "same",
+            {n.id: EconObject(n.id, f"image of {n.id}") for n in nodes},
+            {m: m for m in edges},
+        )
+        diagram_file, functor_file = tmp_path / "diagram.json", tmp_path / "f.json"
+        diagram_file.write_text(json.dumps(diagram_to_json(diagram)), encoding="utf-8")
+        functor_file.write_text(json.dumps(functor_to_json(functor)), encoding="utf-8")
+        runs, codes = [tmp_path / "first", tmp_path / "again"], []
+        for source, out in zip((diagram_file, runs[0] / "image_diagram.json"), runs):
+            argv = ["functor-check", "--input", str(canonical_csv), "--out", str(out)]
+            argv += ["--diagram", str(source), "--functor", str(functor_file)]
+            codes.append(main(argv))
+        assert codes[0] == codes[1]
+        image = json.loads((runs[0] / "image_diagram.json").read_text(encoding="utf-8"))
+        assert diagram_from_json(image) == apply_functor(functor, diagram) == diagram
+        assert image["nodes"][0] == {"id": "M2", "description": "image of M2"}
+        for name in ("image_diagram.json", "commutation.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_functor_check_rejects_bad_tolerance(
         self, canonical_csv, tmp_path, capsys, tol
@@ -1172,3 +1239,25 @@ def test_mutated_inputs_exit_with_at_most_one_json_line(fuzz_csv_lines, data):
     if code:
         (line,) = err.getvalue().strip().splitlines()
         assert set(json.loads(line)) == {"error", "stage", "message"}
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+    ids=["unset", "set-by-the-caller"],
+)
+def test_cli_import_defaults_blas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(preset, PYTHONPATH=str(SRC))
+    code = "import os, bimonetary.cli; print(*map(os.environ.get, %r))"
+    done = subprocess.run(
+        [sys.executable, "-c", code % (BLAS_THREAD_VARIABLES,)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == expected

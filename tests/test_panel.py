@@ -38,7 +38,6 @@ from bimonetary.panel import (
     linear_interpolate,
     load_csv,
     minmax_rescale,
-    quote,
     rolling_corr,
     rolling_mean,
     scan_csv,
@@ -317,6 +316,22 @@ class TestLoadCsv:
         assert info.value.row == 3
 
 
+def route_errors(tmp_path, text, schema=None) -> list[BimonetaryError]:
+    """The error that :func:`scan_csv` raises on a file of ``text``, and the
+    one the record loop raises on it alone."""
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    errors = []
+    for read, source in [
+        (scan_csv, path),
+        (panel_module._scan_records, io.StringIO(text, newline="")),
+    ]:
+        with pytest.raises(BimonetaryError) as info:
+            read(source, schema)
+        errors.append(info.value)
+    return errors
+
+
 class TestCsvRoutes:
     """`scan_csv` reads a quote-free file without empty cells with
     `np.loadtxt` and every other file, and every error, with the record
@@ -349,6 +364,48 @@ class TestCsvRoutes:
         m2 = panel.column("M2").to_array()
         m2[1000] = math.nan
         assert load_csv(gappy) == panel.with_columns({"M2": Series(m2)})
+
+    @pytest.mark.parametrize(
+        "lines, schema, row",
+        [
+            (["Date,x,y", "2018-01-01,1,5,2"], None, 2),
+            (["Date,x,y", "2018-01-01,1,2", "2018-01-02,3,4, 5"], None, 3),
+            # the comma total is the header's: a line that lacks only the
+            # unread column sits beside the long one
+            (["Date,x,note", "2018-01-01,1", "2018-01-02,2,a,b"], ["x"], 3),
+            (['Date,x,y', '2018-01-01,"1",5,2'], None, 2),
+        ],
+        ids=["decimal-comma", "later-row", "beside-a-short-line", "quoted"],
+    )
+    def test_record_longer_than_the_header_is_malformed(
+        self, tmp_path, lines, schema, row
+    ):
+        for error in route_errors(tmp_path, "\n".join(lines) + "\n", schema):
+            assert isinstance(error, MalformedRecord)
+            assert error.row == row
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_empty_cells_beyond_the_header_are_read(self, tmp_path, end):
+        text = end.join(["Date,x,y", "2018-01-01,1,2,", "2018-01-02,3,4, ,", ""])
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        records = panel_module._scan_records(io.StringIO(text, newline=""), None)
+        for scan in (scan_csv(path), records):
+            assert scan.columns == ["x", "y"]
+            assert scan.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662\u0663", "\uff11\uff12"])
+    def test_number_outside_the_ascii_grammar_is_unparseable(self, tmp_path, token):
+        text = f"Date,x\n2018-01-01,1\n2018-01-02,{token}\n"
+        for error in route_errors(tmp_path, text):
+            assert isinstance(error, UnparseableValue)
+            assert (error.row, error.column, error.text) == (3, "x", token)
+
+    @pytest.mark.parametrize("stamp", ["20180102", "2018-W01-2"])
+    def test_date_other_than_yyyy_mm_dd_is_unparseable(self, tmp_path, stamp):
+        for error in route_errors(tmp_path, f"Date,x\n2018-01-01,1\n{stamp},2\n"):
+            assert isinstance(error, UnparseableValue)
+            assert (error.row, error.column, error.text) == (3, "Date", stamp)
 
     @given(panel_texts())
     @example(("Date,x\ry\n2018-01-01,1\n", None))
@@ -421,7 +478,7 @@ class TestCsvWriter:
         as_text = {
             "float": lambda column: np.array(column, dtype=np.float64),
             "int": lambda column: [str(v) for v in column],
-            "text": lambda column: [quote(v) for v in column],
+            "text": lambda column: list(column),
         }
         text_columns = [as_text[k](c) for k, c in zip(kinds, columns)]
         with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bimonetary import econometrics as econ
 from bimonetary._regression import BLOCK_ROWS, factor
-from bimonetary.errors import ShapeMismatch, UnknownVariable
+from bimonetary.errors import InputError, ShapeMismatch, UnknownVariable
 from bimonetary.panel import Panel, Series
 from bimonetary.scenarios import (
     CategorySpec,
@@ -213,13 +213,14 @@ class TestLeafReuse:
         ids=["straddles-a-boundary", "after-a-boundary", "window", "last-row", "none"],
     )
     def test_reused_leaves_equal_a_fresh_factorization(self, walk, changed, rebuilt):
-        base = econ.var_leaves(walk, self.P)
+        base = econ.fit_var_order(walk, self.P)
         shocked = walk.copy()
         shocked[changed, 1] *= 1.2
-        reused = econ.var_leaves(shocked, self.P, (walk, base))
-        fresh = econ.var_leaves(shocked, self.P)
-        assert len(base) == len(fresh) == 4
-        assert [b for b, (new, old) in enumerate(zip(reused, base)) if new is not old] == rebuilt
+        reused = econ.fit_var_order(shocked, self.P, base=base).leaves
+        fresh = econ.fit_var_order(shocked, self.P).leaves
+        assert len(base.leaves) == len(fresh) == 4
+        kept = [new is old for new, old in zip(reused, base.leaves)]
+        assert [b for b, same in enumerate(kept) if not same] == rebuilt
         for new, scratch in zip(reused, fresh, strict=True):
             assert np.array_equal(new, scratch)
         k = 1 + 3 * self.P
@@ -228,7 +229,17 @@ class TestLeafReuse:
 
     def test_base_of_another_shape_is_rejected(self, walk):
         with pytest.raises(ShapeMismatch):
-            econ.var_leaves(walk[1:], self.P, (walk, econ.var_leaves(walk, self.P)))
+            econ.fit_var_order(walk[1:], self.P, base=econ.fit_var_order(walk, self.P))
+
+    def test_base_of_another_order_is_rejected(self, walk):
+        with pytest.raises(ShapeMismatch):
+            econ.fit_var_order(walk, self.P, base=econ.fit_var_order(walk, self.P + 1))
+
+    def test_base_from_fit_var_is_rejected(self, walk):
+        # the same order and data, but fit_var keeps no leaves
+        base = econ.fit_var(walk, self.P)
+        with pytest.raises(ShapeMismatch):
+            econ.fit_var_order(walk, base.p, base=base)
 
     def test_shocked_fit_is_the_fresh_fit(self):
         # 7000 rows: the VAR(3) design spans four blocks
@@ -413,3 +424,15 @@ class TestScenarioFile:
         assert specs[0].name == "m2 boost"
         assert specs[0].shocks[0].magnitude == 1.5
         assert specs[0].shocks[1].window == (date(2023, 1, 1), date(2023, 12, 31))
+
+    @pytest.mark.parametrize("stamp", ["20230101", "2023-W01-1"])
+    def test_window_date_other_than_yyyy_mm_dd_is_an_input_error(
+        self, tmp_path, stamp
+    ):
+        shock = {"variable": "M2", "kind": "additive", "magnitude": 1.0}
+        shock["window"] = [stamp, None]
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps([{"name": "s", "shocks": [shock]}]), "utf-8")
+        with pytest.raises(InputError) as info:
+            load_scenarios(path)
+        assert "scenarios[0].shocks[0].window[0]" in str(info.value)
