@@ -132,8 +132,8 @@ class Panel:
 
     @classmethod
     def _on_checked_dates(cls, dates, columns: dict[str, Series]) -> "Panel":
-        """Panel on another panel's dates or a slice of them, increasing
-        already: only the column lengths are checked."""
+        """Panel on dates that increase already (a panel's, a slice of them,
+        a scan's sorted ones): only the column lengths are checked."""
         panel = object.__new__(cls)
         object.__setattr__(panel, "dates", dates)
         object.__setattr__(panel, "columns", columns)
@@ -196,6 +196,13 @@ class Panel:
         )
 
 
+def parse_iso_date(text: str) -> Date:
+    """The date of an exact ``YYYY-MM-DD``, else a ``ValueError``."""
+    if len(text) != 10 or text[4] + text[7] != "--":  # 3.11 reads 20180101 too
+        raise ValueError(text)
+    return Date.fromisoformat(text)
+
+
 def parse_panel_date(text: str, row: int) -> Date:
     """ISO ``YYYY-MM-DD`` date, tolerating one space or ``T`` followed by a
     time of day without a UTC offset that ``datetime.time.fromisoformat``
@@ -204,8 +211,7 @@ def parse_panel_date(text: str, row: int) -> Date:
     stripped = text.strip()
     day = stripped.replace("T", " ").split(" ")[0]
     try:
-        if len(day) != 10 or day[4] + day[7] != "--":  # 3.11 reads 20180101 too
-            raise ValueError(day)
+        when = parse_iso_date(day)
         if day != stripped:
             clock = stripped[len(day) + 1 :]
             # fromisoformat also reads a leading "T" and a UTC offset, which
@@ -213,7 +219,7 @@ def parse_panel_date(text: str, row: int) -> Date:
             # shifting the day
             if not (clock[:1].isdigit() and Time.fromisoformat(clock).tzinfo is None):
                 raise ValueError(clock)
-        return Date.fromisoformat(day)
+        return when
     except ValueError:
         raise UnparseableValue(row, DATE_COLUMN, text) from None
 
@@ -248,13 +254,13 @@ def _resolve_header(
 
 
 def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
-    """The file's text read by ``np.loadtxt``, or None for the record loop
-    to read it. None comes before the parse for a double quote, which only
-    the ``csv`` module reads, two adjacent commas (a gappy file's empty
-    cell), a CR inside the header line, a line longer than the ``csv``
-    module's field limit, a line with more or fewer cells than the header,
-    or no data line; after it for a cell numpy rejects (an empty one at a
-    line's end too), a non-finite value, or a bad or repeated date."""
+    """The file's text read by one ``np.loadtxt`` call, or None for the
+    record loop to read it: for a double quote, which only the ``csv``
+    module reads, two adjacent commas (a gappy file's empty cell), a CR
+    inside the header line, a line over the ``csv`` module's field limit, no
+    data line, a line of another width than the first (the header's, or one
+    empty cell more), a cell numpy rejects, a non-finite value, a filled
+    cell past the header, or a date not exactly ``YYYY-MM-DD`` or repeated."""
     if '"' in text or ",," in text:
         return None
     lines = text.split("\n")
@@ -263,38 +269,35 @@ def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
         return None
     header = head.split(",")
     columns, date_idx, col_idx = _resolve_header(header, schema)
-    # the lines np.loadtxt skips as empty, so that dates and rows pair up;
-    # with none left it would warn that the input holds no data
+    # with no data line left np.loadtxt would warn that the input is empty
     body = [line for line in lines[1:] if line not in ("", "\r")]
-    # a line of another cell count than the header's is the record loop's; the
-    # comma total misses one only beside a short line lacking no read column
-    width = len(header) - 1
-    if not body or text.count(",") != width * (len(body) + 1):
+    if not body:
         return None
-    if max([date_idx, *col_idx]) < width and any(x.count(",") != width for x in body):
-        return None
+    # one byte past a date shows a longer cell; U1 takes any unread text
+    fields = [
+        (f"f{j}", "S11" if j == date_idx else "f8" if j in col_idx else "U1")
+        for j in range(len(header) + (body[0].count(",") == len(header)))
+    ]
     try:
-        matrix = np.loadtxt(
-            body,
-            delimiter=",",
-            comments=None,
-            usecols=col_idx,
-            dtype=np.float64,
-            ndmin=2,
-        )
-        dates = [
-            parse_panel_date(line.split(",", date_idx + 1)[date_idx], 0)
-            for line in body
-        ]
-    except (IndexError, ValueError, UnparseableValue):
+        table = np.loadtxt(body, fields, comments=None, delimiter=",", ndmin=1)
+        days = table[f"f{date_idx}"].astype("datetime64[D]")
+    except ValueError:
         return None
+    # the empty block keeps a header of Date alone at (rows, 0)
+    matrix = np.column_stack(
+        [np.empty((len(table), 0)), *(table[f"f{j}"] for j in col_idx)]
+    )
+    first, last = np.array(["0001-01-01", "9999-12-31"], "datetime64[D]")
     if (
-        not np.isfinite(matrix).all()
-        or len(set(dates)) < len(dates)
-        or len(matrix) != len(dates)
+        # NaT and years outside 1..9999 first: formatting those can fail
+        not ((first <= days) & (days <= last)).all()
+        or (days.astype("S11") != table[f"f{date_idx}"]).any()
+        or len(np.unique(days)) < len(days)
+        or not np.isfinite(matrix).all()
+        or (len(fields) > len(header) and (table[f"f{len(header)}"] != "").any())
     ):
         return None
-    return CsvScan(header, columns, dates, matrix)
+    return CsvScan(header, columns, days.tolist(), matrix)
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -390,7 +393,7 @@ def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
     scan = scan_csv(path, schema)
     order = sorted(range(len(scan.dates)), key=scan.dates.__getitem__)
     matrix = scan.matrix[order]
-    return Panel(
+    return Panel._on_checked_dates(
         tuple(scan.dates[i] for i in order),
         {name: Series(matrix[:, j]) for j, name in enumerate(scan.columns)},
     )
@@ -422,6 +425,10 @@ def _text_cells(column) -> np.ndarray:
     """Padded UTF-8 rows of each item's :func:`quote`d ``str``, or the records."""
     if isinstance(column, np.ndarray) and column.ndim == 2:
         return column[:, :-2]
+    if isinstance(column, (tuple, list)) and set(map(type, column)) == {Date}:
+        days = np.fromiter(map(Date.toordinal, column), np.int64, len(column))
+        text = (np.datetime64("0001-01-01") + (days - 1)).astype("S10")
+        return text.view(np.uint8).reshape(len(column), 10)
     text = [(quote(x) if isinstance(x, str) else str(x)).encode() for x in column]
     size = np.fromiter(map(len, text), np.intp, len(text))
     keep = np.arange(size.max(initial=0)) < size[:, None]
@@ -435,8 +442,9 @@ def text_rows(*columns: Iterable) -> np.ndarray:
     padded with ``PAD``, each ended by CR LF, over a ``bytearray`` (its
     ``base``). A float array's cells are :func:`format_cell`'s text, made
     for the whole column at once; the records of an earlier call are a
-    column of their own; any other column's items go through ``str``, so
-    dates come out in ISO form, and a ``str`` item is :func:`quote`d."""
+    column of their own; a column of ``date`` items only is formatted at
+    once in ISO form, the same as ``str``; any other column's items go
+    through ``str``, and a ``str`` item is :func:`quote`d."""
     cells = [float_cells(c) if _is_float(c) else _text_cells(c) for c in columns]
     if len({len(c) for c in cells}) > 1:
         raise ValueError("columns differ in length")

@@ -17,8 +17,8 @@ import types
 import typing
 from datetime import date as Date
 
-from .errors import InputError, UnparseableValue
-from .panel import parse_panel_date
+from .errors import InputError
+from .panel import parse_iso_date
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -59,7 +59,7 @@ def _wrong(where: str, kind: str, doc) -> InputError:
 
 def parse(tp, doc, where: str):
     """``doc`` as a value of type ``tp``: ``bool``, ``int`` (not a bool),
-    ``float`` (an int is accepted), ``str``, ``date`` (an ISO string),
+    ``float`` (an int is accepted), ``str``, ``date`` (exactly ``YYYY-MM-DD``),
     ``X | None``, ``tuple[X, ...]`` or ``tuple[X, Y]`` (a list),
     ``dict[str, X]`` (an object), a dataclass (an object; fields with a
     default may be left out, and a field ``from_`` reads the key ``from``),
@@ -100,8 +100,8 @@ def parse(tp, doc, where: str):
     if tp is Date:
         if isinstance(doc, str):
             try:
-                return parse_panel_date(doc, 0)
-            except UnparseableValue:
+                return parse_iso_date(doc)
+            except ValueError:
                 pass
         raise _wrong(where, "an ISO date string", doc)
     if tp is float and type(doc) is int:

@@ -401,6 +401,25 @@ def test_config_range_is_checked_before_any_stage_writes(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("stamp", ["2023-01-01T23:59", "2023-01-01 00:00:00.5"])
+def test_config_date_with_a_time_of_day_is_an_input_error(
+    canonical_csv, tmp_path, capsys, stamp
+):
+    config_file = tmp_path / "cfg.json"
+    config = {"sensitivity": {"window": [stamp, None]}}
+    config_file.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "pipeline", "--input", str(canonical_csv), "--config", str(config_file),
+        "--stages", "core", "--out", str(out),
+    ])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "InputError"
+    assert doc["message"].startswith("config.sensitivity.window[0] must")
+
+
 def _valid_shock(**change):
     return {"variable": "M2", "kind": "additive", "magnitude": 1.0, **change}
 

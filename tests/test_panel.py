@@ -7,7 +7,7 @@ import signal
 import sys
 import tempfile
 import warnings
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimonetary import panel as panel_module
+from bimonetary._csvbytes import PAD
 from bimonetary.errors import (
     BimonetaryError,
     DegenerateRange,
@@ -305,6 +306,14 @@ class TestLoadCsv:
             panel = load_csv(path)
         assert (panel.n_rows, panel.variables) == (0, ("x", "y"))
 
+    def test_load_leaves_the_date_check_to_the_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        write_lines(path, ["Date,x", "2018-01-03,3", "2018-01-01,1"])
+        checked = []
+        monkeypatch.setattr(panel_module, "_check_dates", checked.append)
+        assert load_csv(path).dates == (date(2018, 1, 1), date(2018, 1, 3))
+        assert checked == []
+
     def test_unquoted_cell_over_the_csv_field_limit_names_its_row(self, tmp_path):
         # numpy would read the file, as the long cell is in no loaded column;
         # the csv module stops a field at 131,072 characters
@@ -355,9 +364,15 @@ class TestCsvRoutes:
         lines[1001] = ",".join(cells)
         gappy = tmp_path / "gappy.csv"
         gappy.write_bytes("\r\n".join(lines).encode("utf-8"))
+        # as some spreadsheet exports write: every data line ends in one empty cell
+        padded = tmp_path / "padded.csv"
+        data = path.read_bytes().decode("utf-8").split("\r\n")
+        data[1:-1] = [line + "," for line in data[1:-1]]
+        padded.write_bytes("\r\n".join(data).encode("utf-8"))
 
         monkeypatch.setattr(csv, "reader", reader)
         assert load_csv(path) == panel
+        assert load_csv(padded) == panel
         with pytest.raises(Reached):
             load_csv(gappy)
         monkeypatch.undo()
@@ -401,7 +416,41 @@ class TestCsvRoutes:
             assert isinstance(error, UnparseableValue)
             assert (error.row, error.column, error.text) == (3, "x", token)
 
-    @pytest.mark.parametrize("stamp", ["20180102", "2018-W01-2"])
+    @pytest.mark.parametrize(
+        "text, numpy_reads",
+        [
+            ("x,Date\r\n1,2018-01-02\r\n2,2018-01-01\r\n", True),
+            ("Date,note,x\n2018-01-01,\u20acuro,1\n2018-01-02,\xe9,2\n", True),
+            ("Date,x,note\n2018-01-01,1,\n2018-01-02,2,a\n", True),
+            ("Date,x\n2018-01-01 00:00:00,1\n2018-01-02,2\n", False),
+        ],
+        ids=["crlf-date-last", "non-ascii-unread-cell", "empty-last-unread-cell",
+             "time-of-day"],
+    )
+    def test_route_reads_what_the_record_loop_reads(
+        self, tmp_path, monkeypatch, text, numpy_reads
+    ):
+        def reader(*args, **kwargs):
+            raise AssertionError("the csv module was reached")
+
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_outcome(
+            panel_module._scan_records, io.StringIO(text, newline=""), ["x"]
+        )
+        assert (panel_module._scan_plain(text, ["x"]) is not None) == numpy_reads
+        if numpy_reads:
+            monkeypatch.setattr(csv, "reader", reader)
+        assert read_outcome(scan_csv, path, ["x"]) == expected
+
+    # numpy reads some of these as dates, which format back to other text or
+    # lie outside years 1..9999; the record loop rejects every one
+    @pytest.mark.parametrize(
+        "stamp",
+        ["20180102", "2018-W01-2", "today", "NaT", "0000-01-01", "-001-01-01",
+         "10000-01-01", "+018-01-01", "2018-01",
+         "\uff12\uff10\uff11\uff18-\uff10\uff11-\uff10\uff12"],
+    )
     def test_date_other_than_yyyy_mm_dd_is_unparseable(self, tmp_path, stamp):
         for error in route_errors(tmp_path, f"Date,x\n2018-01-01,1\n{stamp},2\n"):
             assert isinstance(error, UnparseableValue)
@@ -485,6 +534,25 @@ class TestCsvWriter:
             path = Path(tmp) / "table.csv"
             write_rows(path, header, text_rows(*text_columns))
             assert path.read_bytes() == expected
+
+    @given(st.lists(st.dates(), max_size=20), st.sampled_from([list, tuple]))
+    @example([date.min, date.max, date(18, 1, 1)], tuple)
+    @settings(max_examples=200, deadline=None)
+    def test_date_column_bytes_equal_str(self, days, kind):
+        rows = text_rows(kind(days), np.ones(len(days)))
+        expected = "".join(f"{day},1.0\r\n" for day in days).encode()
+        assert rows.base.translate(None, bytes([PAD])) == expected
+
+    @pytest.mark.parametrize(
+        "item, text",
+        [(datetime(2018, 1, 2, 3, 4), "2018-01-02 03:04:00"), ("a,b", '"a,b"')],
+        ids=["datetime", "string"],
+    )
+    def test_date_column_with_another_item_goes_through_str(self, item, text):
+        rows = text_rows([date(2018, 1, 1), item])
+        assert rows.base.translate(None, bytes([PAD])) == (
+            f"2018-01-01\r\n{text}\r\n".encode()
+        )
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):

@@ -425,7 +425,10 @@ class TestScenarioFile:
         assert specs[0].shocks[0].magnitude == 1.5
         assert specs[0].shocks[1].window == (date(2023, 1, 1), date(2023, 12, 31))
 
-    @pytest.mark.parametrize("stamp", ["20230101", "2023-W01-1"])
+    @pytest.mark.parametrize(
+        "stamp",
+        ["20230101", "2023-W01-1", "2023-01-01T23:59", "2023-01-01 00:00:00.5"],
+    )
     def test_window_date_other_than_yyyy_mm_dd_is_an_input_error(
         self, tmp_path, stamp
     ):
