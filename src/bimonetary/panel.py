@@ -256,11 +256,10 @@ def _resolve_header(
 def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     """The file's text read by one ``np.loadtxt`` call, or None for the
     record loop to read it: for a double quote, which only the ``csv``
-    module reads, two adjacent commas (a gappy file's empty cell), a CR
-    inside the header line, a line over the ``csv`` module's field limit, no
-    data line, a line of another width than the first (the header's, or one
-    empty cell more), a cell numpy rejects, a non-finite value, a filled
-    cell past the header, or a date not exactly ``YYYY-MM-DD`` or repeated."""
+    module reads, two adjacent commas (a gappy file's empty cell), a CR in
+    the header, a line over the ``csv`` field limit, no data line, a line
+    of another width than the header, a cell numpy rejects, a non-finite
+    value, or a date not exactly ``YYYY-MM-DD`` or repeated."""
     if '"' in text or ",," in text:
         return None
     lines = text.split("\n")
@@ -274,30 +273,30 @@ def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     if not body:
         return None
     # one byte past a date shows a longer cell; U1 takes any unread text
-    fields = [
-        (f"f{j}", "S11" if j == date_idx else "f8" if j in col_idx else "U1")
-        for j in range(len(header) + (body[0].count(",") == len(header)))
-    ]
+    fields = [(f"f{j}", "f8" if j in col_idx else "U1") for j in range(len(header))]
+    fields[date_idx] = (f"f{date_idx}", "S11")
     try:
         table = np.loadtxt(body, fields, comments=None, delimiter=",", ndmin=1)
-        days = table[f"f{date_idx}"].astype("datetime64[D]")
+        cells = table[f"f{date_idx}"]
+        # numpy warns on a time zone, which takes 11 bytes at least
+        if (np.char.str_len(cells) != 10).any():
+            return None
+        days = cells.astype("datetime64[D]")
     except ValueError:
         return None
     # the empty block keeps a header of Date alone at (rows, 0)
     matrix = np.column_stack(
         [np.empty((len(table), 0)), *(table[f"f{j}"] for j in col_idx)]
     )
-    first, last = np.array(["0001-01-01", "9999-12-31"], "datetime64[D]")
+    dates = days.tolist()  # NaT comes as None, a year outside 1..9999 as an int
     if (
-        # NaT and years outside 1..9999 first: formatting those can fail
-        not ((first <= days) & (days <= last)).all()
-        or (days.astype("S11") != table[f"f{date_idx}"]).any()
+        set(map(type, dates)) != {Date}  # first: formatting those can fail
+        or (days.astype("S11") != cells).any()
         or len(np.unique(days)) < len(days)
         or not np.isfinite(matrix).all()
-        or (len(fields) > len(header) and (table[f"f{len(header)}"] != "").any())
     ):
         return None
-    return CsvScan(header, columns, days.tolist(), matrix)
+    return CsvScan(header, columns, dates, matrix)
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -373,9 +372,9 @@ def scan_csv(path, schema: Sequence[str] | None = None) -> CsvScan:
     a record the ``csv`` module cannot split or with a non-empty cell past
     the header raises :class:`MalformedRecord`.
 
-    A quote-free file of complete lines as wide as the header is read by
-    numpy's C reader; any other, and any that reader does not accept whole,
-    by the record loop, so both give the same results and errors.
+    A file that :func:`_scan_plain` takes is read by one call of numpy's C
+    reader; any other by the record loop, so both give the same results and
+    errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         scan = _scan_plain(fh.read(), schema)
@@ -425,10 +424,6 @@ def _text_cells(column) -> np.ndarray:
     """Padded UTF-8 rows of each item's :func:`quote`d ``str``, or the records."""
     if isinstance(column, np.ndarray) and column.ndim == 2:
         return column[:, :-2]
-    if isinstance(column, (tuple, list)) and set(map(type, column)) == {Date}:
-        days = np.fromiter(map(Date.toordinal, column), np.int64, len(column))
-        text = (np.datetime64("0001-01-01") + (days - 1)).astype("S10")
-        return text.view(np.uint8).reshape(len(column), 10)
     text = [(quote(x) if isinstance(x, str) else str(x)).encode() for x in column]
     size = np.fromiter(map(len, text), np.intp, len(text))
     keep = np.arange(size.max(initial=0)) < size[:, None]
@@ -442,9 +437,8 @@ def text_rows(*columns: Iterable) -> np.ndarray:
     padded with ``PAD``, each ended by CR LF, over a ``bytearray`` (its
     ``base``). A float array's cells are :func:`format_cell`'s text, made
     for the whole column at once; the records of an earlier call are a
-    column of their own; a column of ``date`` items only is formatted at
-    once in ISO form, the same as ``str``; any other column's items go
-    through ``str``, and a ``str`` item is :func:`quote`d."""
+    column of their own; any other column's items go through ``str``, so
+    dates come out in ISO form, and a ``str`` item is :func:`quote`d."""
     cells = [float_cells(c) if _is_float(c) else _text_cells(c) for c in columns]
     if len({len(c) for c in cells}) > 1:
         raise ValueError("columns differ in length")

@@ -7,7 +7,7 @@ import signal
 import sys
 import tempfile
 import warnings
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -364,15 +364,9 @@ class TestCsvRoutes:
         lines[1001] = ",".join(cells)
         gappy = tmp_path / "gappy.csv"
         gappy.write_bytes("\r\n".join(lines).encode("utf-8"))
-        # as some spreadsheet exports write: every data line ends in one empty cell
-        padded = tmp_path / "padded.csv"
-        data = path.read_bytes().decode("utf-8").split("\r\n")
-        data[1:-1] = [line + "," for line in data[1:-1]]
-        padded.write_bytes("\r\n".join(data).encode("utf-8"))
 
         monkeypatch.setattr(csv, "reader", reader)
         assert load_csv(path) == panel
-        assert load_csv(padded) == panel
         with pytest.raises(Reached):
             load_csv(gappy)
         monkeypatch.undo()
@@ -423,9 +417,10 @@ class TestCsvRoutes:
             ("Date,note,x\n2018-01-01,\u20acuro,1\n2018-01-02,\xe9,2\n", True),
             ("Date,x,note\n2018-01-01,1,\n2018-01-02,2,a\n", True),
             ("Date,x\n2018-01-01 00:00:00,1\n2018-01-02,2\n", False),
+            ("Date,x\n2018-01-01,1,\n2018-01-02,2,\n", False),
         ],
         ids=["crlf-date-last", "non-ascii-unread-cell", "empty-last-unread-cell",
-             "time-of-day"],
+             "time-of-day", "empty-cell-past-the-header"],
     )
     def test_route_reads_what_the_record_loop_reads(
         self, tmp_path, monkeypatch, text, numpy_reads
@@ -448,11 +443,15 @@ class TestCsvRoutes:
     @pytest.mark.parametrize(
         "stamp",
         ["20180102", "2018-W01-2", "today", "NaT", "0000-01-01", "-001-01-01",
-         "10000-01-01", "+018-01-01", "2018-01",
+         "10000-01-01", "+018-01-01", "2018-01", "1-01-01T00Z",
          "\uff12\uff10\uff11\uff18-\uff10\uff11-\uff10\uff12"],
     )
     def test_date_other_than_yyyy_mm_dd_is_unparseable(self, tmp_path, stamp):
-        for error in route_errors(tmp_path, f"Date,x\n2018-01-01,1\n{stamp},2\n"):
+        # numpy's date parser warns on a time zone, and no warning may show
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = route_errors(tmp_path, f"Date,x\n2018-01-01,1\n{stamp},2\n")
+        for error in errors:
             assert isinstance(error, UnparseableValue)
             assert (error.row, error.column, error.text) == (3, "Date", stamp)
 
@@ -542,17 +541,6 @@ class TestCsvWriter:
         rows = text_rows(kind(days), np.ones(len(days)))
         expected = "".join(f"{day},1.0\r\n" for day in days).encode()
         assert rows.base.translate(None, bytes([PAD])) == expected
-
-    @pytest.mark.parametrize(
-        "item, text",
-        [(datetime(2018, 1, 2, 3, 4), "2018-01-02 03:04:00"), ("a,b", '"a,b"')],
-        ids=["datetime", "string"],
-    )
-    def test_date_column_with_another_item_goes_through_str(self, item, text):
-        rows = text_rows([date(2018, 1, 1), item])
-        assert rows.base.translate(None, bytes([PAD])) == (
-            f"2018-01-01\r\n{text}\r\n".encode()
-        )
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
