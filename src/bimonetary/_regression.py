@@ -21,7 +21,7 @@ A design is given by its rows, never as one array: ``rows(a, b)`` builds
 design rows a..b-1 as ``(X, Y)``. R is a tall-skinny QR (Demmel, Grigori,
 Hoemmen & Langou, *SIAM J. Sci. Comput.* 34(1), 2012): each block of
 :data:`BLOCK_ROWS` rows of the unscaled ``[X | Y]`` is factored alone (a
-leaf), then the leaves are combined pairwise by the QR of the two R factors
+leaf), then the leaves are combined by one QR of all their R factors
 stacked, which is "adding rows" again. Equilibration comes last: ``Z = Q
 R``, so X's column norms are those of ``R11``, and R with its first k
 columns divided by them is the R factor of ``[X / norms | Y]``. The result
@@ -81,25 +81,19 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
     """R factor of ``[X / norms | Y]`` from the :func:`leaf_factors` of ``[X
     | Y]``, whose first k columns are X; returns ``(R, norms)``.
 
-    The leaves are combined pairwise, in a fixed order, until one is left;
-    then R's first k columns are divided by their norms. Column
-    equilibration makes the pivot test scale-invariant, so mixed magnitudes
-    (GDP levels next to an intercept) are not mistaken for collinearity; a
-    least-squares solution is unchanged by diagonal scaling. The pivot test
-    is left to the caller, which knows the design's columns.
+    The leaves are combined by one QR of them stacked (a single leaf is
+    taken as it is); then R's first k columns are divided by their norms.
+    Column equilibration makes the pivot test scale-invariant, so mixed
+    magnitudes (GDP levels next to an intercept) are not mistaken for
+    collinearity; a least-squares solution is unchanged by diagonal scaling.
+    The pivot test is left to the caller, which knows the design's columns.
 
     Raises
     ------
     RankDeficient
         A zero column among the k, before anything is divided by it.
     """
-    while len(leaves) > 1:
-        pairs = [leaves[i : i + 2] for i in range(0, len(leaves), 2)]
-        leaves = [
-            np.linalg.qr(np.vstack(pair), mode="r") if len(pair) == 2 else pair[0]
-            for pair in pairs
-        ]
-    r = leaves[0]
+    r = leaves[0] if len(leaves) == 1 else np.linalg.qr(np.vstack(leaves), mode="r")
     norms = np.linalg.norm(r[:, :k], axis=0)
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")
@@ -158,19 +152,14 @@ def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
     return LeastSquaresFit(beta, residuals, ssr, stderr)
 
 
-def fit_design(rows, n: int, leaves=None) -> LeastSquaresFit:
-    """The least-squares fit of the n-row design ``rows`` builds (see
-    :func:`factor_design` for the checks and :func:`read_fit` for the
-    standard errors)."""
-    return read_fit(*factor_design(rows, n, leaves), rows, n)
-
-
 def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     """Solve min ||X b - y||, failing loudly on collinear regressors
-    (:func:`fit_design` of the rows of ``X`` and ``y``)."""
+    (:func:`read_fit` of :func:`factor_design` of the rows of ``X`` and
+    ``y``)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    return fit_design(lambda a, b: (X[a:b], y[a:b]), len(X))
+    rows = lambda a, b: (X[a:b], y[a:b])
+    return read_fit(*factor_design(rows, len(X)), rows, len(X))
 
 
 def cross_products(r: np.ndarray, k: int) -> np.ndarray:
@@ -206,26 +195,6 @@ def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarra
     sub = np.linalg.qr(np.vstack([rows, r[:, columns]]), mode="r")
     _check_pivots(sub, k)
     return sub
-
-
-def prefix_fit(
-    r: np.ndarray, norms: np.ndarray, rows, n: int, lead: int
-) -> LeastSquaresFit:
-    """:func:`fit_design` of the n-row design ``rows`` builds, where ``(r,
-    norms)`` is :func:`factor_design` of a design whose rows are this one's
-    after the first ``lead``, in more columns: this one's X is a column
-    prefix of that X, and the responses are the same.
-
-    This is the refit of a lag search at its chosen lag: its R comes from
-    :func:`subset_factor` of the ``lead`` rows, so nothing is factored
-    again. The rows are scaled by the larger design's norms, which leaves
-    the least-squares solution unchanged.
-    """
-    X_lead, Y_lead = rows(0, lead)
-    k, width = X_lead.shape[1], len(norms)
-    columns = np.r_[:k, width : r.shape[1]]
-    sub = subset_factor(r, columns, k, np.column_stack([X_lead / norms[:k], Y_lead]))
-    return read_fit(sub, norms[:k], rows, n)
 
 
 def r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

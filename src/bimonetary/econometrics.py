@@ -17,14 +17,14 @@ import numpy as np
 
 from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
+    PIVOT_RTOL,
     LeastSquaresFit,
     cross_products,
     factor,
     factor_design,
-    fit_design,
     leaf_factors,
-    prefix_fit,
     qr_least_squares,  # noqa: F401  bench/tracer.py wraps this name here
+    read_fit,
     subset_factor,
 )
 from .errors import (
@@ -124,8 +124,8 @@ def _lag_search(
     ``score(p, E'E)`` (the first of equal scores), refit on all usable rows.
 
     One tall factorization serves both: order p is a column prefix of the
-    largest design plus the ``max_p - p`` rows it lacks
-    (:func:`_regression.prefix_fit`).
+    largest design plus the ``max_p - p`` rows it lacks, so the refit's R
+    comes from :func:`subset_factor`.
     """
     T = len(data)
     r, norms = factor_design(_rows(data, max_p, max_p, exog), T - max_p)
@@ -136,8 +136,13 @@ def _lag_search(
         value = score(p, moments)
         if value < best:
             best, best_p = value, p
-    rows = _rows(data, best_p, best_p, exog)
-    fit = prefix_fit(r, norms, rows, T - best_p, max_p - best_p)
+    k = len(norms) - K * (max_p - best_p)
+    # the lags beyond best_p of these rows reach before row 0: zero, unread
+    lead = np.column_stack(_lagged(data, max_p, best_p, max_p, exog))
+    lead[:, : len(norms)] /= norms
+    columns = np.r_[:k, len(norms) : r.shape[1]]
+    sub = subset_factor(r, columns, k, lead[:, columns])
+    fit = read_fit(sub, norms[:k], _rows(data, best_p, best_p, exog), T - best_p)
     return best_p, best, fit
 
 
@@ -271,9 +276,13 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
     """Trace cointegration test with an unrestricted constant.
 
     Both the first differences and the lagged levels are residualized on
-    ``k_ar_diff`` lagged differences plus a constant; the eigenvalues of the
-    canonical-correlation problem between the two residual sets give the
-    trace statistics, compared against the embedded 5% table.
+    ``k_ar_diff`` lagged differences plus a constant. The canonical
+    correlations of the two residual sets are the singular values of ``B
+    L^-1``, with ``[[A, B], [0, C]]`` the residual block of the kernel's R
+    and L the R factor of ``[B; C]`` (Johansen 1995, ch. 7); their squares
+    give the trace statistics, compared against the embedded 5% table. A
+    pivot of A or L below PIVOT_RTOL times its column's norm raises
+    SingularMomentMatrix, whatever the column's scale.
     """
     data = _as_matrix(data)
     T, K = data.shape
@@ -298,19 +307,17 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
         z, d0 = _lagged(dy, k_ar_diff, k_ar_diff + a, k_ar_diff + b)
         return z, np.hstack([d0, data[k_ar_diff + a : k_ar_diff + b]])
 
-    # residual cross-product of [dy_t | y_{t-1}] on z, read from the kernel's R
     r, norms = factor_design(design, rows)
-    moments = cross_products(r, len(norms))[-1] / rows
-    s00, skk, sk0 = moments[:K, :K], moments[K:, K:], moments[K:, :K]
-    try:
-        l_kk = np.linalg.cholesky(skk)
-        s00_inv = np.linalg.inv(s00)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMomentMatrix(str(exc)) from None
-    inner = np.linalg.solve(l_kk, sk0 @ s00_inv @ sk0.T)
-    inner = np.linalg.solve(l_kk, inner.T).T
-    eigenvalues = np.linalg.eigvalsh((inner + inner.T) / 2.0)[::-1]
-    eigenvalues = np.clip(eigenvalues, 0.0, 1.0 - 1e-15)
+    residual = r[len(norms) :, len(norms) :]   # [[A, B], [0, C]]
+    if len(residual) < 2 * K:
+        raise SingularMomentMatrix(f"{len(residual)} residual rows for {2 * K} columns")
+    l_kk = np.linalg.qr(residual[:, K:], mode="r")
+    pivots = np.abs(np.r_[np.diag(residual)[:K], np.diag(l_kk)])
+    if (pivots <= PIVOT_RTOL * np.linalg.norm(residual, axis=0)).any():
+        raise SingularMomentMatrix("residual moment matrix is singular")
+    b = residual[:K, K:]
+    singular = np.linalg.svd(np.linalg.solve(l_kk.T, b.T), compute_uv=False)
+    eigenvalues = np.clip(singular**2, 0.0, 1.0 - 1e-15)
 
     log_terms = np.log1p(-eigenvalues)
     trace = -rows * np.cumsum(log_terms[::-1])[::-1]
@@ -522,7 +529,7 @@ def fit_var_order(
         changed = np.r_[0, np.cumsum((data != base.data).any(axis=1))]
         base = (base.leaves, changed[p + 1 :] > changed[:n])
     leaves = leaf_factors(rows, n, base)
-    model = _var_model(fit_design(rows, n, leaves), p, names)
+    model = _var_model(read_fit(*factor_design(rows, n, leaves), rows, n), p, names)
     return replace(model, data=data, leaves=leaves)
 
 
@@ -671,13 +678,9 @@ def fevd(model: VarModel, horizon: int) -> FevdResult:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     result = irf(model, horizon - 1)
-    K = model.k_vars
     contributions = np.stack([t**2 for t in result.theta])   # (H, K, K)
     cumulative = np.cumsum(contributions, axis=0)
-    shares = np.empty((K, horizon, K))
-    for i in range(K):
-        table = cumulative[:, i, :]
-        shares[i] = table / table.sum(axis=1, keepdims=True)
+    shares = (cumulative / cumulative.sum(axis=2, keepdims=True)).transpose(1, 0, 2)
     return FevdResult(model.variable_order, shares)
 
 

@@ -256,11 +256,11 @@ def _resolve_header(
 def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     """The file's text read by one ``np.loadtxt`` call, or None for the
     record loop to read it: for a double quote, which only the ``csv``
-    module reads, two adjacent commas (a gappy file's empty cell), a CR in
-    the header, a line over the ``csv`` field limit, no data line, a line
-    of another width than the header, a cell numpy rejects, a non-finite
-    value, or a date not exactly ``YYYY-MM-DD`` or repeated."""
-    if '"' in text or ",," in text:
+    module reads, a CR in the header, a line over the ``csv`` field limit,
+    no data line, a line of another width than the header, a cell numpy
+    rejects (an empty read cell among them; an empty unread cell is read),
+    a non-finite value, or a date not exactly ``YYYY-MM-DD`` or repeated."""
+    if '"' in text:
         return None
     lines = text.split("\n")
     head = lines[0].removesuffix("\r")

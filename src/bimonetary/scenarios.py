@@ -32,22 +32,6 @@ class CategorySpec:
             raise ValueError("category spec needs at least one variable")
 
 
-#: Default memberships; the named categories are configuration-overridable.
-MONETARY_SYSTEM = CategorySpec(
-    "M",
-    (
-        "M2",
-        "Pi Exp",
-        "Argentina Net Lending Borrowing",
-        "Historical Ars Usd",
-        "Long Interest",
-        "Short Interest",
-    ),
-)
-DEMAND_STRUCTURE = CategorySpec("Delta", ("M2", "M2 Usd"))
-HISTORICAL_FEEDBACK = CategorySpec("H", ("Ipc Argentina", "Historical Ars Usd"))
-
-
 @dataclass(frozen=True)
 class Shock:
     variable: str

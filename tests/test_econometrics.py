@@ -9,6 +9,7 @@ from bimonetary.errors import (
     RankDeficient,
     SeriesTooShort,
     ShapeMismatch,
+    SingularMomentMatrix,
 )
 from bimonetary.panel import Panel, Series
 from tests import reference
@@ -179,6 +180,28 @@ class TestJohansen:
     def test_blocked_design_matches_naive_oracle(self):
         # 5000 rows: the design spans three blocks of BLOCK_ROWS
         self._matches_naive_oracle(5000)
+
+    @pytest.mark.parametrize(
+        "collinear",
+        [lambda x: x, lambda x: 3.0 * x + 1.0, np.ones_like],
+        ids=["duplicate", "affine", "constant"],
+    )
+    def test_collinear_levels_are_singular(self, collinear):
+        rng = fresh_rng()
+        x, w = np.cumsum(rng.standard_normal((2, 400)), axis=1)
+        with pytest.raises(SingularMomentMatrix):
+            econ.johansen_trace(np.column_stack([x, w, collinear(x)]), 0)
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e15])
+    def test_eigenvalues_ignore_one_column_scale(self, scale):
+        rng = fresh_rng()
+        w = np.cumsum(rng.standard_normal(400))
+        data = np.column_stack(
+            [w, w + 0.5 * rng.standard_normal(400), np.cumsum(rng.standard_normal(400))]
+        )
+        want = econ.johansen_trace(data, 1).eigenvalues
+        got = econ.johansen_trace(data * [1.0, scale, 1.0], 1).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestGranger:

@@ -416,11 +416,14 @@ class TestCsvRoutes:
             ("x,Date\r\n1,2018-01-02\r\n2,2018-01-01\r\n", True),
             ("Date,note,x\n2018-01-01,\u20acuro,1\n2018-01-02,\xe9,2\n", True),
             ("Date,x,note\n2018-01-01,1,\n2018-01-02,2,a\n", True),
+            ("Date,note,x\n2018-01-01,,1\n2018-01-02,,2\n", True),
             ("Date,x\n2018-01-01 00:00:00,1\n2018-01-02,2\n", False),
             ("Date,x\n2018-01-01,1,\n2018-01-02,2,\n", False),
+            ("Date,x,y\n2018-01-01,,1\n2018-01-02,2,3\n", False),
         ],
         ids=["crlf-date-last", "non-ascii-unread-cell", "empty-last-unread-cell",
-             "time-of-day", "empty-cell-past-the-header"],
+             "blank-unread-column", "time-of-day", "empty-cell-past-the-header",
+             "empty-read-cell"],
     )
     def test_route_reads_what_the_record_loop_reads(
         self, tmp_path, monkeypatch, text, numpy_reads

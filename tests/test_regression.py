@@ -135,18 +135,17 @@ class TestFactorizationCount:
     def _blocked(qr_calls, tall_rows):
         """Asserts that ``qr_calls`` open with the blocked factorization of
         one ``tall_rows``-row design: one leaf per block of BLOCK_ROWS rows
-        (the last holds the rest), then one pairwise combine fewer, each a
-        QR of two stacked R factors of the design's width. Returns the
-        calls after it."""
+        (the last holds the rest), then one combine, the QR of every leaf's
+        R factor stacked, in the design's width. Returns the calls after
+        it."""
         leaves = -(-tall_rows // BLOCK_ROWS)
         assert leaves >= 3
         rows = [r for r, *_ in qr_calls[:leaves]]
         assert rows == [BLOCK_ROWS] * (leaves - 1) + [tall_rows - BLOCK_ROWS * (leaves - 1)]
         width = qr_calls[0][1]
-        combines = qr_calls[leaves : 2 * leaves - 1]
-        assert len(combines) == leaves - 1
-        assert all(r <= 2 * width and c == width for r, c, _ in combines)
-        return qr_calls[2 * leaves - 1 :]
+        combine_rows = sum(min(r, width) for r in rows)
+        assert qr_calls[leaves][:2] == (combine_rows, width)
+        return qr_calls[leaves + 1 :]
 
     def _one_tall_then_refit(self, qr_calls, tall_rows, max_lags, chosen):
         """The blocked QR of the largest design, then the refit's QR of that
