@@ -33,12 +33,10 @@ from .panel import (
     CANONICAL_VARIABLES,
     DATE_COLUMN,
     Panel,
-    Table,
     load_csv,
     scan_csv,
     text_rows,
     write_csv,
-    write_tables,
 )
 from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
@@ -400,17 +398,11 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
     baseline = comparisons[0].baseline.array
     shared = text_rows(range(len(baseline)), baseline)
     header = ["index", "baseline", "shocked", "difference"]
-    tables = [
-        Table(
-            out / _scenario_file(c.name),
-            header,
-            (shared, c.shocked.array, c.difference.array),
-        )
-        for c in comparisons
-    ]
-    # the writer is looked up at call time, so a wrapper set on the module
-    # sees this process's files
-    write_tables(tables, _write_csv)
+    # one process writes the files in scenario order; _write_csv is looked up
+    # at call time, so a wrapper set on the module sees every file
+    for c in comparisons:
+        rows = text_rows(shared, c.shocked.array, c.difference.array)
+        _write_csv(out / _scenario_file(c.name), header, rows)
 
 
 def _stage_calibrate(panel: Panel, out: Path, config: Config) -> None:

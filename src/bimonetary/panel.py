@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -465,86 +464,6 @@ def write_rows(path, header: Sequence[str], rows: np.ndarray) -> None:
     head = ",".join(map(quote, header)) or '""'
     with open(path, "wb") as fh:
         fh.write(head.encode() + b"\r\n" + rows.base.translate(None, bytes([PAD])))
-
-
-#: Float cells per writer process of :func:`write_tables`. Forking a child
-#: of a process the size of the CLI's and reaping it costs about 4 ms of
-#: wall time and 7 ms of CPU on a 2-vCPU VM, what formatting and writing
-#: about 10,000 float cells costs there (0.55 us a cell), so with at least
-#: this many a fork stays a few percent of its process's work.
-CELLS_PER_WRITER = 200_000
-
-
-class Table(NamedTuple):
-    """One file of :func:`write_tables`: the path and header of
-    :func:`write_rows` and the :func:`text_rows` columns of its records."""
-
-    path: object
-    header: Sequence[str]
-    columns: Sequence
-
-
-def writer_count(tables: Sequence[Table]) -> int:
-    """The processes :func:`write_tables` writes ``tables`` with: at most
-    one per CPU this process may run on, one per table and one per
-    :data:`CELLS_PER_WRITER` float cells, and at least one. Without
-    ``os.fork`` or a CPU affinity mask (off Linux), one."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    cells = sum(len(c) for table in tables for c in table.columns if _is_float(c))
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, len(tables), cells // CELLS_PER_WRITER))
-
-
-def _write_share(tables, first: int, step: int, write) -> None:
-    """Write tables ``first``, ``first + step``, ... in that order."""
-    for path, header, columns in tables[first::step]:
-        write(path, header, text_rows(*columns))
-
-
-def _fork_writer(tables, first: int, step: int, write) -> int:
-    """The pid of a forked child that writes its :func:`_write_share` and
-    exits 0, or 1 when a table fails."""
-    pid = os.fork()
-    if pid == 0:
-        # the child never leaves this block: os._exit skips the parent's
-        # cleanup, buffered output and exit handlers
-        code = 1
-        try:
-            _write_share(tables, first, step, write)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def write_tables(tables: Sequence[Table], write=write_rows) -> None:
-    """Write every table as ``write(path, header, text_rows(*columns))``,
-    with the tables dealt round-robin over :func:`writer_count` processes:
-    this one writes tables 0, n, 2n, ... and each of n - 1 forked children
-    its own share, each with the same code, so a file's bytes do not depend
-    on n. Every child is waited for before this returns or raises. A child
-    ended by a signal is a ChildProcessError. When a fork or this process's
-    share fails with an OSError, or a child exits 1, this process writes
-    every table again in table order, so what it raises is what one process
-    raises, and a failure that does not recur leaves every file written."""
-    n = writer_count(tables)
-    if n == 1:
-        return _write_share(tables, 0, 1, write)
-    pids: list[int] = []
-    failed = False
-    try:
-        for first in range(1, n):
-            pids.append(_fork_writer(tables, first, n, write))
-        _write_share(tables, 0, n, write)
-    except OSError:
-        failed = True
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if min(codes, default=0) < 0:
-        raise ChildProcessError(f"a CSV writer process ended with code {min(codes)}")
-    if failed or any(codes):
-        _write_share(tables, 0, 1, write)
 
 
 def write_csv(panel: Panel, path) -> None:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimonetary import panel as panel_module
 from bimonetary.category import (
     Affine,
     Diagram,
@@ -32,8 +32,15 @@ from bimonetary.category import (
     diagram_to_json,
     functor_to_json,
 )
-from bimonetary.cli import _sha256, main
-from bimonetary.panel import CANONICAL_VARIABLES, load_csv, write_csv
+from bimonetary.cli import SensitivitySection, _sha256, main
+from bimonetary.panel import (
+    CANONICAL_VARIABLES,
+    load_csv,
+    text_rows,
+    write_csv,
+    write_rows,
+)
+from bimonetary.scenarios import CategorySpec, Shock, run_sensitivity
 from tests.conftest import SEED, daily_dates, make_canonical_panel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -727,24 +734,6 @@ def _scenario_file(tmp_path, names):
     return path
 
 
-def _count_writers(monkeypatch):
-    """Lets every float cell count as a writer's share, so that the scenario
-    files are written by min(CPUs, files) processes; returns the pids of the
-    children forked."""
-    forked = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
-    return forked
-
-
 class TestScenarioCommand:
     def test_three_scenarios_three_csvs(self, canonical_csv, tmp_path):
         scenario_file = tmp_path / "scenarios.json"
@@ -843,25 +832,47 @@ class TestScenarioCommand:
         assert code == 1
         assert "Nope" in capsys.readouterr().err
 
-    def test_scenario_files_do_not_depend_on_the_writer_count(
-        self, canonical_csv, tmp_path, monkeypatch, capfd
-    ):
-        forked = _count_writers(monkeypatch)
-        scenarios = _scenario_file(tmp_path, ["m2 up", "rate up", "both"])
-        trees = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            out = tmp_path / f"writers-{cpus}"
-            argv = ["scenario", "--input", str(canonical_csv)]
-            argv += ["--scenarios", str(scenarios), "--out", str(out)]
-            assert main(argv) == 0
-            trees.append(tree_bytes(out))
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):  # no writer outlives the run
-            os.waitpid(-1, os.WNOHANG)
-        assert trees[0] == trees[1]
-        assert len([name for name in trees[0] if name.startswith("scenario_")]) == 3
-        assert capfd.readouterr().err == ""
+    def test_one_process_writes_every_scenario_file(self, tmp_path, monkeypatch):
+        # 24 scenarios on 9,000 rows, 432,000 float cells, with two CPUs free:
+        # the command still starts no process and no thread
+        csv_path = tmp_path / "panel.csv"
+        write_csv(make_canonical_panel(9000), csv_path)
+        magnitudes = {f"m2 x{i}": 1 + i / 8 for i in range(24)}
+        shock = {"variable": "M2", "kind": "multiplicative"}
+        doc = [
+            {"name": name, "shocks": [{**shock, "magnitude": m}]}
+            for name, m in magnitudes.items()
+        ]
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text(json.dumps(doc), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scenario command started a process or a thread")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "scen"
+        argv = ["scenario", "--input", str(csv_path)]
+        argv += ["--scenarios", str(scenarios), "--out", str(out)]
+        assert main(argv) == 0
+        section = SensitivitySection()
+        comparisons = run_sensitivity(
+            load_csv(csv_path).clean(),
+            section.target,
+            [(name, [Shock(**shock, magnitude=m)]) for name, m in magnitudes.items()],
+            CategorySpec("model", section.model_variables),
+            section.max_lags,
+        )
+        baseline = comparisons[0].baseline.array
+        shared = text_rows(range(len(baseline)), baseline)
+        header = ["index", "baseline", "shocked", "difference"]
+        for c in comparisons:
+            expected = tmp_path / "expected.csv"
+            rows = text_rows(shared, c.shocked.array, c.difference.array)
+            write_rows(expected, header, rows)
+            file = out / f"scenario_{c.name.replace(' ', '_')}.csv"
+            assert file.read_bytes() == expected.read_bytes()
 
     def test_scenario_names_sharing_a_file_are_an_input_error(
         self, canonical_csv, tmp_path, capsys
@@ -878,26 +889,24 @@ class TestScenarioCommand:
         assert "scenario_a_b.csv" in doc["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("blocked", ["m2_up", "rate_up"], ids=["own", "child"])
+    @pytest.mark.parametrize("blocked", [0, 1], ids=["first", "middle"])
     def test_scenario_file_that_is_a_directory_exits_one(
-        self, canonical_csv, tmp_path, monkeypatch, capsys, blocked
+        self, canonical_csv, tmp_path, capsys, blocked
     ):
-        # two writers: this process writes scenarios 0 and 2, a child 1
-        forked = _count_writers(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         scenarios = _scenario_file(tmp_path, ["m2 up", "rate up", "both"])
+        files = ["scenario_m2_up.csv", "scenario_rate_up.csv", "scenario_both.csv"]
         out = tmp_path / "scen"
-        (out / f"scenario_{blocked}.csv").mkdir(parents=True)
+        (out / files[blocked]).mkdir(parents=True)
         argv = ["scenario", "--input", str(canonical_csv)]
         argv += ["--scenarios", str(scenarios), "--out", str(out)]
         assert main(argv) == 1
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
         (line,) = capsys.readouterr().err.strip().splitlines()
         doc = json.loads(line)
         assert (doc["error"], doc["stage"]) == ("IsADirectoryError", "sensitivity")
-        assert f"scenario_{blocked}.csv" in doc["message"]
+        assert files[blocked] in doc["message"]
+        # the files before the blocked one are written, none after it
+        written = [(out / name).is_file() for name in files]
+        assert written == [i < blocked for i in range(len(files))]
 
 
 class TestOtherCommands:

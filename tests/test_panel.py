@@ -1,9 +1,6 @@
 import csv
-import errno
 import io
 import math
-import os
-import signal
 import sys
 import tempfile
 import warnings
@@ -32,7 +29,6 @@ from bimonetary.panel import (
     CANONICAL_VARIABLES,
     Panel,
     Series,
-    Table,
     difference,
     format_cell,
     format_column,
@@ -45,8 +41,6 @@ from bimonetary.panel import (
     text_rows,
     write_csv,
     write_rows,
-    write_tables,
-    writer_count,
 )
 from bimonetary.scenarios import CategorySpec, Shock, apply_scenario, learning_enrich
 from tests import reference
@@ -603,178 +597,6 @@ class TestFloatKernel:
     def test_matches_format_cell(self, values):
         column = np.array(values, dtype=np.float64)
         assert format_column(column) == [format_cell(v) for v in values]
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def writers(monkeypatch):
-    """Sets the CPUs `write_tables` sees, and counts every float cell as a
-    writer's share, so that it writes with min(cpus, tables) processes;
-    returns the pids of the children it forks."""
-    forked = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def use(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        return forked
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
-    return use
-
-
-def scenario_like_tables(root, count):
-    rng = np.random.default_rng(SEED)
-    shared = text_rows(range(4), rng.standard_normal(4))
-    special = np.array([math.nan, -0.0, 5e-324, 1e22])
-    return [
-        Table(root / f"t{i}.csv", ["index", "a", "b"], (shared, rng.random(4), special))
-        for i in range(count)
-    ]
-
-
-class TestTableWriter:
-    def test_bytes_do_not_depend_on_the_writer_count(self, tmp_path, writers):
-        trees = []
-        for cpus in (1, 2, 3):
-            forked = writers(cpus)
-            root = tmp_path / str(cpus)
-            root.mkdir()
-            tables = scenario_like_tables(root, 5)
-            assert writer_count(tables) == cpus
-            write_tables(tables)
-            trees.append({p.name: p.read_bytes() for p in root.iterdir()})
-        assert_no_child_left()
-        assert len(forked) == 0 + 1 + 2
-        assert trees[0] == trees[1] == trees[2]
-        path, header, columns = scenario_like_tables(tmp_path, 1)[0]
-        write_rows(path, header, text_rows(*columns))
-        assert trees[2]["t0.csv"] == path.read_bytes()
-
-    def test_processes_are_bounded_by_cpus_tables_and_cells(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        column = np.zeros(1000)
-        many = [Table(tmp_path / f"{i}.csv", ["x"], (column,)) for i in range(1000)]
-        assert writer_count(many) == 1_000_000 // panel_module.CELLS_PER_WRITER
-        # text columns are formatted already, so they are no share of work
-        cells = ["1.5"] * 10**6
-        text = [Table(tmp_path / f"{i}.csv", ["x"], (cells,)) for i in range(4)]
-        assert writer_count(text) == 1
-        monkeypatch.setattr(panel_module, "CELLS_PER_WRITER", 1)
-        assert writer_count(many) == 64
-        assert writer_count(many[:3]) == 3
-        assert writer_count([]) == 1
-        monkeypatch.delattr(os, "fork")
-        assert writer_count(many) == 1
-
-    def test_many_tables_fork_one_child_per_extra_cpu(self, tmp_path, writers):
-        forked = writers(4)
-        tables = scenario_like_tables(tmp_path, 200)
-        write_tables(tables)
-        assert len(forked) == 3
-        assert len(list(tmp_path.iterdir())) == 200
-        assert_no_child_left()
-
-    @pytest.mark.parametrize(
-        "blocked",
-        [[1], [0], [1, 2], [2, 3]],
-        ids=["child", "own", "child-first", "own-first"],
-    )
-    def test_first_failing_table_is_raised_after_every_child_ends(
-        self, tmp_path, writers, blocked
-    ):
-        messages = []
-        for cpus in (1, 2):  # with 2, this process writes tables 0 and 2
-            writers(cpus)
-            root = tmp_path / str(cpus)
-            root.mkdir()
-            tables = scenario_like_tables(root, 4)
-            for i in blocked:
-                tables[i].path.mkdir()
-            with pytest.raises(IsADirectoryError) as info:
-                write_tables(tables)
-            assert_no_child_left()
-            assert info.value.filename == str(tables[blocked[0]].path)
-            messages.append(str(info.value).replace(str(root), "ROOT"))
-        assert messages[0] == messages[1]
-
-    def test_child_that_dies_is_an_error(self, tmp_path, writers):
-        writers(2)
-        parent = os.getpid()
-
-        def write(path, header, rows):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            write_rows(path, header, rows)
-
-        with pytest.raises(ChildProcessError, match="code -9"):
-            write_tables(scenario_like_tables(tmp_path, 2), write)
-        assert_no_child_left()
-
-    def test_own_failure_waits_for_every_child(self, tmp_path, writers):
-        writers(3)
-        parent = os.getpid()
-
-        def write(path, header, rows):
-            if os.getpid() == parent:
-                raise MemoryError
-            write_rows(path, header, rows)
-
-        with pytest.raises(MemoryError):
-            write_tables(scenario_like_tables(tmp_path, 3), write)
-        assert_no_child_left()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.csv", "t2.csv"]
-
-    def test_child_failure_that_does_not_recur_writes_every_table(
-        self, tmp_path, writers
-    ):
-        forked = writers(3)
-        parent = os.getpid()
-
-        def write(path, header, rows):
-            if os.getpid() != parent:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            write_rows(path, header, rows)
-
-        (tmp_path / "tables").mkdir()
-        tables = scenario_like_tables(tmp_path / "tables", 5)
-        write_tables(tables, write)
-        assert_no_child_left()
-        assert len(forked) == 2
-        (tmp_path / "one").mkdir()
-        for path, header, columns in tables:
-            expected = tmp_path / "one" / path.name
-            write_rows(expected, header, text_rows(*columns))
-            assert path.read_bytes() == expected.read_bytes()
-
-    def test_failed_fork_still_writes_every_table(self, tmp_path, writers, monkeypatch):
-        forked = writers(3)
-        fork = os.fork
-
-        def second_fork_fails():
-            if forked:
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fork_fails)
-        write_tables(scenario_like_tables(tmp_path, 5))
-        assert_no_child_left()
-        assert len(forked) == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"t{i}.csv" for i in range(5)
-        ]
 
 
 class TestSeriesStorage:
