@@ -15,6 +15,11 @@ _EPS = 3e-16
 _TINY = 1e-300
 
 
+def _nonzero(v: float) -> float:
+    # Lentz's guard: a denominator within _TINY of zero becomes +_TINY
+    return _TINY if abs(v) < _TINY else v
+
+
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
@@ -41,13 +46,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(an * d + b)
+        c = _nonzero(b + an / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -73,30 +73,17 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:

@@ -81,8 +81,9 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
     """R factor of ``[X / norms | Y]`` from the :func:`leaf_factors` of ``[X
     | Y]``, whose first k columns are X; returns ``(R, norms)``.
 
-    The leaves are combined by one QR of them stacked (a single leaf is
-    taken as it is); then R's first k columns are divided by their norms.
+    The leaves are combined by one QR of them stacked (a QR of one leaf
+    returns it bit for bit); then R's first k columns are divided by their
+    norms.
     Column equilibration makes the pivot test scale-invariant, so mixed
     magnitudes (GDP levels next to an intercept) are not mistaken for
     collinearity; a least-squares solution is unchanged by diagonal scaling.
@@ -93,7 +94,7 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
     RankDeficient
         A zero column among the k, before anything is divided by it.
     """
-    r = leaves[0] if len(leaves) == 1 else np.linalg.qr(np.vstack(leaves), mode="r")
+    r = np.linalg.qr(np.vstack(leaves), mode="r")
     norms = np.linalg.norm(r[:, :k], axis=0)
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")

@@ -64,21 +64,15 @@ __all__ = [
 ]
 
 
-def _as_array(series) -> np.ndarray:
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeMismatch("expected a one-dimensional series")
-    if np.isnan(arr).any():
-        raise ValueError("series contains missing values; clean the panel first")
-    return arr
-
-
-def _as_matrix(data) -> np.ndarray:
+def _finite(data, ndim: int) -> np.ndarray:
+    """``data`` as a float array of ``ndim`` dimensions, a series (1) or a
+    (T, K) matrix (2), whose every value is finite."""
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeMismatch("expected a (T, K) matrix")
-    if np.isnan(arr).any():
-        raise ValueError("matrix contains missing values; clean the panel first")
+    if arr.ndim != ndim:
+        shape = "a one-dimensional series" if ndim == 1 else "a (T, K) matrix"
+        raise ShapeMismatch(f"expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("missing or infinite value; clean the panel first")
     return arr
 
 
@@ -93,8 +87,11 @@ def _lagged(
 
     Lag j of column v is column ``1 + e + (j-1)K + v`` (e exog, K data
     columns), the stacked VAR regressors of Lütkepohl (2005, 3.2), so fewer
-    lags is a column prefix. A lag that reaches before row 0 reads zero.
+    lags is a column prefix. Every row has all its lags: ``start < p``
+    raises ValueError, where a slice would wrap to the end of the series.
     """
+    if start < p:
+        raise ValueError(f"row {start} has no lag {p}")
     exog = np.empty((len(data), 0)) if exog is None else exog
     series, given = (a[:, None] if a.ndim == 1 else a for a in (data, exog))
     K, e = series.shape[1], given.shape[1]
@@ -103,10 +100,8 @@ def _lagged(
     X[:, 0] = 1.0
     X[:, 1 : 1 + e] = given[start:stop]
     for j in range(1, p + 1):
-        first = min(max(start, j), stop)    # the first row whose lag j exists
         col = 1 + e + (j - 1) * K
-        X[: first - start, col : col + K] = 0.0
-        X[first - start :, col : col + K] = series[first - j : stop - j]
+        X[:, col : col + K] = series[start - j : stop - j]
     return X, data[start:stop]
 
 
@@ -137,11 +132,9 @@ def _lag_search(
         if value < best:
             best, best_p = value, p
     k = len(norms) - K * (max_p - best_p)
-    # the lags beyond best_p of these rows reach before row 0: zero, unread
-    lead = np.column_stack(_lagged(data, max_p, best_p, max_p, exog))
-    lead[:, : len(norms)] /= norms
-    columns = np.r_[:k, len(norms) : r.shape[1]]
-    sub = subset_factor(r, columns, k, lead[:, columns])
+    lead = np.column_stack(_lagged(data, best_p, best_p, max_p, exog))
+    lead[:, :k] /= norms[:k]
+    sub = subset_factor(r, np.r_[:k, len(norms) : r.shape[1]], k, lead)
     fit = read_fit(sub, norms[:k], _rows(data, best_p, best_p, exog), T - best_p)
     return best_p, best, fit
 
@@ -209,7 +202,7 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     The regression is :func:`_lagged` on ``dy`` with exog ``y_{t-1}``, and
     :func:`_lag_search` serves the search and the refit.
     """
-    y = _as_array(series)
+    y = _finite(series, 1)
     T = len(y)
     if T < 15:
         raise SeriesTooShort(f"ADF needs at least 15 observations, got {T}")
@@ -284,7 +277,7 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
     pivot of A or L below PIVOT_RTOL times its column's norm raises
     SingularMomentMatrix, whatever the column's scale.
     """
-    data = _as_matrix(data)
+    data = _finite(data, 2)
     T, K = data.shape
     if K < 2:
         raise ValueError("cointegration needs at least two series")
@@ -380,14 +373,14 @@ def _granger_pairs(
     r, norms = factor(leaf_factors(_rows(data, max_lag, max_lag), T - max_lag), k)
     entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
-        # the lags beyond `lag` of these rows reach before row 0: zero, unread
-        lead = np.hstack(_lagged(data, max_lag, lag, max_lag))
-        lead[:, :k] /= norms
-        df_den = (T - lag) - 2 * lag - 1
         end = 1 + K * lag
+        lead = np.hstack(_lagged(data, lag, lag, max_lag))
+        lead[:, :end] /= norms[:end]
+        r_lag = r[:, np.r_[:end, k : r.shape[1]]]     # lead's columns of R
+        df_den = (T - lag) - 2 * lag - 1
         for cause, effect in pairs:
-            columns = np.r_[0, 1 + effect : end : K, 1 + cause : end : K, k + effect]
-            sub = subset_factor(r, columns, 1 + 2 * lag, lead[:, columns])
+            columns = np.r_[0, 1 + effect : end : K, 1 + cause : end : K, end + effect]
+            sub = subset_factor(r_lag, columns, 1 + 2 * lag, lead[:, columns])
             ssrs = cross_products(sub, 1 + 2 * lag)[:, 0, 0]
             ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
             if ssr_u <= 0.0:
@@ -407,7 +400,7 @@ def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
     The errors are :func:`granger`'s; a zero regressor column raises
     ``RankDeficient`` before anything is divided by it.
     """
-    data = _as_matrix(data)
+    data = _finite(data, 2)
     K = data.shape[1]
     pairs = [(c, e) for c in range(K) for e in range(K) if c != e]
     return _granger_pairs(data, max_lag, pairs)
@@ -421,8 +414,8 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
     ``F = ((SSR_r - SSR_u)/L) / (SSR_u/(T_eff - 2L - 1))``, every SSR read
     from one tall factorization (the one-pair :func:`granger_matrix`).
     """
-    x = _as_array(x_cause)
-    y = _as_array(y_effect)
+    x = _finite(x_cause, 1)
+    y = _finite(y_effect, 1)
     if len(x) != len(y):
         raise ShapeMismatch("series lengths differ")
     return _granger_pairs(np.column_stack([x, y]), max_lag, [(0, 1)])[0, 1]
@@ -495,7 +488,7 @@ def _var_model(fit: LeastSquaresFit, p: int, names: tuple[str, ...]) -> VarModel
 
 def _var_data(data, p: int) -> np.ndarray:
     """``data`` as a checked (T, K) matrix on which a VAR(p) is identified."""
-    data = _as_matrix(data)
+    data = _finite(data, 2)
     T, K = data.shape
     if p < 0:
         raise ValueError("lag order must be non-negative")
@@ -569,16 +562,10 @@ def fit_var(
     residual covariance; the selected order is refit on all usable rows
     (:func:`_lag_search`).
     """
-    data = _as_matrix(data)
+    data = _var_data(data, max_lags)
     T, K = data.shape
     names = _var_names(names, K)
     criterion = criterion.lower()
-    if max_lags < 0:
-        raise ValueError("max_lags must be non-negative")
-    if T - max_lags <= 1 + K * max_lags:
-        raise InsufficientObservations(
-            f"T={T} is too short to compare lag orders up to {max_lags}"
-        )
     T_common = T - max_lags
 
     def score(p: int, cross: np.ndarray) -> float:
@@ -602,7 +589,7 @@ class LjungBoxResult:
 def ljung_box(residual, lags: int) -> LjungBoxResult:
     """Portmanteau autocorrelation test:
     ``Q = T(T+2) * sum_k rho_k^2 / (T-k)`` against chi-square(lags)."""
-    y = _as_array(residual)
+    y = _finite(residual, 1)
     T = len(y)
     if lags < 1:
         raise ValueError("lags must be positive")
@@ -760,18 +747,11 @@ def stationarity_pipeline(
 # -- summaries ---------------------------------------------------------------------
 
 
-def _log_likelihood(model: VarModel) -> float:
-    T, K = model.T_effective, model.k_vars
-    sigma_ml = model.residuals.T @ model.residuals / T
-    sign, logdet = np.linalg.slogdet(sigma_ml)
-    if sign <= 0:
-        return math.nan
-    return -0.5 * T * (K * math.log(2.0 * math.pi) + logdet + K)
-
-
 def var_summary_json(model: VarModel) -> dict:
     T, K = model.T_effective, model.k_vars
     sigma_ml = model.residuals.T @ model.residuals / T
+    sign, logdet = np.linalg.slogdet(sigma_ml)
+    log_likelihood = -0.5 * T * (K * math.log(2.0 * math.pi) + logdet + K)
     coef = model.coefficient_matrix()
     t_stats = coef / model.stderr
     labels = ["const"] + [
@@ -797,7 +777,7 @@ def var_summary_json(model: VarModel) -> dict:
         "n_equations": K,
         "nobs": T,
         "variables": list(model.variable_order),
-        "log_likelihood": _log_likelihood(model),
+        "log_likelihood": log_likelihood if sign > 0 else math.nan,
         "criteria": {
             name: _criterion_value(sigma_ml, model.p, K, T, name)
             for name in CRITERIA

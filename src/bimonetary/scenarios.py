@@ -47,9 +47,11 @@ class Shock:
         reject_reversed("window", self.window)
 
     def apply(self, value: np.ndarray) -> np.ndarray:
-        if self.kind == "multiplicative":
-            return value * self.magnitude
-        return value + self.magnitude
+        # a value that overflows to inf is rejected by the refit's input check
+        with np.errstate(over="ignore"):
+            if self.kind == "multiplicative":
+                return value * self.magnitude
+            return value + self.magnitude
 
 
 @dataclass(frozen=True)

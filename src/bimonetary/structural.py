@@ -215,23 +215,14 @@ class CalibrationResult:
     r_squared: dict[str, float]
 
 
-def _design(panel: Panel, names: list[str], intercept: bool) -> np.ndarray:
-    cols = [panel.column(n).array for n in names]
-    if intercept:
-        cols.append(np.ones(panel.n_rows))
-    X = np.column_stack(cols)
-    if np.isnan(X).any():
-        raise ValueError("calibration panel contains missing values; clean first")
-    return X
-
-
 def _fit_equation(
     panel: Panel, target: str, regressors: list[str], intercept: bool
 ) -> tuple[np.ndarray, float]:
     y = panel.column(target).array
-    if np.isnan(y).any():
+    columns = [panel.column(n).array for n in regressors]
+    X = np.column_stack(columns + [np.ones(panel.n_rows)] if intercept else columns)
+    if np.isnan(X).any() or np.isnan(y).any():
         raise ValueError("calibration panel contains missing values; clean first")
-    X = _design(panel, regressors, intercept)
     if panel.n_rows < X.shape[1]:
         raise InsufficientRows(
             f"{panel.n_rows} rows cannot identify {X.shape[1]} coefficients "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from datetime import date as Date
@@ -23,9 +24,26 @@ from .panel import parse_iso_date
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
+@dataclasses.dataclass(frozen=True)
+class _NonFinite:
+    """A ``NaN``, ``Infinity``, ``-Infinity`` or overflowing number (``1e400``)
+    in a JSON file, which RFC 8259 has no number for: no type that
+    :func:`parse` reads accepts it, so parse rejects it with its key path."""
+
+    text: str
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _number(text: str) -> float | _NonFinite:
+    value = float(text)
+    return value if math.isfinite(value) else _NonFinite(text)
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_NonFinite, parse_float=_number)
 
 
 def reject_repeats(key: str, names) -> None:

@@ -572,6 +572,79 @@ def test_malformed_input_file_is_one_input_error_line(
     assert not out.exists()  # every input file is read before the out dir is made
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("config", '{"max_lags": NaN}', "config.max_lags must be an integer: NaN"),
+        (
+            "scenarios",
+            json.dumps([{"name": "s", "shocks": [_valid_shock(magnitude=_INF)]}]),
+            "scenarios[0].shocks[0].magnitude must be a number: Infinity",
+        ),
+        (
+            "scenarios",
+            '[{"name": "s", "shocks": '
+            '[{"variable": "M2", "kind": "additive", "magnitude": 1e400}]}]',
+            "scenarios[0].shocks[0].magnitude must be a number: 1e400",
+        ),
+        (
+            "coefficients",
+            '{"alpha1": -Infinity}',
+            "coefficients.alpha1 must be a number: -Infinity",
+        ),
+        (
+            "diagram",
+            json.dumps(_diagram(edges=[_edge(a=_INF, b=1.0)])),
+            "diagram.edges[0].kind.a must be a number: Infinity",
+        ),
+        (
+            "functor",
+            json.dumps(
+                _functor(
+                    morphism_map=[
+                        {"from": _edge(a=2.0, b=1.0), "to": _edge(a=-_INF, b=1.0)}
+                    ]
+                )
+            ),
+            "functor.morphism_map[0].to.kind.a must be a number: -Infinity",
+        ),
+    ],
+    ids=[
+        "config-nan", "shock-infinity", "shock-overflowing-literal",
+        "coefficient-minus-infinity", "affine-infinity", "functor-affine-infinity",
+    ],
+)
+def test_non_finite_json_number_is_one_input_error_line(
+    canonical_csv, tmp_path, capsys, kind, text, message
+):
+    """RFC 8259 has no NaN or infinite number: each is an input error naming
+    its key, raised before the out dir is made."""
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({"coefficients": str(path)}), encoding="utf-8")
+    diagram_file = tmp_path / "diagram.json"
+    diagram_file.write_text(json.dumps({"nodes": []}), encoding="utf-8")
+    argv = {
+        "config": ["pipeline", "--config", str(path)],
+        "coefficients": ["simulate", "--config", str(config_file)],
+        "scenarios": ["scenario", "--scenarios", str(path)],
+        "diagram": ["functor-check", "--diagram", str(path)],
+        "functor": [
+            "functor-check", "--diagram", str(diagram_file), "--functor", str(path)
+        ],
+    }[kind]
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(canonical_csv), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)
+    assert (error["error"], error["message"]) == ("InputError", message)
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_core_artifacts_on_synthetic_panel(self, tmp_path):
         csv_path = synthetic_csv(tmp_path)
@@ -907,6 +980,32 @@ class TestScenarioCommand:
         # the files before the blocked one are written, none after it
         written = [(out / name).is_file() for name in files]
         assert written == [i < blocked for i in range(len(files))]
+
+    def test_overflowing_shock_is_one_error_line(self, canonical_csv, tmp_path):
+        """A finite magnitude whose product overflows reaches the refit as an
+        infinite value: exit 1 in the sensitivity stage, with no warning."""
+        shock = {
+            "variable": "Historical Ars Usd", "kind": "multiplicative", "magnitude": 1e308
+        }
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text(json.dumps([{"name": "huge", "shocks": [shock]}]))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "bimonetary", "scenario", "--input", str(canonical_csv),
+             "--scenarios", str(scenarios), "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 1
+        (line,) = child.stderr.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("ValueError", "sensitivity")
+        assert "infinite value" in doc["message"]
 
 
 class TestOtherCommands:

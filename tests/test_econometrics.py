@@ -20,11 +20,11 @@ from tests.reference import granger_f
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_lagged_matches_a_per_row_loop(draws):
-    """Rows start..stop-1 of [1, exog_t, data_{t-1}, ..., data_{t-p}]: lag j
-    of column v in column 1 + e + (j-1)K + v, zero before row 0."""
+    """Rows start..stop-1 (start >= p) of [1, exog_t, data_{t-1}, ...,
+    data_{t-p}]: lag j of column v in column 1 + e + (j-1)K + v."""
     K, p = draws.draw(st.integers(1, 4)), draws.draw(st.integers(0, 4))
-    T = draws.draw(st.integers(0, 10))
-    start = draws.draw(st.integers(0, T))
+    T = draws.draw(st.integers(p, 10))
+    start = draws.draw(st.integers(p, T))
     stop = draws.draw(st.integers(start, T))
     rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal(T if K == 1 and draws.draw(st.booleans()) else (T, K))
@@ -42,11 +42,17 @@ def test_lagged_matches_a_per_row_loop(draws):
             want[t - start, 1 + c] = given[t, c]
         for j in range(1, p + 1):
             for v in range(K):
-                if t - j >= 0:
-                    want[t - start, 1 + e + (j - 1) * K + v] = series[t - j, v]
+                want[t - start, 1 + e + (j - 1) * K + v] = series[t - j, v]
     np.testing.assert_array_equal(X, want)
     assert Y.shape == data[start:stop].shape
     np.testing.assert_array_equal(Y, data[start:stop])
+
+
+@pytest.mark.parametrize("p, start", [(1, 0), (3, 2), (4, 0)])
+def test_lagged_rejects_rows_without_all_their_lags(p, start):
+    """A negative slice start would wrap to the end of the series."""
+    with pytest.raises(ValueError, match=f"row {start} has no lag {p}"):
+        econ._lagged(np.arange(10.0), p, start, 10)
 
 
 def fresh_rng():
@@ -61,6 +67,29 @@ def simulate_var1(A, T, rng, c=None):
     for t in range(1, T):
         data[t] = c + A @ data[t - 1] + shocks[t]
     return data
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: econ.adf_test(d[:, 1]),
+        lambda d: econ.granger(d[:, 0], d[:, 1], 2),
+        lambda d: econ.granger_matrix(d, 2),
+        lambda d: econ.johansen_trace(d),
+        lambda d: econ.fit_var(d, 2),
+        lambda d: econ.fit_var_order(d, 2),
+        lambda d: econ.ljung_box(d[:, 1], 10),
+    ],
+    ids=[
+        "adf_test", "granger", "granger_matrix", "johansen_trace", "fit_var",
+        "fit_var_order", "ljung_box",
+    ],
+)
+def test_one_infinite_cell_is_a_value_error(call):
+    data = np.cumsum(fresh_rng().standard_normal((200, 3)), axis=0)
+    data[50, 1] = np.inf
+    with pytest.raises(ValueError, match="infinite value"):
+        call(data)
 
 
 class TestAdf:
