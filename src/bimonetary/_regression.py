@@ -17,20 +17,20 @@ Computations*, 5.3):
   a chosen lag, reads its R from a QR of at most ``len(R)`` plus its
   missing rows, however tall Z is.
 
-A design is given by its rows, never as one array: ``rows(a, b)`` builds
-design rows a..b-1 as ``(X, Y)``. R is a tall-skinny QR (Demmel, Grigori,
-Hoemmen & Langou, *SIAM J. Sci. Comput.* 34(1), 2012): each block of
-:data:`BLOCK_ROWS` rows of the unscaled ``[X | Y]`` is factored alone (a
-leaf), then the leaves are combined by one QR of all their R factors
-stacked, which is "adding rows" again. Equilibration comes last: ``Z = Q
-R``, so X's column norms are those of ``R11``, and R with its first k
-columns divided by them is the R factor of ``[X / norms | Y]``. The result
-is the one-shot R up to the signs of its rows, which nothing reads, and to
-rounding: each QR is backward stable column by column, so scaling after
-factoring is as accurate as scaling before. A design that differs from a
-factored one in some blocks only keeps that one's other leaves
-(:func:`leaf_factors`); the same combine then gives the bits of a fresh
-factorization.
+A design is given by its rows, never whole: ``rows(a, b)`` builds design
+rows a..b-1 as one new array ``[X | Y]``, which the kernel owns and factors
+in place (:func:`qr_r`). R is a tall-skinny QR (Demmel, Grigori, Hoemmen &
+Langou, *SIAM J. Sci. Comput.* 34(1), 2012): each block of
+:data:`BLOCK_ROWS` rows is factored alone (a leaf), then the leaves are
+combined by one QR of all their R factors stacked, which is "adding rows"
+again. Equilibration comes last: ``Z = Q R``, so X's column norms are those
+of ``R11``, and R with its first k columns divided by them is the R factor
+of ``[X / norms | Y]``. The result is the one-shot R up to the signs of its
+rows, which nothing reads, and to rounding: each QR is backward stable
+column by column, so scaling after factoring is as accurate as scaling
+before. A design that differs from a factored one in some blocks only keeps
+that one's other leaves (:func:`leaf_factors`); the same combine then gives
+the bits of a fresh factorization.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
-from .errors import InsufficientRows, RankDeficient
+from .errors import InsufficientRows, NonFiniteFactor, RankDeficient
 
 #: Relative pivot threshold below which a QR factor is declared rank deficient.
 PIVOT_RTOL = 1e-10
@@ -54,6 +55,27 @@ class LeastSquaresFit:
     residuals: np.ndarray
     ssr: np.ndarray           # scalar array for 1-d response, (m,) otherwise
     stderr: np.ndarray        # beta's shape; df-corrected, NaN when n == k
+
+
+def qr_r(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """``np.linalg.qr(a, mode="r")`` bit for bit: one LAPACK ``dgeqrf`` call
+    with the workspace numpy takes. With ``overwrite`` a column-major float
+    ``a`` is factored in place; any other input is copied once. A non-finite
+    R (the design overflowed) raises NonFiniteFactor."""
+    m, n = a.shape
+    # a.T in C order is a in the column-major order LAPACK reads
+    owned = overwrite and a.dtype == np.float64 and a.flags.f_contiguous
+    at = a.T if owned else np.array(a.T, dtype=float, order="C")
+    tau, work = np.empty(min(m, n)), np.empty(1)
+    lapack_lite.dgeqrf(m, n, at, max(1, m), tau, work, -1, 0)
+    work = np.empty(max(1, n, int(work[0])))
+    info = lapack_lite.dgeqrf(m, n, at, max(1, m), tau, work, len(work), 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    r = np.triu(at[:, : min(m, n)].T.copy())   # row-major, as numpy's R is
+    if not np.isfinite(r).all():
+        raise NonFiniteFactor("the design overflows: its R factor is not finite")
+    return r
 
 
 def leaf_factors(rows, n: int, base=None) -> list[np.ndarray]:
@@ -72,7 +94,7 @@ def leaf_factors(rows, n: int, base=None) -> list[np.ndarray]:
     return [
         old[b]
         if old is not None and b not in touched
-        else np.linalg.qr(np.column_stack(rows(a, min(a + BLOCK_ROWS, n))), mode="r")
+        else qr_r(rows(a, min(a + BLOCK_ROWS, n)), overwrite=True)
         for b, a in enumerate(range(0, n, BLOCK_ROWS))
     ]
 
@@ -94,7 +116,7 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
     RankDeficient
         A zero column among the k, before anything is divided by it.
     """
-    r = np.linalg.qr(np.vstack(leaves), mode="r")
+    r = qr_r(np.vstack(leaves))
     norms = np.linalg.norm(r[:, :k], axis=0)
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")
@@ -109,9 +131,9 @@ def _check_pivots(r: np.ndarray, k: int) -> None:
         )
 
 
-def factor_design(rows, n: int, leaves=None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`factor` of the n-row design ``rows`` builds, after the checks;
-    ``leaves`` are its :func:`leaf_factors` when the caller has them.
+def factor_design(rows, n: int, k: int, leaves=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`factor` of the n-row design ``rows`` builds, X its first k
+    columns, after the checks; ``leaves`` are its :func:`leaf_factors`.
 
     Raises
     ------
@@ -121,7 +143,6 @@ def factor_design(rows, n: int, leaves=None) -> tuple[np.ndarray, np.ndarray]:
         A zero column of X, or any |R_ii| of X's block below PIVOT_RTOL
         times the largest.
     """
-    k = rows(0, 0)[0].shape[1]
     if n < k:
         raise InsufficientRows(f"{n} rows for {k} coefficients")
     r, norms = factor(leaf_factors(rows, n) if leaves is None else leaves, k)
@@ -130,8 +151,8 @@ def factor_design(rows, n: int, leaves=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
-    """The least-squares fit of the n-row design ``rows`` builds, read from
-    the R factor of its ``[X / norms | Y]``.
+    """The least-squares fit of the n-row design ``rows`` builds, one column
+    per column of Y, read from the R factor of its ``[X / norms | Y]``.
 
     The residuals ``Y - X beta`` are taken one block of rows at a time. The
     standard errors are ``sqrt(diag((X'X)^-1) SSR / (n - k))`` with
@@ -140,13 +161,13 @@ def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
     k = len(norms)
     # one triangular solve gives R11^-1 R12 and R11^-1
     solved = np.linalg.solve(r[:k, :k], np.hstack([r[:k, k:], np.eye(k)]))
-    shape = rows(0, 0)[1].shape[1:]     # the response's: () or (m,)
-    beta = (solved[:, :-k] / norms[:, None]).reshape((k,) + shape)
-    residuals = np.empty((n,) + shape)
+    beta = solved[:, :-k] / norms[:, None]
+    residuals = np.empty((n, beta.shape[1]))
     for a in range(0, n, BLOCK_ROWS):
-        X, Y = rows(a, min(a + BLOCK_ROWS, n))
-        residuals[a : a + len(Y)] = Y - X @ beta
-    ssr = np.einsum("i...,i...->...", residuals, residuals)
+        block = rows(a, min(a + BLOCK_ROWS, n))
+        X = np.ascontiguousarray(block[:, :k])  # row-major keeps BLAS's sum order
+        residuals[a : a + len(block)] = block[:, k:] - X @ beta
+    ssr = np.einsum("ij,ij->j", residuals, residuals)
     sigma2 = ssr / (n - k) if n > k else np.full_like(ssr, np.nan)
     scale = np.linalg.norm(solved[:, -k:], axis=1) / norms
     stderr = np.multiply.outer(scale, np.sqrt(sigma2))
@@ -155,12 +176,13 @@ def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
 
 def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     """Solve min ||X b - y||, failing loudly on collinear regressors
-    (:func:`read_fit` of :func:`factor_design` of the rows of ``X`` and
-    ``y``)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rows = lambda a, b: (X[a:b], y[a:b])
-    return read_fit(*factor_design(rows, len(X)), rows, len(X))
+    (:func:`read_fit` of :func:`factor_design` of the rows of ``[X | y]``)."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    rows = lambda a, b: np.column_stack((X[a:b], y[a:b]))
+    fit = read_fit(*factor_design(rows, len(X), X.shape[1]), rows, len(X))
+    if y.ndim == 1:  # a 1-d y gives each field's one column
+        fit = LeastSquaresFit(*(v[..., 0] for v in vars(fit).values()))
+    return fit
 
 
 def cross_products(r: np.ndarray, k: int) -> np.ndarray:
@@ -193,7 +215,7 @@ def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarra
     len(rows)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5). The
     pivot test runs on the design's own pivots.
     """
-    sub = np.linalg.qr(np.vstack([rows, r[:, columns]]), mode="r")
+    sub = qr_r(np.vstack([rows, r[:, columns]]))
     _check_pivots(sub, k)
     return sub
 

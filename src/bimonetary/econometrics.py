@@ -24,6 +24,7 @@ from ._regression import (
     factor_design,
     leaf_factors,
     qr_least_squares,  # noqa: F401  bench/tracer.py wraps this name here
+    qr_r,
     read_fit,
     subset_factor,
 )
@@ -79,11 +80,9 @@ def _finite(data, ndim: int) -> np.ndarray:
 # -- lagged designs -------------------------------------------------------------
 
 
-def _lagged(
-    data: np.ndarray, p: int, start: int, stop: int, exog: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = start..stop-1 of ``[1, exog_t, data_{t-1}, ..., data_{t-p}]``
-    and of the response ``data_t`` (``data``'s shape; 1-d or 2-d inputs).
+def _lagged(data, p: int, start: int, stop: int, exog=None, extra=None) -> np.ndarray:
+    """Rows t = start..stop-1 of ``[1, exog_t, data_{t-1}, ..., data_{t-p} |
+    data_t, extra_t]``, 1-d inputs as one column, in one new column-major array.
 
     Lag j of column v is column ``1 + e + (j-1)K + v`` (e exog, K data
     columns), the stacked VAR regressors of Lütkepohl (2005, 3.2), so fewer
@@ -92,23 +91,24 @@ def _lagged(
     """
     if start < p:
         raise ValueError(f"row {start} has no lag {p}")
-    exog = np.empty((len(data), 0)) if exog is None else exog
-    series, given = (a[:, None] if a.ndim == 1 else a for a in (data, exog))
+    exog, extra = (np.empty((len(data), 0)) if a is None else a for a in (exog, extra))
+    series, given, more = (a[:, None] if a.ndim < 2 else a for a in (data, exog, extra))
     K, e = series.shape[1], given.shape[1]
+    k = 1 + e + K * p
     # np.empty: np.zeros' calloc maps fresh pages where malloc reuses freed ones
-    X = np.empty((stop - start, 1 + e + K * p))
-    X[:, 0] = 1.0
-    X[:, 1 : 1 + e] = given[start:stop]
-    for j in range(1, p + 1):
-        col = 1 + e + (j - 1) * K
-        X[:, col : col + K] = series[start - j : stop - j]
-    return X, data[start:stop]
+    block = np.empty((k + K + more.shape[1], stop - start))
+    block[0] = 1.0
+    block[1 : 1 + e] = given[start:stop].T
+    for j, col in enumerate([k, *range(1 + e, k, K)]):  # lag 0, the response, last
+        block[col : col + K] = series[start - j : stop - j].T
+    block[k + K :] = more[start:stop].T
+    return block.T
 
 
-def _rows(data: np.ndarray, p: int, first: int, exog: np.ndarray | None = None):
+def _rows(data: np.ndarray, p: int, first: int, exog=None, extra=None):
     """The row builder of the kernel (:mod:`._regression`) over
     :func:`_lagged`: design row i is t = first + i."""
-    return lambda a, b: _lagged(data, p, first + a, first + b, exog)
+    return lambda a, b: _lagged(data, p, first + a, first + b, exog, extra)
 
 
 def _lag_search(
@@ -116,25 +116,26 @@ def _lag_search(
 ) -> tuple[int, float, LeastSquaresFit]:
     """``(p, score, fit)`` for the lag count 0..max_p whose residual
     cross-product ``E'E`` on the common sample t = max_p..T-1 has the lowest
-    ``score(p, E'E)`` (the first of equal scores), refit on all usable rows.
+    ``score(p, E'E)`` (the first of equal scores), refit on all usable rows;
+    ``exog`` is one column.
 
     One tall factorization serves both: order p is a column prefix of the
     largest design plus the ``max_p - p`` rows it lacks, so the refit's R
     comes from :func:`subset_factor`.
     """
-    T = len(data)
-    r, norms = factor_design(_rows(data, max_p, max_p, exog), T - max_p)
-    cross = cross_products(r, len(norms))
-    K = cross.shape[1]                  # response columns: each lag adds K
+    T, K = data.reshape(len(data), -1).shape       # each lag adds K columns
+    k_max = 1 + (exog is not None) + K * max_p
+    r, norms = factor_design(_rows(data, max_p, max_p, exog), T - max_p, k_max)
+    cross = cross_products(r, k_max)
     best_p, best = 0, math.inf
-    for p, moments in enumerate(cross[len(norms) - K * max_p :: K]):
+    for p, moments in enumerate(cross[k_max - K * max_p :: K]):
         value = score(p, moments)
         if value < best:
             best, best_p = value, p
-    k = len(norms) - K * (max_p - best_p)
-    lead = np.column_stack(_lagged(data, best_p, best_p, max_p, exog))
+    k = k_max - K * (max_p - best_p)
+    lead = _lagged(data, best_p, best_p, max_p, exog)
     lead[:, :k] /= norms[:k]
-    sub = subset_factor(r, np.r_[:k, len(norms) : r.shape[1]], k, lead)
+    sub = subset_factor(r, np.r_[:k, k_max : r.shape[1]], k, lead)
     fit = read_fit(sub, norms[:k], _rows(data, best_p, best_p, exog), T - best_p)
     return best_p, best, fit
 
@@ -221,8 +222,10 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
             return -math.inf
         return n_common * math.log(ssr / n_common) + 2.0 * (2 + k)
 
-    best_k, _, fit = _lag_search(np.diff(y), max_lags, aic, exog=y[:-1])
-    t_stat = float(fit.beta[1] / fit.stderr[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # then qr_r raises
+        dy = np.diff(y)
+    best_k, _, fit = _lag_search(dy, max_lags, aic, exog=y[:-1])
+    t_stat = float(fit.beta[1, 0] / fit.stderr[1, 0])
 
     crit = adf_critical_values(len(fit.residuals))
     decision = "stationary" if t_stat < crit["5%"] else "nonstationary"
@@ -293,18 +296,14 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
         raise ValueError("k_ar_diff must be non-negative")
 
     # row s of dy is dy_{s+1} = y_{s+1} - y_s, so the level y_{t-1} is data[s]
-    dy = np.diff(data, axis=0)
-    rows = len(dy) - k_ar_diff
-
-    def design(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        z, d0 = _lagged(dy, k_ar_diff, k_ar_diff + a, k_ar_diff + b)
-        return z, np.hstack([d0, data[k_ar_diff + a : k_ar_diff + b]])
-
-    r, norms = factor_design(design, rows)
-    residual = r[len(norms) :, len(norms) :]   # [[A, B], [0, C]]
+    with np.errstate(over="ignore", invalid="ignore"):  # then qr_r raises
+        dy = np.diff(data, axis=0)
+    rows, k = len(dy) - k_ar_diff, 1 + K * k_ar_diff
+    r, _ = factor_design(_rows(dy, k_ar_diff, k_ar_diff, extra=data[:-1]), rows, k)
+    residual = r[k:, k:]                # [[A, B], [0, C]]
     if len(residual) < 2 * K:
         raise SingularMomentMatrix(f"{len(residual)} residual rows for {2 * K} columns")
-    l_kk = np.linalg.qr(residual[:, K:], mode="r")
+    l_kk = qr_r(residual[:, K:])
     pivots = np.abs(np.r_[np.diag(residual)[:K], np.diag(l_kk)])
     if (pivots <= PIVOT_RTOL * np.linalg.norm(residual, axis=0)).any():
         raise SingularMomentMatrix("residual moment matrix is singular")
@@ -374,7 +373,7 @@ def _granger_pairs(
     entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
         end = 1 + K * lag
-        lead = np.hstack(_lagged(data, lag, lag, max_lag))
+        lead = _lagged(data, lag, lag, max_lag)
         lead[:, :end] /= norms[:end]
         r_lag = r[:, np.r_[:end, k : r.shape[1]]]     # lead's columns of R
         df_den = (T - lag) - 2 * lag - 1
@@ -514,7 +513,7 @@ def fit_var_order(
     """
     data = _var_data(data, p)
     names = _var_names(names, data.shape[1])
-    rows, n = _rows(data, p, p), len(data) - p
+    rows, n, k = _rows(data, p, p), len(data) - p, 1 + data.shape[1] * p
     if base is not None:
         if base.leaves is None or base.p != p or base.data.shape != data.shape:
             raise ShapeMismatch(f"base is not a VAR({p}) fit of {data.shape} data")
@@ -522,7 +521,7 @@ def fit_var_order(
         changed = np.r_[0, np.cumsum((data != base.data).any(axis=1))]
         base = (base.leaves, changed[p + 1 :] > changed[:n])
     leaves = leaf_factors(rows, n, base)
-    model = _var_model(read_fit(*factor_design(rows, n, leaves), rows, n), p, names)
+    model = _var_model(read_fit(*factor_design(rows, n, k, leaves), rows, n), p, names)
     return replace(model, data=data, leaves=leaves)
 
 

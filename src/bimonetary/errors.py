@@ -103,6 +103,10 @@ class RankDeficient(NumericalError):
     """Collinear regressors: relative pivot below threshold in QR."""
 
 
+class NonFiniteFactor(NumericalError):
+    """A QR factor holds an infinity or NaN: finite data overflowed."""
+
+
 class InsufficientRows(InputError):
     pass
 

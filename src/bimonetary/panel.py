@@ -291,7 +291,7 @@ def _scan_plain(text: str, schema: Sequence[str] | None) -> CsvScan | None:
     if (
         set(map(type, dates)) != {Date}  # first: formatting those can fail
         or (days.astype("S11") != cells).any()
-        or len(np.unique(days)) < len(days)
+        or (np.diff(np.sort(days)) == np.timedelta64(0)).any()
         or not np.isfinite(matrix).all()
     ):
         return None

@@ -35,6 +35,7 @@ from bimonetary.category import (
 from bimonetary.cli import SensitivitySection, _sha256, main
 from bimonetary.panel import (
     CANONICAL_VARIABLES,
+    Series,
     load_csv,
     text_rows,
     write_csv,
@@ -646,6 +647,30 @@ def test_non_finite_json_number_is_one_input_error_line(
 
 
 class TestPipeline:
+    def test_overflowing_column_is_one_numerical_error_line(self, tmp_path):
+        """Finite cells near the float maximum, which the reader accepts,
+        overflow in the core stage: exit 2 with one line and no warning."""
+        panel = make_canonical_panel(260)
+        huge = np.array([1e308, -1e308] * 130) + np.arange(260)
+        path = tmp_path / "panel.csv"
+        write_csv(panel.with_columns({panel.variables[0]: Series(huge)}), path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "bimonetary", "pipeline", "--input", str(path),
+             "--stages", "core", "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        (line,) = child.stderr.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("NonFiniteFactor", "core")
+
     def test_core_artifacts_on_synthetic_panel(self, tmp_path):
         csv_path = synthetic_csv(tmp_path)
         out = tmp_path / "artifacts"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bimonetary import econometrics as econ
 from bimonetary.errors import (
     InsufficientObservations,
+    NonFiniteFactor,
     NonPositiveDefiniteSigma,
     RankDeficient,
     SeriesTooShort,
@@ -21,7 +24,8 @@ from tests.reference import granger_f
 @given(st.data())
 def test_lagged_matches_a_per_row_loop(draws):
     """Rows start..stop-1 (start >= p) of [1, exog_t, data_{t-1}, ...,
-    data_{t-p}]: lag j of column v in column 1 + e + (j-1)K + v."""
+    data_{t-p} | data_t], column-major: lag j of column v in column
+    1 + e + (j-1)K + v."""
     K, p = draws.draw(st.integers(1, 4)), draws.draw(st.integers(0, 4))
     T = draws.draw(st.integers(p, 10))
     start = draws.draw(st.integers(p, T))
@@ -31,7 +35,8 @@ def test_lagged_matches_a_per_row_loop(draws):
     e, shape = draws.draw(st.sampled_from([(0, None), (1, (T,)), (2, (T, 2))]))
     exog = None if shape is None else rng.standard_normal(shape)
 
-    X, Y = econ._lagged(data, p, start, stop, exog)
+    block = econ._lagged(data, p, start, stop, exog)
+    X, Y = block[:, : 1 + e + K * p], block[:, 1 + e + K * p :]
 
     series = data.reshape(T, K)
     given = np.zeros((T, 0)) if exog is None else exog.reshape(T, e)
@@ -44,8 +49,8 @@ def test_lagged_matches_a_per_row_loop(draws):
             for v in range(K):
                 want[t - start, 1 + e + (j - 1) * K + v] = series[t - j, v]
     np.testing.assert_array_equal(X, want)
-    assert Y.shape == data[start:stop].shape
-    np.testing.assert_array_equal(Y, data[start:stop])
+    np.testing.assert_array_equal(Y, series[start:stop])
+    assert block.flags.f_contiguous
 
 
 @pytest.mark.parametrize("p, start", [(1, 0), (3, 2), (4, 0)])
@@ -90,6 +95,27 @@ def test_one_infinite_cell_is_a_value_error(call):
     data[50, 1] = np.inf
     with pytest.raises(ValueError, match="infinite value"):
         call(data)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: econ.adf_test(d[:, 0]),
+        lambda d: econ.johansen_trace(d),
+        lambda d: econ.granger_matrix(d, 2),
+        lambda d: econ.fit_var(d, 2),
+    ],
+    ids=["adf_test", "johansen_trace", "granger_matrix", "fit_var"],
+)
+def test_overflowing_design_is_one_numerical_error(call):
+    """Finite cells near the float maximum overflow in a difference or a
+    column norm: one NonFiniteFactor, with no warning before it."""
+    huge = np.array([1e308, -1e308] * 20) + np.arange(40)
+    data = np.column_stack([huge, fresh_rng().standard_normal(40)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFactor):
+            call(data)
 
 
 class TestAdf:

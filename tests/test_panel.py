@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -172,6 +174,28 @@ class TestLoadCsv:
         write_lines(path, ["Date,x", "2018-01-01,1", "2018-01-01,2"])
         with pytest.raises(DuplicateDate):
             load_csv(path)
+
+    def test_numeric_read_leaves_numpy_ma_unimported(self, tmp_path):
+        """Importing numpy.ma costs every run about 16 ms, so numpy's route
+        finds a repeated date by sorting; it still raises, however far apart
+        the two rows are."""
+        good, repeated = tmp_path / "good.csv", tmp_path / "repeated.csv"
+        lines = ["Date,x", "2018-01-02,2", "2018-01-01,1"]
+        write_lines(good, lines)
+        write_lines(repeated, lines + ["2018-01-02,3"])
+        env = dict(os.environ, PYTHONPATH=str(Path(panel_module.__file__).parents[1]))
+        code = "import sys; from bimonetary.panel import load_csv; load_csv(%r); "
+        code += "print('numpy.ma' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code % str(good)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "False\n"
+        with pytest.raises(DuplicateDate, match="duplicate date 2018-01-02"):
+            load_csv(repeated)
 
     def test_unparseable_value_carries_location(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bimonetary import econometrics as econ, structural
+from bimonetary import _regression, econometrics as econ, structural
 from bimonetary._regression import (
     BLOCK_ROWS,
     cross_products,
     factor_design,
     qr_least_squares,
+    qr_r,
 )
-from bimonetary.errors import InsufficientRows, RankDeficient
+from bimonetary.errors import InsufficientRows, NonFiniteFactor, RankDeficient
 from tests import reference
 from tests.conftest import SEED, make_canonical_panel
 
@@ -36,9 +37,49 @@ def oracle_cross_products(X, Y):
 def prefix_cross_products(X, Y):
     """``cross_products`` of the R that ``factor_design`` gives for ``[X |
     Y]``: every prefix's ``E_j' E_j``, or its SSR for a 1-d Y."""
-    r, _ = factor_design(lambda a, b: (X[a:b], Y[a:b]), len(X))
+    rows = lambda a, b: np.column_stack((X[a:b], Y[a:b]))
+    r, _ = factor_design(rows, len(X), X.shape[1])
     cross = cross_products(r, X.shape[1])
     return cross[:, 0, 0] if Y.ndim == 1 else cross
+
+
+class TestQrR:
+    """The kernel's one QR function against numpy's, which calls the same
+    LAPACK routine with the same workspace."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2048, 48), (2048, 150), (300, 300), (5, 12), (3000, 1), (1, 1)],
+        ids=["tall", "blocked", "square", "wide", "one-column", "one-cell"],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_r_is_numpys_bit_for_bit_and_the_input_unchanged(self, shape, order):
+        rng = np.random.default_rng(SEED)
+        scales = np.logspace(-3, 5, shape[1])
+        a = np.asarray(rng.standard_normal(shape) * scales, order=order)
+        before = a.copy()
+        r = qr_r(a)
+        np.testing.assert_array_equal(r, np.linalg.qr(a, mode="r"))
+        np.testing.assert_array_equal(a, before)
+
+    def test_a_column_major_block_is_factored_in_place(self):
+        a = np.asfortranarray(np.random.default_rng(SEED).standard_normal((500, 7)))
+        want = np.linalg.qr(a, mode="r")
+        np.testing.assert_array_equal(qr_r(a, overwrite=True), want)
+        np.testing.assert_array_equal(np.triu(a[:7]), want)
+
+    def test_a_lapack_error_raises(self, monkeypatch):
+        def illegal_argument(m, n, a, lda, tau, work, lwork, info):
+            work[0] = 1.0
+            return {"info": -4}
+
+        monkeypatch.setattr(_regression.lapack_lite, "dgeqrf", illegal_argument)
+        with pytest.raises(np.linalg.LinAlgError, match="info -4"):
+            qr_r(np.ones((3, 2)))
+
+    def test_a_non_finite_factor_is_a_numerical_error(self):
+        with pytest.raises(NonFiniteFactor):
+            qr_r(np.full((4, 1), 1e308))  # its norm, 2e308, overflows
 
 
 class TestPrefixCrossProducts:
@@ -120,15 +161,15 @@ class TestFactorizationCount:
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
+        """The shape of every matrix the kernel's one QR function factors."""
         calls = []
-        inner = np.linalg.qr
+        inner = _regression.qr_r
 
-        def counted(*args, **kwargs):
-            mode = kwargs.get("mode", args[1] if len(args) > 1 else "reduced")
-            calls.append((*args[0].shape, mode))
-            return inner(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return inner(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(_regression, "qr_r", counted)
         return calls
 
     @staticmethod
@@ -152,7 +193,7 @@ class TestFactorizationCount:
         R's columns with the ``max_lags - chosen`` rows the chosen design
         adds."""
         width = qr_calls[0][1]
-        ((refit_rows, _, _),) = self._blocked(qr_calls, tall_rows)
+        ((refit_rows, _),) = self._blocked(qr_calls, tall_rows)
         assert refit_rows <= width + max_lags - chosen
 
     def test_adf_searches_then_refits(self, qr_calls):
@@ -183,7 +224,11 @@ class TestFactorizationCount:
         assert len(small) == 90 * 5
         assert all(rows <= 1 + 10 * 5 + 10 + 5 for rows, *_ in small)
 
-    def test_every_factorization_forms_r_only(self, qr_calls):
+    def test_every_factorization_forms_r_only(self, qr_calls, monkeypatch):
+        """Every factorization goes through the kernel's R-only QR function,
+        none through ``np.linalg.qr``."""
+        numpy_calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: numpy_calls.append(a))
         rng = np.random.default_rng(SEED)
         data = np.cumsum(rng.standard_normal((400, 3)), axis=0) * 0.1
         data += rng.standard_normal((400, 3))
@@ -194,7 +239,7 @@ class TestFactorizationCount:
         econ.granger_matrix(data, max_lag=3)
         structural.calibrate(make_canonical_panel(200))
         assert qr_calls
-        assert {mode for *_, mode in qr_calls} == {"r"}
+        assert numpy_calls == []
 
 
 class TestPeakMemory:
