@@ -113,11 +113,16 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
+    NonFiniteFactor
+        A norm overflows (a column's values pass about 1e154).
     RankDeficient
         A zero column among the k, before anything is divided by it.
     """
     r = qr_r(np.vstack(leaves))
-    norms = np.linalg.norm(r[:, :k], axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(r[:, :k], axis=0)
+    if not np.isfinite(norms).all():
+        raise NonFiniteFactor("the design overflows: a column norm is not finite")
     if (norms == 0.0).any():
         raise RankDeficient("zero column in the design matrix")
     return np.hstack([r[:, :k] / norms, r[:, k:]]), norms

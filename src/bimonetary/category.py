@@ -18,11 +18,12 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     IncompatibleEndpoints,
+    NonFiniteValue,
     UnmappedMorphism,
     UnmappedObject,
 )
 from .panel import Panel, Series
-from .typed_json import dump, parse, reject_repeats
+from .typed_json import parse, reject_repeats
 
 
 @dataclass(frozen=True)
@@ -180,14 +181,6 @@ def compose_path(path: Sequence[MorphismSpec]) -> MorphismSpec:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _needs_input(kind: Kind) -> bool:
-    if isinstance(kind, Ratio):
-        return False
-    if isinstance(kind, Chain):
-        return _needs_input(kind.parts[0].kind)
-    return True
-
-
 def _checked_divide(
     num: np.ndarray, den: np.ndarray, present: np.ndarray, panel: Panel, label: str
 ) -> np.ndarray:
@@ -222,13 +215,24 @@ def evaluate(m: MorphismSpec, panel: Panel) -> Series:
 
     Missing inputs propagate as missing outputs; a zero denominator in
     ``Ratio`` or ``RiskDiscount`` is a hard :class:`DivisionByZero` carrying
-    the first offending date.
+    the first offending date, and a value that overflows although every
+    column it reads is present a :class:`NonFiniteValue`.
     """
-    if _needs_input(m.kind):
-        x = panel.column(m.source).array
-    else:
+    parts = _flatten(m)
+    # every text field of a kind names a panel column that it reads
+    reads = [v for p in parts for v in vars(p.kind).values() if isinstance(v, str)]
+    if isinstance(parts[0].kind, Ratio):  # a ratio discards its input
         x = np.full(panel.n_rows, np.nan)
-    return Series(_apply_kind(m.kind, x, panel, m.source))
+    else:
+        x = panel.column(m.source).array
+        reads.append(m.source)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _apply_kind(m.kind, x, panel, m.source)
+    present = np.all([~np.isnan(panel.column(name).array) for name in reads], axis=0)
+    bad = present & ~np.isfinite(y)
+    if bad.any():
+        raise NonFiniteValue(panel.dates[int(np.argmax(bad))], m.source)
+    return Series(y)
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -302,10 +306,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def max_deviation(self) -> float:
-        return max((c.deviation for c in self.checks), default=0.0)
 
 
 def _max_abs_deviation(a: Series, b: Series) -> tuple[float, float]:
@@ -489,19 +489,6 @@ class _Functor:
     def __post_init__(self) -> None:
         morphisms = {entry.from_: entry.to for entry in self.morphism_map}
         self.functor = Functor(self.name, self.object_map, morphisms)
-
-
-def diagram_to_json(d: Diagram) -> dict:
-    return dump(Diagram, d)
-
-
-def diagram_from_json(doc) -> Diagram:
-    return parse(Diagram, doc, "diagram")
-
-
-def functor_to_json(F: Functor) -> dict:
-    entries = tuple(_MapEntry(k, v) for k, v in F.morphism_map.items())
-    return dump(_Functor, _Functor(dict(F.object_map), F.name, entries))
 
 
 def functor_from_json(doc) -> Functor:

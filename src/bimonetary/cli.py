@@ -40,7 +40,7 @@ from .panel import (
 )
 from .panel import write_rows as _write_csv
 from .structural import ProxyMap, StructuralCoefficients
-from .typed_json import parse, read_json, reject_repeats, reject_reversed
+from .typed_json import dump, parse, read_json, reject_repeats, reject_reversed
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -435,7 +435,7 @@ def _stage_functor_check(
     payload = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
     all_passed = report.passed
     if functor is not None:
-        _write_json(out / "image_diagram.json", category.diagram_to_json(image))
+        _write_json(out / "image_diagram.json", dump(category.Diagram, image))
         laws = category.check_functor_laws(functor, list(diagram.edges), panel, tol)
         payload["functor_laws"] = {
             "passed": laws.passed,
@@ -492,7 +492,7 @@ def _plan(args, config: Config) -> dict[str, tuple]:
     if "functor-check" in inputs:
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise InputError(f"--tol must be a finite number >= 0: {args.tol}")
-        diagram = category.diagram_from_json(read_json(args.diagram))
+        diagram = parse(category.Diagram, read_json(args.diagram), "diagram")
         functor = image = None
         if args.functor:
             functor = category.functor_from_json(read_json(args.functor))

@@ -191,14 +191,15 @@ class AdfResult:
         return self.decision_5pct == "stationary"
 
 
-def adf_test(series, max_lags: int | None = None) -> AdfResult:
+def adf_test(series) -> AdfResult:
     """Unit-root test with constant, no trend.
 
     Fits ``dy_t = alpha + beta*y_{t-1} + sum phi_i dy_{t-i} + e`` with the
-    lag count chosen by AIC on a common sample (default cap
-    ``floor(12*(T/100)**0.25)``), then refits at the chosen lag on all
-    usable rows. The null of a unit root is rejected at 5% when the
-    t-statistic on beta falls below the finite-sample critical value.
+    lag count chosen by AIC on a common sample (lag cap
+    ``min(floor(12*(T/100)**0.25), (T-1)//2 - 2)``, Schwert 1989), then
+    refits at the chosen lag on all usable rows. The null of a unit root is
+    rejected at 5% when the t-statistic on beta falls below the
+    finite-sample critical value.
 
     The regression is :func:`_lagged` on ``dy`` with exog ``y_{t-1}``, and
     :func:`_lag_search` serves the search and the refit.
@@ -209,10 +210,7 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         raise SeriesTooShort(f"ADF needs at least 15 observations, got {T}")
     if y.max() == y.min():
         raise RankDeficient("constant series has no unit-root regression")
-    cap = (T - 1) // 2 - 2
-    if max_lags is None:
-        max_lags = min(int(math.floor(12.0 * (T / 100.0) ** 0.25)), cap)
-    max_lags = max(0, min(max_lags, cap))
+    max_lags = min(int(math.floor(12.0 * (T / 100.0) ** 0.25)), (T - 1) // 2 - 2)
 
     n_common = T - 1 - max_lags             # rows of dy on the common sample
 
@@ -447,21 +445,6 @@ class VarModel:
         """Stacked (1 + K*p, K) matrix: intercept row, then one K-row block
         per lag; column j holds equation j."""
         return np.vstack([self.c, *(A_s.T for A_s in self.A)])
-
-    def companion_matrix(self) -> np.ndarray:
-        K, p = self.k_vars, self.p
-        if p == 0:
-            return np.zeros((K, K))
-        # [A_1 ... A_p] over [I 0]: the lags shift down one block
-        return np.vstack([np.hstack(self.A), np.eye(K * (p - 1), K * p)])
-
-    def is_stable(self) -> bool:
-        radius = np.abs(np.linalg.eigvals(self.companion_matrix())).max()
-        return bool(radius < 1.0)
-
-    def unconditional_mean(self) -> np.ndarray:
-        total = sum(self.A, start=np.zeros((self.k_vars, self.k_vars)))
-        return np.linalg.solve(np.eye(self.k_vars) - total, self.c)
 
 
 def _var_names(names: Sequence[str] | None, K: int) -> tuple[str, ...]:
@@ -716,14 +699,8 @@ class ColumnDecision:
 class StationarityReport:
     decisions: tuple[ColumnDecision, ...]
 
-    @property
-    def differenced_variables(self) -> tuple[str, ...]:
-        return tuple(d.variable for d in self.decisions if d.differenced)
 
-
-def stationarity_pipeline(
-    panel: Panel, max_lags: int | None = None
-) -> tuple[Panel, StationarityReport]:
+def stationarity_pipeline(panel: Panel) -> tuple[Panel, StationarityReport]:
     """ADF-test every column and first-difference the nonstationary ones.
 
     Differencing shifts a column forward one row, so when any column is
@@ -732,7 +709,7 @@ def stationarity_pipeline(
     """
     decisions = []
     for name in panel.variables:
-        result = adf_test(panel.column(name).array, max_lags)
+        result = adf_test(panel.column(name).array)
         decisions.append(ColumnDecision(name, result, not result.is_stationary))
     differenced = {
         d.variable: difference(panel.column(d.variable))

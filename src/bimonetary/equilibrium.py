@@ -70,29 +70,11 @@ def analytic_equilibrium(targets: EquilibriumTargets) -> Values:
     ) / 3.0
 
 
-@dataclass(frozen=True)
-class NelderMeadConfig:
-    x_tolerance: float = 1e-8
-    f_tolerance: float = 1e-12
-    max_iterations: int = 500
-    initial_step: float | None = None   # None: max(0.05*|x0|, 0.1)
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.x_tolerance <= 0 or self.f_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (self.reflection > 0 and self.expansion > 1):
-            raise ValueError("need reflection > 0 and expansion > 1")
-        if not (0 < self.contraction < 1 and 0 < self.shrink < 1):
-            raise ValueError("contraction and shrink must lie in (0, 1)")
-
-    def step_for(self, x0: float) -> float:
-        if self.initial_step is not None:
-            return self.initial_step
-        return max(0.05 * abs(x0), 0.1)
+#: The simplex moves: Nelder & Mead's (1965) reflection, expansion,
+#: contraction and shrink coefficients.
+REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
+#: The stopping rule: simplex width, relative f-spread, iteration cap.
+X_TOLERANCE, F_TOLERANCE, MAX_ITERATIONS = 1e-8, 1e-12, 500
 
 
 @dataclass(frozen=True)
@@ -100,21 +82,18 @@ class NelderMeadResult:
     x_min: float
     f_min: float
     iterations: int
-    converged: bool     # False: stopped at max_iterations
+    converged: bool     # False: stopped at MAX_ITERATIONS
 
 
-def nelder_mead_1d(
-    objective: Callable[[float], float],
-    x0: float,
-    config: NelderMeadConfig = NelderMeadConfig(),
-) -> NelderMeadResult:
-    """Simplex minimization in one dimension (a two-point simplex).
+def nelder_mead_1d(objective: Callable[[float], float], x0: float) -> NelderMeadResult:
+    """Simplex minimization in one dimension (a two-point simplex from
+    ``x0`` and ``x0 + max(0.05|x0|, 0.1)``).
 
-    Terminates when the simplex width is within ``x_tolerance`` and the
-    f-spread within ``f_tolerance`` relative to ``max(1, |f_best|)``, a test
-    that large objectives can still meet (Lagarias et al., SIAM J. Optim.
-    9(1), 1998); hitting ``max_iterations`` is reported through the
-    ``converged`` flag rather than an exception.
+    Terminates when the simplex width is within :data:`X_TOLERANCE` and the
+    f-spread within :data:`F_TOLERANCE` relative to ``max(1, |f_best|)``, a
+    test that large objectives can still meet (Lagarias et al., SIAM J.
+    Optim. 9(1), 1998); hitting :data:`MAX_ITERATIONS` is reported through
+    the ``converged`` flag rather than an exception.
     """
 
     def f(x: float) -> float:
@@ -123,27 +102,26 @@ def nelder_mead_1d(
             raise NonFiniteObjective(f"objective is {value!r} at x={x!r}")
         return value
 
-    step = config.step_for(x0)
-    best, worst = x0, x0 + step
+    best, worst = x0, x0 + max(0.05 * abs(x0), 0.1)
     f_best, f_worst = f(best), f(worst)
     if f_worst < f_best:
         best, worst = worst, best
         f_best, f_worst = f_worst, f_best
 
     iterations = 0
-    while iterations < config.max_iterations:
+    while iterations < MAX_ITERATIONS:
         if (
-            abs(worst - best) <= config.x_tolerance
-            and abs(f_worst - f_best) <= config.f_tolerance * max(1.0, abs(f_best))
+            abs(worst - best) <= X_TOLERANCE
+            and abs(f_worst - f_best) <= F_TOLERANCE * max(1.0, abs(f_best))
         ):
             return NelderMeadResult(best, f_best, iterations, True)
         iterations += 1
 
         # centroid of all-but-worst is the best point itself
-        reflected = best + config.reflection * (best - worst)
+        reflected = best + REFLECTION * (best - worst)
         f_reflected = f(reflected)
         if f_reflected < f_best:
-            expanded = best + config.expansion * (best - worst)
+            expanded = best + EXPANSION * (best - worst)
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
                 worst, f_worst = expanded, f_expanded
@@ -152,12 +130,12 @@ def nelder_mead_1d(
         elif f_reflected < f_worst:
             worst, f_worst = reflected, f_reflected
         else:
-            contracted = best + config.contraction * (worst - best)
+            contracted = best + CONTRACTION * (worst - best)
             f_contracted = f(contracted)
             if f_contracted < f_worst:
                 worst, f_worst = contracted, f_contracted
             else:
-                worst = best + config.shrink * (worst - best)
+                worst = best + SHRINK * (worst - best)
                 f_worst = f(worst)
         if f_worst < f_best:
             best, worst = worst, best

@@ -83,9 +83,16 @@ class UnknownVariable(InputError):
 
 
 class DivisionByZero(NumericalError):
-    def __init__(self, date, context: str = ""):
-        where = f" while evaluating {context}" if context else ""
-        super().__init__(f"division by zero at {date}{where}")
+    def __init__(self, date, context: str):
+        super().__init__(f"division by zero at {date} while evaluating {context}")
+        self.date = date
+
+
+class NonFiniteValue(NumericalError):
+    """A morphism's value overflowed where every column it reads is present."""
+
+    def __init__(self, date, context: str):
+        super().__init__(f"non-finite value at {date} while evaluating {context}")
         self.date = date
 
 

@@ -397,20 +397,6 @@ def load_csv(path, schema: Sequence[str] | None = None) -> Panel:
     )
 
 
-def format_cell(value: float) -> str:
-    """CSV text of one number: empty for NaN, else the round-tripping repr."""
-    if math.isnan(value):
-        return ""
-    # plain-float repr round-trips exactly and is stable across numpy scalars
-    return repr(float(value))
-
-
-def format_column(values: np.ndarray) -> list[str]:
-    """:func:`format_cell` of every entry of a float array."""
-    cells = np.column_stack([float_cells(values), np.full(len(values), 10, np.uint8)])
-    return cells.tobytes().translate(None, bytes([PAD])).decode().split("\n")[:-1]
-
-
 def quote(text: str) -> str:
     """One CSV cell under ``csv.QUOTE_MINIMAL``: a cell holding a comma, a
     double quote or a line break is wrapped in quotes, its quotes doubled."""
@@ -434,8 +420,8 @@ def _text_cells(column) -> np.ndarray:
 def text_rows(*columns: Iterable) -> np.ndarray:
     """CSV records of equal-length columns, one per row of a byte matrix
     padded with ``PAD``, each ended by CR LF, over a ``bytearray`` (its
-    ``base``). A float array's cells are :func:`format_cell`'s text, made
-    for the whole column at once; the records of an earlier call are a
+    ``base``). A float array's cells are each value's ``repr``, empty for
+    NaN, made for the whole column at once; the records of an earlier call are a
     column of their own; any other column's items go through ``str``, so
     dates come out in ISO form, and a ``str`` item is :func:`quote`d."""
     cells = [float_cells(c) if _is_float(c) else _text_cells(c) for c in columns]
@@ -494,15 +480,11 @@ def linear_interpolate(series: Series) -> Series:
     return Series(arr)
 
 
-def difference(series: Series, order: int = 1) -> Series:
-    """Apply the first difference ``order`` times; length shrinks by order."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    if len(series) <= order:
-        raise SeriesTooShort(
-            f"need more than {order} observations, have {len(series)}"
-        )
-    return Series(np.diff(series.array, n=order))
+def difference(series: Series) -> Series:
+    """The first difference; the series shrinks by one entry."""
+    if len(series) < 2:
+        raise SeriesTooShort(f"need at least 2 observations, have {len(series)}")
+    return Series(np.diff(series.array))
 
 
 # A trailing window ending at slot t is a suffix of the block before t's

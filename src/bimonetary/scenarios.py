@@ -66,8 +66,6 @@ class ScenarioComparison:
     baseline: Series
     shocked: Series
     difference: Series             # shocked - baseline, pointwise
-    mean_abs_difference: float
-    max_abs_difference: float
 
 
 def forgetful_project(panel: Panel, spec: CategorySpec) -> Panel:
@@ -164,15 +162,9 @@ def run_sensitivity(
             shocked_matrix, max_lags, model_vars.variables, baseline_model
         )
         shocked_fit = _fitted_target(shocked_model, shocked_matrix, idx)
-        diff = shocked_fit - baseline_fit
         comparisons.append(
             ScenarioComparison(
-                name,
-                baseline,
-                Series(shocked_fit),
-                Series(diff),
-                float(np.abs(diff).mean()) if len(diff) else 0.0,
-                float(np.abs(diff).max()) if len(diff) else 0.0,
+                name, baseline, Series(shocked_fit), Series(shocked_fit - baseline_fit)
             )
         )
     return comparisons

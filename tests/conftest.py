@@ -1,4 +1,5 @@
-"""Shared fixtures: committed seeds and synthetic canonical panels."""
+"""Shared fixtures: committed seeds, synthetic canonical panels and the
+functor file writer."""
 
 from __future__ import annotations
 
@@ -79,6 +80,25 @@ def make_canonical_panel(n_rows: int = 400, seed: int = SEED) -> Panel:
         daily_dates(n_rows),
         {name: Series.of(data[name]) for name in CANONICAL_VARIABLES},
     )
+
+
+def functor_document(F) -> dict:
+    """The functor file that ``category.functor_from_json`` reads as the
+    ``Functor`` F: its name, its object map, and its morphism map as
+    ``{"from", "to"}`` pairs, each part written by ``typed_json.dump``."""
+    # imported here: bench/workloads.py imports this module, and each module
+    # imported at the top adds to the benchmark harness's peak memory
+    from bimonetary.category import EconObject, MorphismSpec
+    from bimonetary.typed_json import dump
+
+    return {
+        "name": F.name,
+        "object_map": dump(dict[str, EconObject], F.object_map),
+        "morphism_map": [
+            {"from": dump(MorphismSpec, source), "to": dump(MorphismSpec, image)}
+            for source, image in F.morphism_map.items()
+        ],
+    }
 
 
 @pytest.fixture

@@ -4,9 +4,12 @@ on scipy, for use as test oracles where statsmodels is absent.
 Nothing here is shared with the package: every candidate model is its own
 ``scipy.linalg.lstsq`` fit on a design assembled column by column, standard
 errors come from an SVD, and tail probabilities come from ``scipy.stats``.
+:func:`format_cell` is the CSV writer's cell rule, one value at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -211,6 +214,32 @@ def forecast_path(c, A, history, steps: int) -> np.ndarray:
     for _ in range(steps):
         path.append(c + sum(A[s] @ path[-1 - s] for s in range(len(A))))
     return np.array(path[len(history) :])
+
+
+def companion_matrix(A) -> np.ndarray:
+    """(Kp, Kp) companion matrix of a VAR with the p >= 1 lag matrices
+    ``A``: ``[A_1 .. A_p]`` over ``[I 0]``, so the lags shift down a block."""
+    K, p = len(A[0]), len(A)
+    return np.vstack([np.hstack(A), np.eye(K * (p - 1), K * p)])
+
+
+def is_stable(A) -> bool:
+    """Every eigenvalue of the companion matrix lies inside the unit circle,
+    by ``scipy.linalg.eigvals``."""
+    return bool(np.abs(scipy.linalg.eigvals(companion_matrix(A))).max() < 1.0)
+
+
+def unconditional_mean(c, A) -> np.ndarray:
+    """The mean ``mu`` of a stable VAR: ``(I - A_1 - .. - A_p) mu = c``, by
+    ``scipy.linalg.solve``."""
+    K = len(c)
+    return scipy.linalg.solve(np.eye(K) - sum(A, np.zeros((K, K))), c)
+
+
+def format_cell(value: float) -> str:
+    """CSV text of one number: empty for NaN, else the round-tripping
+    ``repr`` of the plain float, the writer's cell rule."""
+    return "" if math.isnan(value) else repr(float(value))
 
 
 def var_log_likelihood(residuals) -> float:

@@ -1,0 +1,77 @@
+"""Every public function and method in `src/` has a caller in `src/`.
+
+A name that only tests read belongs in `tests/` (an oracle goes to
+`tests/reference.py`), so the package holds what the program runs. A
+function counts as called when its name appears in `src/` outside its own
+definition, as a name or an attribute; a method only as an attribute. The
+match is by name alone, so `Series.values` passes through `dict.values()`.
+The exceptions are listed below, each with its reason, and the list must
+name exactly the uncalled functions, so it cannot go stale."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bimonetary"
+
+UNCALLED = {
+    "equilibrium.nelder_mead_1d": "oracle of the closed form; bench/tracer.py wraps it",
+    "panel.Series.of": "public constructor from a list with None for missing",
+    "econometrics.GrangerResult.at": "public lookup of one lag's test",
+    "scenarios.adjunction_roundtrip_check": "the paper's enrich-then-forget round trip",
+    "scenarios.dual_model_compare": "the paper's domestic-vs-enriched comparison",
+    "structural.expectation_step": "the paper's expectation dynamics equation",
+    "structural.expectation_star": "the paper's group operation pi * E",
+    "structural.toy_demand_pesos": "the paper's peso demand equation",
+    "structural.toy_demand_usd": "the paper's dollar demand equation",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each public module-level function and
+    each public method of a module-level (or nested) class."""
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not child.name.startswith("_"):
+                    yield prefix + child.name, child
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+
+    yield from visit(tree, "")
+
+
+def references(tree: ast.Module):
+    """``(name, line, is_attribute)`` of every name and attribute read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+
+
+def uncalled() -> set[str]:
+    trees = {p.stem: ast.parse(p.read_text("utf-8")) for p in PACKAGE.glob("*.py")}
+    refs = {module: list(references(tree)) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        for qualname, node in public_definitions(tree):
+            name, method = node.name, "." in qualname
+            called = any(
+                ref == name
+                and (attribute or not method)
+                and not (where == module and node.lineno <= line <= node.end_lineno)
+                for where, module_refs in refs.items()
+                for ref, line, attribute in module_refs
+            )
+            if not called:
+                found.add(f"{module}.{qualname}")
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    assert sorted(uncalled() - UNCALLED.keys()) == []
+
+
+def test_every_listed_exception_is_defined_and_uncalled():
+    assert sorted(UNCALLED.keys() - uncalled()) == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,23 +16,22 @@ from bimonetary.category import (
     check_commutes,
     check_functor_laws,
     compose,
-    diagram_from_json,
-    diagram_to_json,
     evaluate,
     functor_from_json,
-    functor_to_json,
     identity,
 )
 from bimonetary.errors import (
     DivisionByZero,
     IncompatibleEndpoints,
     InputError,
+    NonFiniteValue,
     UnknownVariable,
     UnmappedMorphism,
     UnmappedObject,
 )
 from bimonetary.panel import Panel, Series
-from tests.conftest import SEED, daily_dates
+from bimonetary.typed_json import dump, parse
+from tests.conftest import SEED, daily_dates, functor_document
 
 L_ARS = EconObject("L_ARS", "peso demand")
 L_USD = EconObject("L_USD", "dollar demand")
@@ -117,6 +118,36 @@ class TestEvaluate:
         out = evaluate(MorphismSpec(Affine(2, 0), "Y", "Y"), panel)
         assert out.values == (2.0, None)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            MorphismSpec(Affine(1e10, 0), "Y", "Y"),
+            MorphismSpec(ScaleBySeries("s"), "Y", "Y"),
+            MorphismSpec(Ratio("Y", "tiny"), "Y", "R"),
+        ],
+        ids=["affine", "scale_by_series", "ratio"],
+    )
+    def test_overflow_is_one_numerical_error_at_its_date(self, m):
+        panel = small_panel(
+            Y=[1.0, 1e300, 2.0], s=[1.0, 1e10, 1.0], tiny=[1.0, 1e-10, 1.0]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as info:
+                evaluate(m, panel)
+        assert info.value.date == panel.dates[1]
+
+    def test_a_missing_column_is_no_overflow(self):
+        # the scale column is missing where the input overflows it; the
+        # next date has every column present and overflows
+        panel = small_panel(Y=[None, 1e300, 1e300], s=[1e300, None, 1e300])
+        m = MorphismSpec(ScaleBySeries("s"), "Y", "Y")
+        with pytest.raises(NonFiniteValue) as info:
+            evaluate(m, panel)
+        assert info.value.date == panel.dates[2]
+        first_two = panel.restrict_dates(None, panel.dates[1])
+        assert evaluate(m, first_two).values == (None, None)
+
 
 class TestCheckCommutes:
     def test_path_against_composed_edge(self):
@@ -130,7 +161,7 @@ class TestCheckCommutes:
         )
         report = check_commutes(d, panel, tol=0.0)
         assert report.passed
-        assert report.max_deviation == 0.0
+        assert max(c.deviation for c in report.checks) == 0.0
 
     def test_equilibrium_condition_passes_on_balanced_data(self):
         # both inflation-scaled demands produce the same flow by construction
@@ -158,7 +189,7 @@ class TestCheckCommutes:
         d = Diagram((L_ARS, L_USD, flow), (left, right), (((left,), (right,)),))
         report = check_commutes(d, panel, tol=tol)
         assert not report.passed
-        assert report.max_deviation == pytest.approx(bump, rel=1e-9)
+        assert max(c.deviation for c in report.checks) == pytest.approx(bump, rel=1e-9)
 
     def test_monotone_in_tolerance(self):
         panel = small_panel(L_ARS=[1.0], L_USD=[1.0 + 5e-7])
@@ -366,12 +397,12 @@ class TestJsonRoundTrip:
             (f, g, chain),
             (((f, g), (chain,)),),
         )
-        assert diagram_from_json(diagram_to_json(d)) == d
+        assert parse(Diagram, dump(Diagram, d), "diagram") == d
 
     def test_functor_round_trip(self):
         f = MorphismSpec(Affine(2, 1), "Y", "L_ARS")
         functor = Functor("id", {o.id: o for o in (Y, L_ARS)}, {f: f})
-        recovered = functor_from_json(functor_to_json(functor))
+        recovered = functor_from_json(functor_document(functor))
         assert recovered.name == functor.name
         assert recovered.object_map == dict(functor.object_map)
         assert recovered.morphism_map == dict(functor.morphism_map)
@@ -403,7 +434,7 @@ class TestJsonRoundTrip:
             Diagram((Y, L_ARS, EconObject("Y", "income again")))
         doc = {"nodes": [{"id": "Y"}, {"id": "Y"}]}
         with pytest.raises(InputError, match="^diagram: nodes lists 'Y' twice$"):
-            diagram_from_json(doc)
+            parse(Diagram, doc, "diagram")
 
     def test_file_endpoints_are_node_ids(self):
         doc = {
@@ -416,7 +447,7 @@ class TestJsonRoundTrip:
                 }
             ],
         }
-        edge = diagram_from_json(doc).edges[0]
+        edge = parse(Diagram, doc, "diagram").edges[0]
         assert edge == MorphismSpec(Affine(2.0, 1.0), "Y", "L_ARS")
 
 

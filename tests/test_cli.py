@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -28,9 +29,6 @@ from bimonetary.category import (
     ScaleBySeries,
     apply_functor,
     compose,
-    diagram_from_json,
-    diagram_to_json,
-    functor_to_json,
 )
 from bimonetary.cli import SensitivitySection, _sha256, main
 from bimonetary.panel import (
@@ -42,7 +40,8 @@ from bimonetary.panel import (
     write_rows,
 )
 from bimonetary.scenarios import CategorySpec, Shock, run_sensitivity
-from tests.conftest import SEED, daily_dates, make_canonical_panel
+from bimonetary.typed_json import dump, parse
+from tests.conftest import SEED, daily_dates, functor_document, make_canonical_panel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -646,26 +645,42 @@ def test_non_finite_json_number_is_one_input_error_line(
     assert not out.exists()
 
 
+def core_stage_child(tmp_path, column: np.ndarray) -> subprocess.CompletedProcess:
+    """`pipeline --stages core`, in a child process, on a canonical panel
+    whose first column is ``column``."""
+    panel = make_canonical_panel(len(column))
+    path = tmp_path / "panel.csv"
+    write_csv(panel.with_columns({panel.variables[0]: Series(column)}), path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "bimonetary", "pipeline", "--input", str(path),
+         "--stages", "core", "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestPipeline:
     def test_overflowing_column_is_one_numerical_error_line(self, tmp_path):
         """Finite cells near the float maximum, which the reader accepts,
         overflow in the core stage: exit 2 with one line and no warning."""
-        panel = make_canonical_panel(260)
         huge = np.array([1e308, -1e308] * 130) + np.arange(260)
-        path = tmp_path / "panel.csv"
-        write_csv(panel.with_columns({panel.variables[0]: Series(huge)}), path)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
-        child = subprocess.run(
-            [sys.executable, "-m", "bimonetary", "pipeline", "--input", str(path),
-             "--stages", "core", "--out", str(tmp_path / "out")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        child = core_stage_child(tmp_path, huge)
+        assert child.returncode == 2
+        (line,) = child.stderr.strip().splitlines()
+        doc = json.loads(line)
+        assert (doc["error"], doc["stage"]) == ("NonFiniteFactor", "core")
+
+    def test_overflowing_column_norm_is_one_numerical_error_line(self, tmp_path):
+        """A walk scaled by 1e200 has finite differences and a finite R
+        factor, but its column norms overflow: exit 2 with one line."""
+        walk = np.cumsum(np.random.default_rng(SEED).standard_normal(260)) * 1e200
+        child = core_stage_child(tmp_path, walk)
         assert child.returncode == 2
         (line,) = child.stderr.strip().splitlines()
         doc = json.loads(line)
@@ -1091,7 +1106,7 @@ class TestOtherCommands:
             (m2, target), (f, g), (((f, g), (compose(f, g),)),)
         )
         diagram_file = tmp_path / "diagram.json"
-        diagram_file.write_text(json.dumps(diagram_to_json(diagram)))
+        diagram_file.write_text(json.dumps(dump(Diagram, diagram)))
         out = tmp_path / "fc"
         code = main(
             [
@@ -1129,8 +1144,8 @@ class TestOtherCommands:
             {m: m for m in edges},
         )
         diagram_file, functor_file = tmp_path / "diagram.json", tmp_path / "f.json"
-        diagram_file.write_text(json.dumps(diagram_to_json(diagram)), encoding="utf-8")
-        functor_file.write_text(json.dumps(functor_to_json(functor)), encoding="utf-8")
+        diagram_file.write_text(json.dumps(dump(Diagram, diagram)), encoding="utf-8")
+        functor_file.write_text(json.dumps(functor_document(functor)), encoding="utf-8")
         runs, codes = [tmp_path / "first", tmp_path / "again"], []
         for source, out in zip((diagram_file, runs[0] / "image_diagram.json"), runs):
             argv = ["functor-check", "--input", str(canonical_csv), "--out", str(out)]
@@ -1138,7 +1153,8 @@ class TestOtherCommands:
             codes.append(main(argv))
         assert codes[0] == codes[1]
         image = json.loads((runs[0] / "image_diagram.json").read_text(encoding="utf-8"))
-        assert diagram_from_json(image) == apply_functor(functor, diagram) == diagram
+        assert parse(Diagram, image, "diagram") == apply_functor(functor, diagram)
+        assert apply_functor(functor, diagram) == diagram
         assert image["nodes"][0] == {"id": "M2", "description": "image of M2"}
         for name in ("image_diagram.json", "commutation.json"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
@@ -1158,6 +1174,28 @@ class TestOtherCommands:
         assert error["error"] == "InputError"
         assert "--tol" in error["message"]
         assert not out.exists()
+
+    def test_overflowing_morphism_is_one_numerical_error_line(
+        self, tmp_path, capsys
+    ):
+        # two steps that each scale M2 by 1e200 overflow on every date
+        csv_path = tmp_path / "panel.csv"
+        write_csv(make_canonical_panel(60), csv_path)
+        nodes = [{"id": name} for name in ("M2", "flow", "flow2")]
+        f, g = _edge(a=1e200, b=0.0), _edge("flow", "flow2", a=1e200, b=0.0)
+        diagram = _diagram(nodes=nodes, edges=[f, g], equal_paths=[[[f, g], [f, g]]])
+        diagram_file = tmp_path / "diagram.json"
+        diagram_file.write_text(json.dumps(diagram), encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(csv_path), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--diagram", str(diagram_file)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["stage"]) == ("NonFiniteValue", "functor-check")
+        assert "2018-01-01" in error["message"]
+        assert not (out / "commutation.json").exists()
 
     @pytest.mark.parametrize("tol, code", [("0.5", 0), ("1e-7", 1)])
     def test_functor_check_tolerance_reaches_the_functor_laws(

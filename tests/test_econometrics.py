@@ -97,7 +97,7 @@ def test_one_infinite_cell_is_a_value_error(call):
         call(data)
 
 
-@pytest.mark.parametrize(
+each_estimator = pytest.mark.parametrize(
     "call",
     [
         lambda d: econ.adf_test(d[:, 0]),
@@ -107,11 +107,27 @@ def test_one_infinite_cell_is_a_value_error(call):
     ],
     ids=["adf_test", "johansen_trace", "granger_matrix", "fit_var"],
 )
+
+
+@each_estimator
 def test_overflowing_design_is_one_numerical_error(call):
     """Finite cells near the float maximum overflow in a difference or a
     column norm: one NonFiniteFactor, with no warning before it."""
     huge = np.array([1e308, -1e308] * 20) + np.arange(40)
     data = np.column_stack([huge, fresh_rng().standard_normal(40)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteFactor):
+            call(data)
+
+
+@each_estimator
+def test_overflowing_column_norm_is_not_collinearity(call):
+    """A walk scaled by 1e200 has a finite R factor whose column norms
+    overflow: one NonFiniteFactor, not a RankDeficient after a warning."""
+    rng = fresh_rng()
+    big = np.cumsum(rng.standard_normal(200)) * 1e200
+    data = np.column_stack([big, np.cumsum(rng.standard_normal(200))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteFactor):
@@ -549,7 +565,7 @@ class TestIrf:
     def test_stable_model_responses_decay(self):
         data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), 400, fresh_rng())
         model = econ.fit_var_order(data, 1)
-        assert model.is_stable()
+        assert reference.is_stable(model.A)
         result = econ.irf(model, 200)
         assert np.abs(result.psi[200]).max() < 1e-12
 
@@ -663,9 +679,8 @@ class TestForecast:
         data = simulate_var1(A, 5000, fresh_rng(), c=c)
         model = econ.fit_var_order(data, 1)
         out = econ.forecast(model, data[-1:], 500)
-        np.testing.assert_allclose(
-            out[-1], model.unconditional_mean(), rtol=0, atol=1e-6
-        )
+        mean = reference.unconditional_mean(model.c, model.A)
+        np.testing.assert_allclose(out[-1], mean, rtol=0, atol=1e-6)
 
 
 class TestStationarityPipeline:
@@ -682,7 +697,7 @@ class TestStationarityPipeline:
         )
         out, report = econ.stationarity_pipeline(panel)
         assert out == panel
-        assert report.differenced_variables == ()
+        assert not any(d.differenced for d in report.decisions)
 
     def test_random_walk_panel_differenced(self):
         rng = fresh_rng()
@@ -693,7 +708,10 @@ class TestStationarityPipeline:
             }
         )
         out, report = econ.stationarity_pipeline(panel)
-        assert report.differenced_variables == ("a", "b")
+        assert [(d.variable, d.differenced) for d in report.decisions] == [
+            ("a", True),
+            ("b", True),
+        ]
         assert out.n_rows == 299
 
     def test_mixed_panel_aligned_by_row_drop(self):
@@ -702,7 +720,10 @@ class TestStationarityPipeline:
         walk = np.cumsum(rng.standard_normal(300))
         panel = self._panel({"s": stationary, "w": walk})
         out, report = econ.stationarity_pipeline(panel)
-        assert report.differenced_variables == ("w",)
+        assert [(d.variable, d.differenced) for d in report.decisions] == [
+            ("s", False),
+            ("w", True),
+        ]
         assert out.n_rows == 299
         np.testing.assert_allclose(out.column("s").to_array(), stationary[1:])
         np.testing.assert_allclose(out.column("w").to_array(), np.diff(walk))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bimonetary.equilibrium import (
     REQUIRED_COLUMNS,
+    MAX_ITERATIONS,
     EquilibriumTargets,
-    NelderMeadConfig,
     analytic_equilibrium,
     gap_report,
     nelder_mead_1d,
@@ -91,10 +91,11 @@ class TestNelderMead:
         assert result.x_min == pytest.approx(2.0, abs=1e-5)
 
     def test_max_iterations_is_flagged_not_raised(self):
-        config = NelderMeadConfig(max_iterations=3)
-        result = nelder_mead_1d(lambda x: (x - 100.0) ** 2, 0.0, config)
-        assert result.iterations == 3
+        # unbounded below: every step expands, and x stays finite at the cap
+        result = nelder_mead_1d(lambda x: -x, 0.0)
+        assert result.iterations == MAX_ITERATIONS
         assert not result.converged
+        assert math.isfinite(result.x_min) and result.x_min > 1e100
 
     def test_non_finite_objective(self):
         with pytest.raises(NonFiniteObjective):
