@@ -53,7 +53,6 @@ BLOCK_ROWS = 2048
 class LeastSquaresFit:
     beta: np.ndarray          # (k,) or (k, m) matching the response shape
     residuals: np.ndarray
-    ssr: np.ndarray           # scalar array for 1-d response, (m,) otherwise
     stderr: np.ndarray        # beta's shape; df-corrected, NaN when n == k
 
 
@@ -176,7 +175,7 @@ def read_fit(r: np.ndarray, norms: np.ndarray, rows, n: int) -> LeastSquaresFit:
     sigma2 = ssr / (n - k) if n > k else np.full_like(ssr, np.nan)
     scale = np.linalg.norm(solved[:, -k:], axis=1) / norms
     stderr = np.multiply.outer(scale, np.sqrt(sigma2))
-    return LeastSquaresFit(beta, residuals, ssr, stderr)
+    return LeastSquaresFit(beta, residuals, stderr)
 
 
 def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:

@@ -9,7 +9,6 @@ object image. ``evaluate`` gives morphisms data semantics over a :class:`Panel`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -283,7 +282,7 @@ class Diagram:
 @dataclass(frozen=True)
 class PathPairCheck:
     pair: int
-    deviation: float
+    deviation: float | None     # None: one path has a value where the other has none
     tolerance: float
     passed: bool
 
@@ -292,7 +291,7 @@ class PathPairCheck:
 class FunctorLawCheck:
     law: str
     subject: str
-    deviation: float
+    deviation: float | None     # as PathPairCheck's
     tolerance: float
     passed: bool
 
@@ -308,15 +307,23 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
 
-def _max_abs_deviation(a: Series, b: Series) -> tuple[float, float]:
-    """Return (max |a-b|, max |values|) over slots where both are present;
-    a present/missing mismatch counts as an infinite deviation."""
+def _max_abs_deviation(
+    a: Series, b: Series, panel: Panel, context: str
+) -> tuple[float | None, float]:
+    """Return (max |a-b|, max |values|) over the dates where both are present;
+    the deviation is None when one is present where the other is missing.
+    A difference that overflows raises NonFiniteValue at its first date."""
     u, v = a.array, b.array
     both = ~(np.isnan(u) | np.isnan(v))
     magnitude = float(np.maximum(np.abs(u[both]), np.abs(v[both])).max(initial=0.0))
     if (np.isnan(u) != np.isnan(v)).any():
-        return math.inf, magnitude
-    return float(np.abs(u[both] - v[both]).max(initial=0.0)), magnitude
+        return None, magnitude
+    with np.errstate(over="ignore"):
+        deviation = np.abs(u - v)  # NaN where both are missing
+    if np.isinf(deviation).any():
+        date = panel.dates[int(np.argmax(np.isinf(deviation)))]
+        raise NonFiniteValue(date, f"the deviation of {context}")
+    return float(deviation[both].max(initial=0.0)), magnitude
 
 
 def _tolerance(tol: float | None, magnitude: float) -> float:
@@ -334,9 +341,10 @@ def check_commutes(d: Diagram, panel: Panel, tol: float | None = None) -> CheckR
     for i, (left, right) in enumerate(d.equal_paths):
         a = evaluate(compose_path(left), panel)
         b = evaluate(compose_path(right), panel)
-        dev, magnitude = _max_abs_deviation(a, b)
+        dev, magnitude = _max_abs_deviation(a, b, panel, f"equal_paths[{i}]")
         pair_tol = _tolerance(tol, magnitude)
-        checks.append(PathPairCheck(i, dev, pair_tol, dev <= pair_tol))
+        passed = dev is not None and dev <= pair_tol
+        checks.append(PathPairCheck(i, dev, pair_tol, passed))
     return CheckReport(tuple(checks))
 
 
@@ -421,13 +429,14 @@ def apply_functor(F: Functor, d: Diagram) -> Diagram:
 
 
 def _law_deviation(
-    lhs: MorphismSpec, rhs: MorphismSpec, panel: Panel
-) -> tuple[float, float]:
+    lhs: MorphismSpec, rhs: MorphismSpec, panel: Panel, context: str
+) -> tuple[float | None, float]:
     # equal specifications evaluate identically; only genuinely different
     # images need data, so abstract objects without panel columns still check
     if lhs == rhs:
         return 0.0, 0.0
-    return _max_abs_deviation(evaluate(lhs, panel), evaluate(rhs, panel))
+    a, b = evaluate(lhs, panel), evaluate(rhs, panel)
+    return _max_abs_deviation(a, b, panel, context)
 
 
 def check_functor_laws(
@@ -460,9 +469,10 @@ def check_functor_laws(
     ]
     checks = []
     for law, subject, lhs, rhs in sides:
-        dev, magnitude = _law_deviation(lhs, rhs, panel)
+        dev, magnitude = _law_deviation(lhs, rhs, panel, f"the {law} law at {subject}")
         law_tol = _tolerance(tol, magnitude)
-        checks.append(FunctorLawCheck(law, subject, dev, law_tol, dev <= law_tol))
+        passed = dev is not None and dev <= law_tol
+        checks.append(FunctorLawCheck(law, subject, dev, law_tol, passed))
     return CheckReport(tuple(checks))
 
 

@@ -213,7 +213,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     variables = config.cholesky_order or config.variables or panel.variables
     working = panel.select(variables)
 
-    transformed, report = econ.stationarity_pipeline(working)
+    transformed, decisions = econ.stationarity_pipeline(working)
     _write_json(
         out / "stationarity.json",
         {
@@ -224,7 +224,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
                 "decision": d.result.decision_5pct,
                 "differenced": d.differenced,
             }
-            for d in report.decisions
+            for d in decisions
         },
     )
 
@@ -268,10 +268,11 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     cap = max(1, (T - 2) // (K + 1))
     max_lags = min(config.max_lags, cap)
     model = econ.fit_var(matrix, max_lags, config.criterion, transformed.variables)
+    summary = econ.var_summary_json(model)
     (out / "var_summary.txt").write_text(
-        econ.var_summary_text(model), encoding="utf-8"
+        econ.var_summary_text(summary), encoding="utf-8"
     )
-    _write_json(out / "var_summary.json", econ.var_summary_json(model))
+    _write_json(out / "var_summary.json", summary)
 
     lb = {}
     for j, name in enumerate(model.variable_order):
@@ -280,8 +281,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     _write_json(out / "ljung_box.json", lb)
 
     # one row per cell of the response arrays, in their C order
-    responses = econ.irf(model, config.irf_horizon)
-    psi, theta = np.stack(responses.psi), np.stack(responses.theta)
+    psi, theta = econ.irf(model, config.irf_horizon)
     h, response, impulse = np.indices(psi.shape).reshape(3, -1)
     _write_csv(
         out / "irf.csv",
@@ -289,7 +289,7 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
         text_rows(h, names[impulse], names[response], psi.ravel(), theta.ravel()),
     )
 
-    shares = econ.fevd(model, config.fevd_horizon).shares
+    shares = econ.fevd(model, config.fevd_horizon)
     response, h, shock = np.indices(shares.shape).reshape(3, -1)
     _write_csv(
         out / "fevd.csv",
@@ -467,7 +467,7 @@ def _plan(args, config: Config) -> dict[str, tuple]:
     here, before anything is written."""
     _, stages, _ = COMMANDS[args.command]
     if stages is None:
-        chosen = (args.stages or "core").split(",")
+        chosen = ("core" if args.stages is None else args.stages).split(",")
         for name in chosen:
             if name not in STAGES:
                 raise InputError(f"unknown stage {name!r} (stages: {','.join(STAGES)})")

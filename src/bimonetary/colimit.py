@@ -74,13 +74,14 @@ class PcaModel:
     column_scales: np.ndarray             # (K,), ones when standardize off
 
 
-def pca_fit(data, n: int, standardize: bool = True) -> PcaModel:
+def pca_fit(data, n: int, standardize: bool = True, names=None) -> PcaModel:
     """Top-n principal axes of the sample covariance.
 
     Columns are centered (and scaled to unit sample variance when
     ``standardize``); a symmetric eigensolver provides the axes, each
     flipped so its largest-magnitude entry is positive, which pins down the
-    sign regardless of the eigensolver.
+    sign regardless of the eigensolver. A constant column, named by
+    ``names`` (by its index without), raises ConstantColumn when scaled.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
@@ -96,7 +97,7 @@ def pca_fit(data, n: int, standardize: bool = True) -> PcaModel:
     if standardize:
         zero = np.flatnonzero(std == 0.0)
         if zero.size:
-            raise ConstantColumn(f"column index {int(zero[0])}")
+            raise ConstantColumn(str(zero[0]) if names is None else names[zero[0]])
         scales = std
     else:
         scales = np.ones(K)
@@ -171,7 +172,7 @@ def build_indicator(panel: Panel, config: ColimitConfig = ColimitConfig()) -> Co
     matrix = panel.to_matrix(config.variables)
     if np.isnan(matrix).any():
         raise ValueError("indicator variables contain missing values; clean first")
-    model = pca_fit(matrix, config.n_components, config.standardize)
+    model = pca_fit(matrix, config.n_components, config.standardize, config.variables)
     aggregate = Series(pca_aggregate(model, matrix))
 
     weights = dynamic_weights(

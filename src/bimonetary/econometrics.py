@@ -53,13 +53,10 @@ __all__ = [
     "fit_var_order",
     "ljung_box",
     "LjungBoxResult",
-    "IrfResult",
     "irf",
-    "FevdResult",
     "fevd",
     "forecast",
     "stationarity_pipeline",
-    "StationarityReport",
     "var_summary_json",
     "var_summary_text",
 ]
@@ -184,7 +181,6 @@ class AdfResult:
     lags_used: int
     decision_5pct: str          # "stationary" | "nonstationary"
     approx_pvalue: float
-    critical_values: dict[str, float]
 
     @property
     def is_stationary(self) -> bool:
@@ -225,9 +221,9 @@ def adf_test(series) -> AdfResult:
     best_k, _, fit = _lag_search(dy, max_lags, aic, exog=y[:-1])
     t_stat = float(fit.beta[1, 0] / fit.stderr[1, 0])
 
-    crit = adf_critical_values(len(fit.residuals))
-    decision = "stationary" if t_stat < crit["5%"] else "nonstationary"
-    return AdfResult(t_stat, best_k, decision, adf_pvalue(t_stat), crit)
+    crit = adf_critical_values(len(fit.residuals))["5%"]
+    decision = "stationary" if t_stat < crit else "nonstationary"
+    return AdfResult(t_stat, best_k, decision, adf_pvalue(t_stat))
 
 
 # -- Johansen trace test --------------------------------------------------------
@@ -331,8 +327,6 @@ class GrangerLag:
     lag: int
     f_stat: float
     p_value: float
-    df_num: int
-    df_den: int
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,7 @@ def _granger_pairs(
                 raise RankDeficient("unrestricted regression fits exactly")
             f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
             entries[cause, effect].append(
-                GrangerLag(lag, f_stat, f_sf(f_stat, lag, df_den), lag, df_den)
+                GrangerLag(lag, f_stat, f_sf(f_stat, lag, df_den))
             )
     return {pair: GrangerResult(tuple(lags)) for pair, lags in entries.items()}
 
@@ -425,14 +419,10 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
 class VarModel:
     p: int
     variable_order: tuple[str, ...]
-    c: np.ndarray                     # (K,)
-    A: tuple[np.ndarray, ...]         # p matrices, each (K, K)
+    coef: np.ndarray                  # (1 + K*p, K): const row, then lag blocks
     sigma: np.ndarray                 # (K, K), df-corrected
     residuals: np.ndarray             # (T - p, K)
-    T_effective: int
-    stderr: np.ndarray                # (1 + K*p, K): const row, then lag blocks
-    criterion: str = "aic"
-    criterion_value: float = math.nan
+    stderr: np.ndarray                # coef's layout
     # the data and design leaves of a fit_var_order model, for a refit's base
     data: np.ndarray | None = field(default=None, repr=False, compare=False)
     leaves: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
@@ -441,10 +431,19 @@ class VarModel:
     def k_vars(self) -> int:
         return len(self.variable_order)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Stacked (1 + K*p, K) matrix: intercept row, then one K-row block
-        per lag; column j holds equation j."""
-        return np.vstack([self.c, *(A_s.T for A_s in self.A)])
+    @property
+    def c(self) -> np.ndarray:
+        """The intercepts, (K,)."""
+        return self.coef[0]
+
+    @property
+    def A(self) -> tuple[np.ndarray, ...]:
+        """The p lag matrices, each (K, K) and row-major: a transposed view
+        would change the summation order of the products that read it."""
+        K = self.k_vars
+        return tuple(
+            self.coef[1 + s * K : 1 + (s + 1) * K].T.copy() for s in range(self.p)
+        )
 
 
 def _var_names(names: Sequence[str] | None, K: int) -> tuple[str, ...]:
@@ -456,16 +455,9 @@ def _var_names(names: Sequence[str] | None, K: int) -> tuple[str, ...]:
 
 def _var_model(fit: LeastSquaresFit, p: int, names: tuple[str, ...]) -> VarModel:
     """The VAR(p) read from the fit of its stacked equations."""
-    K = len(names)
-    B = np.atleast_2d(fit.beta)
-    c = B[0].copy()
-    A = tuple(
-        B[1 + s * K : 1 + (s + 1) * K].T.copy() for s in range(p)
-    )
     resid = fit.residuals
-    dof = len(resid) - (1 + K * p)
-    sigma = resid.T @ resid / dof
-    return VarModel(p, names, c, A, sigma, resid, len(resid), fit.stderr)
+    sigma = resid.T @ resid / (len(resid) - len(fit.beta))
+    return VarModel(p, names, fit.beta, sigma, resid, fit.stderr)
 
 
 def _var_data(data, p: int) -> np.ndarray:
@@ -553,9 +545,8 @@ def fit_var(
     def score(p: int, cross: np.ndarray) -> float:
         return _criterion_value(cross / T_common, p, K, T_common, criterion)
 
-    best_p, best_value, fit = _lag_search(data, max_lags, score)
-    model = _var_model(fit, best_p, names)
-    return replace(model, criterion=criterion, criterion_value=best_value)
+    best_p, _, fit = _lag_search(data, max_lags, score)
+    return _var_model(fit, best_p, names)
 
 
 # -- residual diagnostics --------------------------------------------------------
@@ -565,7 +556,6 @@ def fit_var(
 class LjungBoxResult:
     q_stat: float
     p_value: float
-    lags: int
 
 
 def ljung_box(residual, lags: int) -> LjungBoxResult:
@@ -586,41 +576,22 @@ def ljung_box(residual, lags: int) -> LjungBoxResult:
         rho = float(centered[k:] @ centered[:-k]) / denom
         q += rho * rho / (T - k)
     q *= T * (T + 2.0)
-    return LjungBoxResult(q, chi2_sf(q, lags), lags)
+    return LjungBoxResult(q, chi2_sf(q, lags))
 
 
 # -- impulse responses and variance decomposition ---------------------------------
 
 
-@dataclass(frozen=True)
-class IrfResult:
-    horizon: int
-    psi: tuple[np.ndarray, ...]     # H+1 matrices, psi[0] = I
-    theta: tuple[np.ndarray, ...]   # orthogonalized, theta[0] = chol
-    cholesky_factor: np.ndarray
+def irf(model: VarModel, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moving-average representation out to ``horizon``: ``(psi, theta)``,
+    each (H+1, K, K) with horizon h first.
 
-
-def _psi_matrices(model: VarModel, horizon: int) -> list[np.ndarray]:
-    K = model.k_vars
-    psi = [np.eye(K)]
-    for h in range(1, horizon + 1):
-        acc = np.zeros((K, K))
-        for s in range(1, min(h, model.p) + 1):
-            acc += model.A[s - 1] @ psi[h - s]
-        psi.append(acc)
-    return psi
-
-
-def irf(model: VarModel, horizon: int) -> IrfResult:
-    """Moving-average representation out to ``horizon``.
-
-    ``psi[h]`` is the plain response; ``theta[h] = psi[h] @ P`` with
-    ``P P' = sigma`` (lower Cholesky, so shock ordering follows
+    ``psi[h]`` is the plain response, ``psi[0] = I``; ``theta[h] = psi[h] @
+    P`` with ``P P' = sigma`` (lower Cholesky, so shock ordering follows
     ``variable_order``). A non-positive-definite covariance raises.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    psi = _psi_matrices(model, horizon)
     try:
         chol = np.linalg.cholesky(model.sigma)
     except np.linalg.LinAlgError:
@@ -628,17 +599,18 @@ def irf(model: VarModel, horizon: int) -> IrfResult:
             "residual covariance is not positive definite, so the "
             "Cholesky-orthogonalized responses are undefined"
         ) from None
-    return IrfResult(horizon, tuple(psi), tuple(m @ chol for m in psi), chol)
+    K, A = model.k_vars, model.A
+    psi = np.zeros((horizon + 1, K, K))
+    psi[0] = np.eye(K)
+    for h in range(1, horizon + 1):
+        for s in range(1, min(h, model.p) + 1):
+            psi[h] += A[s - 1] @ psi[h - s]
+    return psi, np.stack([m @ chol for m in psi])
 
 
-@dataclass(frozen=True)
-class FevdResult:
-    variable_order: tuple[str, ...]
-    shares: np.ndarray   # (K, H, K): response i, horizon row, shock j
-
-
-def fevd(model: VarModel, horizon: int) -> FevdResult:
-    """Forecast-error variance shares from the orthogonalized responses.
+def fevd(model: VarModel, horizon: int) -> np.ndarray:
+    """Forecast-error variance shares from the orthogonalized responses,
+    (K, H, K): response i, horizon row, shock j.
 
     Row ``h`` (0-based, matching a forecast ``h+1`` steps out) of response
     i's table holds ``sum_{s<=h} theta_s[i,j]^2`` normalized across shocks
@@ -646,11 +618,8 @@ def fevd(model: VarModel, horizon: int) -> FevdResult:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    result = irf(model, horizon - 1)
-    contributions = np.stack([t**2 for t in result.theta])   # (H, K, K)
-    cumulative = np.cumsum(contributions, axis=0)
-    shares = (cumulative / cumulative.sum(axis=2, keepdims=True)).transpose(1, 0, 2)
-    return FevdResult(model.variable_order, shares)
+    cumulative = np.cumsum(irf(model, horizon - 1)[1] ** 2, axis=0)
+    return (cumulative / cumulative.sum(axis=2, keepdims=True)).transpose(1, 0, 2)
 
 
 def forecast(model: VarModel, last_observations, steps: int) -> np.ndarray:
@@ -674,10 +643,11 @@ def forecast(model: VarModel, last_observations, steps: int) -> np.ndarray:
     else:
         window = []
     out = np.empty((steps, K))
+    A = model.A
     for step in range(steps):
         value = model.c.copy()
         for s in range(1, model.p + 1):
-            value += model.A[s - 1] @ window[-s]
+            value += A[s - 1] @ window[-s]
         out[step] = value
         if model.p > 0:
             window.append(value)
@@ -695,13 +665,9 @@ class ColumnDecision:
     differenced: bool
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    decisions: tuple[ColumnDecision, ...]
-
-
-def stationarity_pipeline(panel: Panel) -> tuple[Panel, StationarityReport]:
-    """ADF-test every column and first-difference the nonstationary ones.
+def stationarity_pipeline(panel: Panel) -> tuple[Panel, tuple[ColumnDecision, ...]]:
+    """ADF-test every column and first-difference the nonstationary ones;
+    returns the panel and one decision per column, in panel order.
 
     Differencing shifts a column forward one row, so when any column is
     differenced the first row of the whole panel is dropped to keep the
@@ -717,19 +683,20 @@ def stationarity_pipeline(panel: Panel) -> tuple[Panel, StationarityReport]:
         if d.differenced
     }
     out = panel.drop_leading_rows(1).with_columns(differenced) if differenced else panel
-    return out, StationarityReport(tuple(decisions))
+    return out, tuple(decisions)
 
 
 # -- summaries ---------------------------------------------------------------------
 
 
 def var_summary_json(model: VarModel) -> dict:
-    T, K = model.T_effective, model.k_vars
+    """The fit's summary document: sample, likelihood, criteria and one
+    table per equation."""
+    T, K = model.residuals.shape
     sigma_ml = model.residuals.T @ model.residuals / T
     sign, logdet = np.linalg.slogdet(sigma_ml)
     log_likelihood = -0.5 * T * (K * math.log(2.0 * math.pi) + logdet + K)
-    coef = model.coefficient_matrix()
-    t_stats = coef / model.stderr
+    t_stats = model.coef / model.stderr
     labels = ["const"] + [
         f"L{s}.{name}"
         for s in range(1, model.p + 1)
@@ -739,7 +706,7 @@ def var_summary_json(model: VarModel) -> dict:
     for j, name in enumerate(model.variable_order):
         equations[name] = {
             label: {
-                "coefficient": float(coef[i, j]),
+                "coefficient": float(model.coef[i, j]),
                 "std_error": float(model.stderr[i, j]),
                 "t_stat": float(t_stats[i, j]),
                 "prob": float(2.0 * (1.0 - normal_cdf(abs(t_stats[i, j])))),
@@ -764,9 +731,9 @@ def var_summary_json(model: VarModel) -> dict:
     }
 
 
-def var_summary_text(model: VarModel) -> str:
-    """Aligned plain-text table in the familiar regression-summary layout."""
-    doc = var_summary_json(model)
+def var_summary_text(doc: dict) -> str:
+    """The :func:`var_summary_json` document as an aligned plain-text table
+    in the familiar regression-summary layout."""
     width = 34
     lines = [
         "Summary of Regression Results".center(width),

@@ -163,9 +163,6 @@ class EquilibriumSeries:
     gap: np.ndarray                     # e_star - observed
     skipped_dates: tuple[Date, ...]     # rows with a missing input
 
-    def __len__(self) -> int:
-        return len(self.dates)
-
 
 def solve_panel(
     panel: Panel,

@@ -89,7 +89,8 @@ class DivisionByZero(NumericalError):
 
 
 class NonFiniteValue(NumericalError):
-    """A morphism's value overflowed where every column it reads is present."""
+    """A morphism's value overflowed where every column it reads is present,
+    or two values that a check compares differ by more than a float holds."""
 
     def __init__(self, date, context: str):
         super().__init__(f"non-finite value at {date} while evaluating {context}")
@@ -135,8 +136,8 @@ class ShapeMismatch(InputError):
 
 
 class ConstantColumn(NumericalError):
-    def __init__(self, name: str = ""):
-        super().__init__(f"column {name!r} is constant" if name else "constant column")
+    def __init__(self, name: str):
+        super().__init__(f"column {name!r} is constant")
         self.name = name
 
 

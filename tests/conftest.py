@@ -101,6 +101,17 @@ def functor_document(F) -> dict:
     }
 
 
+def var_model(names, c, A, sigma, rows: int):
+    """The ``econometrics.VarModel`` with variables ``names``, intercepts
+    ``c``, lag matrices ``A`` and covariance ``sigma``: ``rows`` zero
+    residuals and standard errors of one."""
+    from bimonetary.econometrics import VarModel  # imported here: see above
+
+    coef = np.vstack([c, *(np.transpose(a) for a in A)])
+    residuals = np.zeros((rows, len(names)))
+    return VarModel(len(A), tuple(names), coef, sigma, residuals, np.ones_like(coef))
+
+
 @pytest.fixture
 def canonical_panel() -> Panel:
     return make_canonical_panel()

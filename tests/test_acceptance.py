@@ -41,7 +41,7 @@ from bimonetary.structural import (
     toy_demand_pesos,
     toy_demand_usd,
 )
-from tests.conftest import SEED, daily_dates, make_canonical_panel
+from tests.conftest import SEED, daily_dates, make_canonical_panel, var_model
 
 
 @contextmanager
@@ -95,7 +95,7 @@ def test_fevd_structure():
         for t in range(1, 500):
             data[t] = A @ data[t - 1] + shocks[t]
         model = econ.fit_var_order(data, 1)
-        shares = econ.fevd(model, 10).shares
+        shares = econ.fevd(model, 10)
         np.testing.assert_allclose(shares.sum(axis=2), 1.0, atol=1e-9)
         assert shares.min() >= 0.0 and shares.max() <= 1.0
         # first-ordered variable, horizon 1: all of its variance is its own shock
@@ -118,24 +118,15 @@ def test_var_recovery():
 
 def test_irf_closed_form():
     with criterion("irf-closed-form"):
-        scalar = econ.VarModel(
-            p=1,
-            variable_order=("y",),
-            c=np.zeros(1),
-            A=(np.array([[0.5]]),),
-            sigma=np.eye(1),
-            residuals=np.zeros((20, 1)),
-            T_effective=20,
-            stderr=np.ones((2, 1)),
-        )
-        psi = [float(m[0, 0]) for m in econ.irf(scalar, 5).psi]
+        scalar = var_model(("y",), np.zeros(1), (np.array([[0.5]]),), np.eye(1), 20)
+        psi = [float(m[0, 0]) for m in econ.irf(scalar, 5)[0]]
         assert psi == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
 
         rng = np.random.default_rng(SEED)
         data = rng.standard_normal((200, 3)).cumsum(axis=0) * 0.01 + rng.standard_normal((200, 3))
         for p in (0, 1, 2):
             model = econ.fit_var_order(data, p)
-            np.testing.assert_array_equal(econ.irf(model, 3).psi[0], np.eye(3))
+            np.testing.assert_array_equal(econ.irf(model, 3)[0][0], np.eye(3))
 
 
 def test_statistical_test_fixtures():

@@ -1,12 +1,15 @@
-"""Every public function and method in `src/` has a caller in `src/`.
+"""Every public function and method in `src/` has a caller in `src/`, and
+every field of a record class (a dataclass or NamedTuple) has a reader.
 
 A name that only tests read belongs in `tests/` (an oracle goes to
 `tests/reference.py`), so the package holds what the program runs. A
 function counts as called when its name appears in `src/` outside its own
-definition, as a name or an attribute; a method only as an attribute. The
-match is by name alone, so `Series.values` passes through `dict.values()`.
-The exceptions are listed below, each with its reason, and the list must
-name exactly the uncalled functions, so it cannot go stale."""
+definition, as a name or an attribute; a method only as an attribute. A
+field counts as read when `src/` reads an attribute of its name. The match
+is by name alone, so `Series.values` passes through `dict.values()`. The
+exceptions are listed below, each with its reason, and each list must name
+exactly the uncalled functions or the classes with an unread field, so it
+cannot go stale."""
 
 import ast
 from pathlib import Path
@@ -23,6 +26,16 @@ UNCALLED = {
     "structural.expectation_star": "the paper's group operation pi * E",
     "structural.toy_demand_pesos": "the paper's peso demand equation",
     "structural.toy_demand_usd": "the paper's dollar demand equation",
+}
+
+
+#: Record classes whose fields are read whole, not one attribute at a time.
+READ_WHOLE = {
+    "structural.ProxyMap": "read by getattr with the names in structural._EQUATIONS",
+    "category.PathPairCheck": "written to commutation.json by asdict",
+    "category.FunctorLawCheck": "written to commutation.json by asdict",
+    "category.EconObject": "read and written by typed_json",
+    "equilibrium.NelderMeadResult": "read by bench/tracer.py",
 }
 
 
@@ -69,9 +82,52 @@ def uncalled() -> set[str]:
     return found
 
 
+def record_classes(tree: ast.Module):
+    """Every class in the module that is a dataclass or a NamedTuple."""
+
+    def is_record(node: ast.ClassDef) -> bool:
+        for decorator in node.decorator_list:
+            f = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+                return True
+        return any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and is_record(n)]
+
+
+def unread_fields() -> set[str]:
+    """``module.Class.field`` of each field no attribute read in `src/` names."""
+    trees = {p.stem: ast.parse(p.read_text("utf-8")) for p in PACKAGE.glob("*.py")}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{module}.{cls.name}.{item.target.id}"
+        for module, tree in trees.items()
+        for cls in record_classes(tree)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    }
+
+
 def test_every_public_function_has_a_caller_in_the_program():
     assert sorted(uncalled() - UNCALLED.keys()) == []
 
 
 def test_every_listed_exception_is_defined_and_uncalled():
     assert sorted(UNCALLED.keys() - uncalled()) == []
+
+
+def test_every_record_field_has_a_reader_in_the_program():
+    unread = {f for f in unread_fields() if f.rpartition(".")[0] not in READ_WHOLE}
+    assert sorted(unread) == []
+
+
+def test_every_class_read_whole_has_an_unread_field():
+    owners = {f.rpartition(".")[0] for f in unread_fields()}
+    assert sorted(READ_WHOLE.keys() - owners) == []

@@ -203,6 +203,27 @@ class TestCheckCommutes:
         ]
         assert passed == sorted(passed)  # once passing, stays passing
 
+    def test_value_against_a_missing_value_fails_with_no_deviation(self):
+        # 0 * Y + 1 is missing where Y is; one / one is not
+        panel = small_panel(Y=[1.0, None], one=[1.0, 1.0])
+        left = MorphismSpec(Affine(0, 1), "Y", "R")
+        right = MorphismSpec(Ratio("one", "one"), "Y", "R")
+        d = Diagram((Y, R), (left, right), (((left,), (right,)),))
+        (check,) = check_commutes(d, panel, tol=1.0).checks
+        assert (check.deviation, check.passed) == (None, False)
+
+    def test_overflowing_deviation_is_one_numerical_error_at_its_date(self):
+        # Y and -Y are finite; their difference on the second date is not
+        panel = small_panel(Y=[1.0, 1e308, 2.0])
+        same = MorphismSpec(Affine(1, 0), "Y", "R")
+        negated = MorphismSpec(Affine(-1, 0), "Y", "R")
+        d = Diagram((Y, R), (same, negated), (((same,), (negated,)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as info:
+                check_commutes(d, panel)
+        assert info.value.date == panel.dates[1]
+
 
 def rename_functor():
     primes = {

@@ -329,6 +329,8 @@ def test_malformed_file_is_one_input_error_line(
     [
         ("cor", None, "'cor'"),
         ("core,equilibrium,colimt", None, "'colimt'"),
+        ("", None, "unknown stage ''"),
+        (",core", None, "unknown stage ''"),
         ("core,sensitivity", None, "--scenarios"),
         ("core,sensitivity", [{"name": 5, "shocks": []}], "name"),
         ("core,equilibrium,colimit,sensitivity", [{"name": "no shocks"}], "shocks"),
@@ -336,6 +338,8 @@ def test_malformed_file_is_one_input_error_line(
     ids=[
         "unknown-stage",
         "unknown-later-stage",
+        "empty-stage-list",
+        "empty-stage-name",
         "sensitivity-without-scenarios",
         "scenario-name-not-string",
         "scenario-without-shocks",
@@ -1196,6 +1200,72 @@ class TestOtherCommands:
         assert (error["error"], error["stage"]) == ("NonFiniteValue", "functor-check")
         assert "2018-01-01" in error["message"]
         assert not (out / "commutation.json").exists()
+
+    def test_value_against_a_missing_value_fails_with_a_null_deviation(
+        self, tmp_path
+    ):
+        # without interpolation M2's gap stays; 0 * M2 + 1 is missing there,
+        # E / E is not
+        panel = make_canonical_panel(60)
+        m2 = panel.column("M2").array.copy()
+        m2[30] = np.nan
+        csv_path, config = tmp_path / "panel.csv", tmp_path / "config.json"
+        write_csv(panel.with_columns({"M2": Series(m2)}), csv_path)
+        config.write_text(json.dumps({"interpolate": False}), encoding="utf-8")
+        ratio = {"source": "M2", "target": "flow"}
+        ratio["kind"] = {"type": "ratio", "numerator": "E", "denominator": "E"}
+        diagram = _diagram(equal_paths=[[[_edge(a=0.0, b=1.0)], [ratio]]])
+        diagram_file = tmp_path / "diagram.json"
+        diagram_file.write_text(json.dumps(diagram), encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(csv_path), "--out", str(out)]
+        argv += ["--config", str(config), "--diagram", str(diagram_file)]
+        assert main(argv) == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (out / "commutation.json").read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["passed"] is False
+        assert doc["checks"][0]["deviation"] is None
+        assert doc["checks"][0]["passed"] is False
+
+    def test_overflowing_deviation_is_one_numerical_error_line(
+        self, tmp_path, capsys
+    ):
+        # M2 and -M2 are finite, their difference on 2018-01-06 is not
+        panel = make_canonical_panel(60)
+        m2 = panel.column("M2").array.copy()
+        m2[5] = 1e308
+        csv_path = tmp_path / "panel.csv"
+        write_csv(panel.with_columns({"M2": Series(m2)}), csv_path)
+        paths = [[_edge(a=1.0, b=0.0)], [_edge(a=-1.0, b=0.0)]]
+        diagram = _diagram(equal_paths=[paths])
+        diagram_file = tmp_path / "diagram.json"
+        diagram_file.write_text(json.dumps(diagram), encoding="utf-8")
+        out = tmp_path / "fc"
+        argv = ["functor-check", "--input", str(csv_path), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--diagram", str(diagram_file)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["stage"]) == ("NonFiniteValue", "functor-check")
+        assert "2018-01-06" in error["message"]
+        assert "equal_paths[0]" in error["message"]
+        assert not (out / "commutation.json").exists()
+
+    def test_constant_colimit_variable_is_named(self, tmp_path, capsys):
+        panel = make_canonical_panel(260)
+        csv_path = tmp_path / "panel.csv"
+        write_csv(panel.with_columns({"M2": Series(np.full(260, 5.0))}), csv_path)
+        argv = ["colimit", "--input", str(csv_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["stage"]) == ("ConstantColumn", "colimit")
+        assert error["message"] == "column 'M2' is constant"
 
     @pytest.mark.parametrize("tol, code", [("0.5", 0), ("1e-7", 1)])
     def test_functor_check_tolerance_reaches_the_functor_laws(

@@ -138,8 +138,8 @@ class TestNelderMead:
 class TestSolvePanel:
     def test_equals_oracle_on_every_row(self, canonical_panel):
         result = solve_panel(canonical_panel)
-        assert len(result) == canonical_panel.n_rows
-        for i in range(len(result)):
+        assert len(result.dates) == canonical_panel.n_rows
+        for i in range(len(result.dates)):
             mean = analytic_equilibrium(row_targets(canonical_panel, i))
             assert result.e_star[i] == pytest.approx(
                 mean, abs=1e-6 * max(1.0, abs(mean))
@@ -150,7 +150,7 @@ class TestSolvePanel:
     def test_is_the_analytic_equilibrium_bitwise(self):
         panel = make_canonical_panel(2500)
         result = solve_panel(panel)
-        assert len(result) == panel.n_rows
+        assert len(result.dates) == panel.n_rows
         for i in range(panel.n_rows):
             assert result.e_star[i] == analytic_equilibrium(row_targets(panel, i))
 
@@ -191,7 +191,7 @@ class TestSolvePanel:
     def test_one_row_panel(self):
         panel = make_canonical_panel(1)
         result = solve_panel(panel)
-        assert len(result) == 1
+        assert len(result.dates) == 1
 
     def test_missing_rows_are_skipped_and_reported(self):
         panel = make_canonical_panel(5)
@@ -199,7 +199,7 @@ class TestSolvePanel:
         values[2] = None
         broken = panel.with_columns({"Embi+ARG": Series.of(values)})
         result = solve_panel(broken)
-        assert len(result) == 4
+        assert len(result.dates) == 4
         assert result.skipped_dates == (panel.dates[2],)
 
     def test_embi_percent_flag_rescales_risk_target(self):

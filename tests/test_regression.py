@@ -104,7 +104,8 @@ class TestPrefixCrossProducts:
         ssr = prefix_cross_products(X, y)
         assert (np.diff(ssr) <= 0).all()
         assert ssr[0] == pytest.approx(y @ y, rel=1e-13)
-        assert ssr[-1] == pytest.approx(float(qr_least_squares(X, y).ssr), rel=1e-12)
+        residuals = qr_least_squares(X, y).residuals
+        assert ssr[-1] == pytest.approx(float(residuals @ residuals), rel=1e-12)
 
     def test_collinear_last_column_raises_like_the_prefix_loop(self):
         rng = np.random.default_rng(SEED)
