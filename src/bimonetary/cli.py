@@ -213,18 +213,18 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     variables = config.cholesky_order or config.variables or panel.variables
     working = panel.select(variables)
 
-    transformed, decisions = econ.stationarity_pipeline(working)
+    transformed, adf = econ.stationarity_pipeline(working)
     _write_json(
         out / "stationarity.json",
         {
-            d.variable: {
-                "t_stat": d.result.t_stat,
-                "lags_used": d.result.lags_used,
-                "p_value": d.result.approx_pvalue,
-                "decision": d.result.decision_5pct,
-                "differenced": d.differenced,
+            name: {
+                "t_stat": t.t_stat,
+                "lags_used": t.lags_used,
+                "p_value": t.approx_pvalue,
+                "decision": t.decision_5pct,
+                "differenced": not t.is_stationary,
             }
-            for d in decisions
+            for name, t in adf.items()
         },
     )
 

@@ -74,14 +74,14 @@ class PcaModel:
     column_scales: np.ndarray             # (K,), ones when standardize off
 
 
-def pca_fit(data, n: int, standardize: bool = True, names=None) -> PcaModel:
+def pca_fit(data, n: int, standardize: bool, names: tuple[str, ...]) -> PcaModel:
     """Top-n principal axes of the sample covariance.
 
     Columns are centered (and scaled to unit sample variance when
     ``standardize``); a symmetric eigensolver provides the axes, each
     flipped so its largest-magnitude entry is positive, which pins down the
-    sign regardless of the eigensolver. A constant column, named by
-    ``names`` (by its index without), raises ConstantColumn when scaled.
+    sign regardless of the eigensolver. A constant column raises
+    ConstantColumn with its name from ``names`` when scaled.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
@@ -97,7 +97,7 @@ def pca_fit(data, n: int, standardize: bool = True, names=None) -> PcaModel:
     if standardize:
         zero = np.flatnonzero(std == 0.0)
         if zero.size:
-            raise ConstantColumn(str(zero[0]) if names is None else names[zero[0]])
+            raise ConstantColumn(names[zero[0]])
         scales = std
     else:
         scales = np.ones(K)

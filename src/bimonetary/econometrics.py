@@ -110,8 +110,8 @@ def _rows(data: np.ndarray, p: int, first: int, exog=None, extra=None):
 
 def _lag_search(
     data: np.ndarray, max_p: int, score, exog: np.ndarray | None = None
-) -> tuple[int, float, LeastSquaresFit]:
-    """``(p, score, fit)`` for the lag count 0..max_p whose residual
+) -> tuple[int, LeastSquaresFit]:
+    """``(p, fit)`` for the lag count 0..max_p whose residual
     cross-product ``E'E`` on the common sample t = max_p..T-1 has the lowest
     ``score(p, E'E)`` (the first of equal scores), refit on all usable rows;
     ``exog`` is one column.
@@ -134,7 +134,7 @@ def _lag_search(
     lead[:, :k] /= norms[:k]
     sub = subset_factor(r, np.r_[:k, k_max : r.shape[1]], k, lead)
     fit = read_fit(sub, norms[:k], _rows(data, best_p, best_p, exog), T - best_p)
-    return best_p, best, fit
+    return best_p, fit
 
 
 # -- augmented Dickey-Fuller ---------------------------------------------------
@@ -218,7 +218,7 @@ def adf_test(series) -> AdfResult:
 
     with np.errstate(over="ignore", invalid="ignore"):  # then qr_r raises
         dy = np.diff(y)
-    best_k, _, fit = _lag_search(dy, max_lags, aic, exog=y[:-1])
+    best_k, fit = _lag_search(dy, max_lags, aic, exog=y[:-1])
     t_stat = float(fit.beta[1, 0] / fit.stderr[1, 0])
 
     crit = adf_critical_values(len(fit.residuals))["5%"]
@@ -545,7 +545,7 @@ def fit_var(
     def score(p: int, cross: np.ndarray) -> float:
         return _criterion_value(cross / T_common, p, K, T_common, criterion)
 
-    best_p, _, fit = _lag_search(data, max_lags, score)
+    best_p, fit = _lag_search(data, max_lags, score)
     return _var_model(fit, best_p, names)
 
 
@@ -658,32 +658,22 @@ def forecast(model: VarModel, last_observations, steps: int) -> np.ndarray:
 # -- column-wise stationarity pipeline --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnDecision:
-    variable: str
-    result: AdfResult
-    differenced: bool
-
-
-def stationarity_pipeline(panel: Panel) -> tuple[Panel, tuple[ColumnDecision, ...]]:
+def stationarity_pipeline(panel: Panel) -> tuple[Panel, dict[str, AdfResult]]:
     """ADF-test every column and first-difference the nonstationary ones;
-    returns the panel and one decision per column, in panel order.
+    returns the panel and each column's test, in panel order.
 
     Differencing shifts a column forward one row, so when any column is
     differenced the first row of the whole panel is dropped to keep the
     dates aligned.
     """
-    decisions = []
-    for name in panel.variables:
-        result = adf_test(panel.column(name).array)
-        decisions.append(ColumnDecision(name, result, not result.is_stationary))
+    tests = {name: adf_test(panel.column(name).array) for name in panel.variables}
     differenced = {
-        d.variable: difference(panel.column(d.variable))
-        for d in decisions
-        if d.differenced
+        name: difference(panel.column(name))
+        for name, result in tests.items()
+        if not result.is_stationary
     }
     out = panel.drop_leading_rows(1).with_columns(differenced) if differenced else panel
-    return out, tuple(decisions)
+    return out, tests
 
 
 # -- summaries ---------------------------------------------------------------------

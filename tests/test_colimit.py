@@ -20,42 +20,47 @@ def fresh_rng():
     return np.random.default_rng(SEED)
 
 
+def _fit(data, n: int, standardize: bool):
+    """:func:`pca_fit` with the columns named a, b, c, ..."""
+    return pca_fit(data, n, standardize, tuple("abcdefgh"[: data.shape[1]]))
+
+
 class TestPcaFit:
     def test_rank_one_data(self):
         rng = fresh_rng()
         factor = rng.standard_normal(300)
         data = np.outer(factor, [1.0, -2.0, 0.5])
-        model = pca_fit(data, 3, standardize=False)
+        model = _fit(data, 3, standardize=False)
         assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_uncorrelated_standardized_columns(self):
         data = fresh_rng().standard_normal((20000, 2))
-        model = pca_fit(data, 2, standardize=True)
+        model = _fit(data, 2, standardize=True)
         assert model.explained_variance_ratio[0] == pytest.approx(0.5, abs=0.05)
         assert model.explained_variance_ratio[1] == pytest.approx(0.5, abs=0.05)
 
     def test_full_component_ratios_sum_to_one(self):
         data = fresh_rng().standard_normal((100, 4))
-        model = pca_fit(data, 4, standardize=True)
+        model = _fit(data, 4, standardize=True)
         assert model.explained_variance_ratio.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_ratios_non_increasing_in_unit_interval(self):
         data = fresh_rng().standard_normal((200, 5)) * [1, 2, 3, 4, 5]
-        model = pca_fit(data, 5, standardize=False)
+        model = _fit(data, 5, standardize=False)
         r = model.explained_variance_ratio
         assert np.all(np.diff(r) <= 1e-12)
         assert np.all((r >= 0) & (r <= 1))
 
     def test_loadings_orthonormal(self):
         data = fresh_rng().standard_normal((150, 6))
-        model = pca_fit(data, 4, standardize=True)
+        model = _fit(data, 4, standardize=True)
         gram = model.loadings.T @ model.loadings
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
 
     def test_full_reconstruction(self):
         rng = fresh_rng()
         data = rng.standard_normal((80, 5)) @ rng.standard_normal((5, 5))
-        model = pca_fit(data, 5, standardize=True)
+        model = _fit(data, 5, standardize=True)
         scaled = (data - model.column_means) / model.column_scales
         reconstructed = (scaled @ model.loadings) @ model.loadings.T
         np.testing.assert_allclose(reconstructed, scaled, atol=1e-8)
@@ -65,16 +70,16 @@ class TestPcaFit:
             [fresh_rng().standard_normal(50), np.full(50, 2.0)]
         )
         with pytest.raises(ConstantColumn):
-            pca_fit(data, 2, standardize=True)
+            _fit(data, 2, standardize=True)
 
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientRows):
-            pca_fit(np.zeros((3, 5)), 2)
+            _fit(np.zeros((3, 5)), 2, standardize=True)
 
     def test_matches_reference_implementation(self):
         decomposition = pytest.importorskip("sklearn.decomposition")
         data = fresh_rng().standard_normal((200, 4)) * [1, 3, 0.5, 2]
-        mine = pca_fit(data, 3, standardize=False)
+        mine = _fit(data, 3, standardize=False)
         ref = decomposition.PCA(n_components=3).fit(data)
         np.testing.assert_allclose(
             mine.explained_variance_ratio,
@@ -88,7 +93,7 @@ class TestPcaFit:
     def test_matches_scipy_oracle(self):
         # the data of test_matches_reference_implementation
         data = fresh_rng().standard_normal((200, 4)) * [1, 3, 0.5, 2]
-        mine = pca_fit(data, 3, standardize=False)
+        mine = _fit(data, 3, standardize=False)
         ratios, axes = reference.pca(data, 3)
         np.testing.assert_allclose(mine.explained_variance_ratio, ratios, atol=1e-10)
         np.testing.assert_allclose(np.abs(mine.loadings), np.abs(axes), atol=1e-8)
@@ -99,20 +104,20 @@ class TestPcaAggregate:
         rng = fresh_rng()
         factor = rng.standard_normal(300)
         data = np.outer(factor, [1.0, -2.0, 0.5]) + 10.0
-        model = pca_fit(data, 1, standardize=False)
+        model = _fit(data, 1, standardize=False)
         aggregate = pca_aggregate(model, data)
         corr = np.corrcoef(aggregate, factor)[0, 1]
         assert abs(corr) == pytest.approx(1.0, abs=1e-9)
 
     def test_centered_aggregate_has_zero_mean(self):
         data = fresh_rng().standard_normal((150, 4))
-        model = pca_fit(data, 3, standardize=True)
+        model = _fit(data, 3, standardize=True)
         aggregate = pca_aggregate(model, data)
         assert aggregate.mean() == pytest.approx(0.0, abs=1e-9)
 
     def test_single_component_is_scaled_score(self):
         data = fresh_rng().standard_normal((100, 3))
-        model = pca_fit(data, 1, standardize=True)
+        model = _fit(data, 1, standardize=True)
         scaled = (data - model.column_means) / model.column_scales
         score = scaled @ model.loadings[:, 0]
         np.testing.assert_allclose(
@@ -124,9 +129,9 @@ class TestPcaAggregate:
     def test_permutation_invariance_of_ratio_set_and_abs_aggregate(self):
         rng = fresh_rng()
         data = rng.standard_normal((200, 4)) @ rng.standard_normal((4, 4))
-        model_a = pca_fit(data, 4, standardize=True)
+        model_a = _fit(data, 4, standardize=True)
         permutation = [2, 0, 3, 1]
-        model_b = pca_fit(data[:, permutation], 4, standardize=True)
+        model_b = _fit(data[:, permutation], 4, standardize=True)
         np.testing.assert_allclose(
             model_a.explained_variance_ratio,
             model_b.explained_variance_ratio,

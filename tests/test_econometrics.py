@@ -401,16 +401,23 @@ class TestGrangerMatrix:
             econ.granger_matrix(_granger_panel(18, 3), 5)
 
 
-def _selected(data, max_lags: int, criterion: str) -> tuple[int, float]:
-    """``(p, criterion value)`` of the order :func:`econ.fit_var` selects:
-    its lag search, scored by the criterion on the common sample."""
-    T_common, K = len(data) - max_lags, data.shape[1]
+def _selected(monkeypatch, data, max_lags: int, criterion: str):
+    """``(model, criterion value)`` of :func:`econ.fit_var`, the value being
+    the score its own lag search gave the selected order."""
+    scores = {}
+    search = econ._lag_search
 
-    def score(p, cross):
-        return econ._criterion_value(cross / T_common, p, K, T_common, criterion)
+    def recording(data, max_p, score, exog=None):
+        def kept(p, cross):
+            scores[p] = score(p, cross)
+            return scores[p]
 
-    p, value, _ = econ._lag_search(data, max_lags, score)
-    return p, value
+        return search(data, max_p, kept, exog)
+
+    monkeypatch.setattr(econ, "_lag_search", recording)
+    model = econ.fit_var(data, max_lags, criterion)
+    assert min(scores, key=scores.get) == model.p
+    return model, scores[model.p]
 
 
 class TestFitVar:
@@ -473,14 +480,14 @@ class TestFitVar:
         ids=["rows-added", "p-at-cap", "blocked-rows-added", "blocked-p-at-cap"],
     )
     def test_select_then_refit_matches_naive_oracle(
-        self, criterion, max_lags, below_cap, T
+        self, monkeypatch, criterion, max_lags, below_cap, T
     ):
         data = simulate_var1(np.array([[0.5, 0.1], [0.0, 0.3]]), T, fresh_rng())
-        mine = econ.fit_var(data, max_lags, criterion)
+        mine, mine_value = _selected(monkeypatch, data, max_lags, criterion)
         p, value, c, A, sigma, stderr = reference.var_select(data, max_lags, criterion)
         assert mine.p == p
         assert (p < max_lags) == below_cap
-        assert _selected(data, max_lags, criterion)[1] == pytest.approx(value, rel=1e-9)
+        assert mine_value == pytest.approx(value, rel=1e-9)
         np.testing.assert_allclose(mine.c, c, rtol=1e-9)
         for mine_A, ref_A in zip(mine.A, A, strict=True):
             np.testing.assert_allclose(mine_A, ref_A, rtol=1e-9)
@@ -665,9 +672,9 @@ class TestStationarityPipeline:
         panel = self._panel(
             {"a": rng.standard_normal(200), "b": rng.standard_normal(200)}
         )
-        out, decisions = econ.stationarity_pipeline(panel)
+        out, adf = econ.stationarity_pipeline(panel)
         assert out == panel
-        assert not any(d.differenced for d in decisions)
+        assert all(t.is_stationary for t in adf.values())
 
     def test_random_walk_panel_differenced(self):
         rng = fresh_rng()
@@ -677,8 +684,8 @@ class TestStationarityPipeline:
                 "b": np.cumsum(rng.standard_normal(300)),
             }
         )
-        out, decisions = econ.stationarity_pipeline(panel)
-        assert [(d.variable, d.differenced) for d in decisions] == [
+        out, adf = econ.stationarity_pipeline(panel)
+        assert [(name, not t.is_stationary) for name, t in adf.items()] == [
             ("a", True),
             ("b", True),
         ]
@@ -689,8 +696,8 @@ class TestStationarityPipeline:
         stationary = rng.standard_normal(300)
         walk = np.cumsum(rng.standard_normal(300))
         panel = self._panel({"s": stationary, "w": walk})
-        out, decisions = econ.stationarity_pipeline(panel)
-        assert [(d.variable, d.differenced) for d in decisions] == [
+        out, adf = econ.stationarity_pipeline(panel)
+        assert [(name, not t.is_stationary) for name, t in adf.items()] == [
             ("s", False),
             ("w", True),
         ]
@@ -728,11 +735,9 @@ class TestExtraPaths:
         assert result.rank >= 1
 
     @pytest.mark.parametrize("criterion", ["aic", "bic", "hqic", "fpe"])
-    def test_every_selection_criterion_runs(self, criterion):
+    def test_every_selection_criterion_runs(self, monkeypatch, criterion):
         data = simulate_var1(np.array([[0.6, 0.0], [0.1, 0.4]]), 400, fresh_rng())
-        model = econ.fit_var(data, 4, criterion)
-        p, value = _selected(data, 4, criterion)
-        assert model.p == p
+        model, value = _selected(monkeypatch, data, 4, criterion)
         assert 0 <= model.p <= 4
         assert np.isfinite(value)
 
