@@ -4,9 +4,9 @@ Subpackages by concern:
 
 - ``panel``: the date-indexed data panel and its transforms
 - ``category``: objects, morphisms, diagrams, functors, commutativity checks
-- ``structural``: the closed-form model equations, calibration, simulation
+- ``structural``: the model equations' one table, calibration, simulation
 - ``econometrics``: stationarity/cointegration/causality tests, VAR, IRF, FEVD
-- ``scenarios``: forgetful/learning projections and shock experiments
+- ``scenarios``: shocks and the sensitivity refits
 - ``equilibrium``: penalty-minimizing equilibrium exchange rate
 - ``colimit``: the aggregate devaluation-expectation index
 - ``cli``: the ``bimonetary`` command

@@ -91,6 +91,8 @@ class SensitivitySection:
 
     def __post_init__(self) -> None:
         reject_repeats("model_variables", self.model_variables)
+        if self.target not in self.model_variables:
+            raise ValueError(f"target must be one of model_variables: {self.target!r}")
         reject_reversed("window", self.window)
         if self.max_lags < 0:
             raise ValueError(f"max_lags must be at least 0: {self.max_lags}")
@@ -389,7 +391,7 @@ def _stage_sensitivity(panel: Panel, out: Path, config: Config, specs) -> None:
         panel,
         section.target,
         [(s.name, list(s.shocks)) for s in specs],
-        scen.CategorySpec("model", section.model_variables),
+        section.model_variables,
         section.max_lags,
         section.window,
     )

@@ -118,16 +118,11 @@ def pca_fit(data, n: int, standardize: bool, names: tuple[str, ...]) -> PcaModel
     )
 
 
-def pca_scores(model: PcaModel, data) -> np.ndarray:
-    X = np.asarray(data, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.loadings.shape[0]:
-        raise ShapeMismatch("data columns do not match the fitted model")
-    return ((X - model.column_means) / model.column_scales) @ model.loadings
-
-
-def pca_aggregate(model: PcaModel, data) -> np.ndarray:
-    """Per date, the component scores weighted by explained variance."""
-    return pca_scores(model, data) @ model.explained_variance_ratio
+def pca_aggregate(model: PcaModel, X: np.ndarray) -> np.ndarray:
+    """Per date, the component scores of the fitted matrix ``X`` weighted
+    by explained variance."""
+    scores = ((X - model.column_means) / model.column_scales) @ model.loadings
+    return scores @ model.explained_variance_ratio
 
 
 def dynamic_weights(

@@ -1,9 +1,8 @@
-"""Sensitivity engine around the forgetful/learning functor pair.
+"""Shock scenarios and the sensitivity engine.
 
-Projection onto a reduced variable set plays the forgetful role; enrichment
-with extra variables and lagged copies plays the learning role. Shocks
-mutate the data panel (not coefficients) before models are refit or
-re-forecast, matching how the scenario experiments are framed.
+Shocks mutate the data panel (not coefficients) before models on a chosen
+variable set are refit or re-forecast, matching how the scenario
+experiments are framed.
 """
 
 from __future__ import annotations
@@ -17,19 +16,6 @@ from . import econometrics as econ
 from .errors import UnknownVariable
 from .panel import Panel, Series
 from .typed_json import parse, read_json, reject_reversed
-
-
-@dataclass(frozen=True)
-class CategorySpec:
-    """A named variable set: the monetary system (M), the demand structure
-    (Delta), historical feedback (H), or any custom selection."""
-
-    name: str
-    variables: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.variables:
-            raise ValueError("category spec needs at least one variable")
 
 
 @dataclass(frozen=True)
@@ -68,45 +54,6 @@ class ScenarioComparison:
     difference: Series             # shocked - baseline, pointwise
 
 
-def forgetful_project(panel: Panel, spec: CategorySpec) -> Panel:
-    """Sub-panel keeping only the selected variables; dates unchanged."""
-    return panel.select(spec.variables)
-
-
-def learning_enrich(
-    panel: Panel,
-    base: CategorySpec,
-    extra: CategorySpec | None,
-    lags: int = 3,
-) -> Panel:
-    """Reintroduce complexity: extra variables plus lagged copies.
-
-    The result holds the base columns, the extra columns, and for every
-    variable v among them the columns ``v_lag1 .. v_lagL``; the leading
-    rows whose lags are undefined are dropped.
-    """
-    if lags < 0:
-        raise ValueError("lags must be non-negative")
-    names = list(base.variables)
-    if extra is not None:
-        names += [v for v in extra.variables if v not in names]
-    T = panel.n_rows
-    columns = {n: Series(panel.column(n).array[lags:]) for n in names}
-    for name in names:
-        values = panel.column(name).array
-        for k in range(1, lags + 1):
-            columns[f"{name}_lag{k}"] = Series(values[lags - k : T - k])
-    return Panel._on_checked_dates(panel.dates[lags:], columns)
-
-
-def adjunction_roundtrip_check(
-    panel: Panel, base: CategorySpec, extra: CategorySpec | None = None
-) -> bool:
-    """Project-after-enrich must restore the base projection exactly."""
-    enriched = learning_enrich(panel, base, extra, lags=0)
-    return forgetful_project(enriched, base) == forgetful_project(panel, base)
-
-
 def apply_scenario(panel: Panel, shocks: list[Shock] | tuple[Shock, ...]) -> Panel:
     """Copy of the panel with every shock applied pointwise inside its
     window, in list order."""
@@ -130,36 +77,32 @@ def run_sensitivity(
     panel: Panel,
     target: str,
     specs: list[tuple[str, list[Shock]]],
-    model_vars: CategorySpec,
+    variables: tuple[str, ...],
     max_lags: int,
     window: tuple[Date | None, Date | None] = (None, None),
 ) -> list[ScenarioComparison]:
     """Baseline-vs-scenario comparison of in-sample fitted values.
 
-    Fits a VAR(max_lags) on the model variables, then refits on each shocked
-    panel and compares the target's fitted path; the optional date window
+    Fits a VAR(max_lags) on the variables, then refits on each shocked panel
+    and compares the target's fitted path; the optional date window
     restricts the sample first (e.g. to a single unstable year). A refit
     factors only the blocks of design rows that read a shocked row, the
     baseline being its ``base`` (:func:`econometrics.fit_var_order`).
     """
-    if target not in model_vars.variables:
-        raise UnknownVariable(target)
     scoped = panel.restrict_dates(*window)
-    base_panel = forgetful_project(scoped, model_vars)
-    matrix = base_panel.to_matrix()
-    idx = model_vars.variables.index(target)
-    baseline_model = econ.fit_var_order(matrix, max_lags, model_vars.variables)
+    matrix = scoped.to_matrix(variables)
+    idx = variables.index(target)
+    baseline_model = econ.fit_var_order(matrix, max_lags, variables)
     baseline_fit = _fitted_target(baseline_model, matrix, idx)
     baseline = Series(baseline_fit)     # one object, shared by every comparison
 
     comparisons = []
     for name, shocks in specs:
-        # shocks hit the full panel, then the model projection: a shock on a
-        # variable outside model_vars is exactly irrelevant
-        shocked_panel = forgetful_project(apply_scenario(scoped, shocks), model_vars)
-        shocked_matrix = shocked_panel.to_matrix()
+        # shocks hit the full panel, then the variables are taken: a shock on
+        # a variable outside them is exactly irrelevant
+        shocked_matrix = apply_scenario(scoped, shocks).to_matrix(variables)
         shocked_model = econ.fit_var_order(
-            shocked_matrix, max_lags, model_vars.variables, baseline_model
+            shocked_matrix, max_lags, variables, baseline_model
         )
         shocked_fit = _fitted_target(shocked_model, shocked_matrix, idx)
         comparisons.append(
@@ -172,8 +115,8 @@ def run_sensitivity(
 
 def dual_model_compare(
     panel: Panel,
-    domestic: CategorySpec,
-    enriched_extra: CategorySpec,
+    domestic: tuple[str, ...],
+    enriched_extra: tuple[str, ...],
     target: str,
     shock: Shock,
     steps: int,
@@ -181,27 +124,22 @@ def dual_model_compare(
 ) -> tuple[Series, Series]:
     """Domestic vs enriched post-shock forecasts of the target.
 
-    One VAR is fit on the domestic projection, one on the projection
-    enriched with the extra variables (both on unshocked data, lag order by
-    AIC up to ``max_lags``); the shock is applied to the panel and each
-    model forecasts ``steps`` ahead from its own shocked trailing rows.
+    One VAR is fit on the domestic variables, one on them enriched with the
+    extra variables (both on unshocked data, lag order by AIC up to
+    ``max_lags``); the shock is applied to the panel and each model
+    forecasts ``steps`` ahead from its own shocked trailing rows.
     """
-    if target not in domestic.variables:
+    if target not in domestic:
         raise UnknownVariable(target)
-    enriched = CategorySpec(
-        "enriched",
-        domestic.variables
-        + tuple(v for v in enriched_extra.variables if v not in domestic.variables),
-    )
+    enriched = domestic + tuple(v for v in enriched_extra if v not in domestic)
     shocked = apply_scenario(panel, [shock])
 
     paths = []
-    for spec in (domestic, enriched):
-        sub = forgetful_project(panel, spec)
-        model = econ.fit_var(sub.to_matrix(), max_lags, "aic", spec.variables)
-        history = forgetful_project(shocked, spec).to_matrix()
+    for variables in (domestic, enriched):
+        model = econ.fit_var(panel.to_matrix(variables), max_lags, "aic", variables)
+        history = shocked.to_matrix(variables)
         prediction = econ.forecast(model, history, steps)
-        paths.append(Series(prediction[:, spec.variables.index(target)]))
+        paths.append(Series(prediction[:, variables.index(target)]))
     return paths[0], paths[1]
 
 

@@ -1,16 +1,13 @@
-"""Closed-form model equations for the bimonetary economy.
-
-Currency demands, relative demand, the covered-parity devaluation
-expectation, inflation and income forecasts, the expectation recursion and
-its star operation, the introductory toy demand curves, plus least-squares
-calibration of the coefficients against a panel and panel-wide simulation.
+"""The bimonetary economy's four linear model equations, stated once in
+`_EQUATIONS`: their least-squares calibration against a panel, and their
+panel-wide simulation beside relative demand and the covered-parity
+devaluation expectation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -21,12 +18,8 @@ from .panel import Panel, Series
 
 @dataclass(frozen=True)
 class StructuralCoefficients:
-    """Sensitivities of the four linear model equations.
-
-    Peso demand      L_ars = Y*alpha1 + i_ars*alpha2 - pi_ars_exp*alpha3
-    Dollar demand    L_usd = Y*beta1 + i_usd*beta2 - pi_usd_exp*beta3
-    Inflation        pi    = pi_exp*gamma1 + M*gamma2
-    Income           Y     = M_ars*delta1 + lending_borrowing*delta2
+    """Sensitivities of the four linear model equations, each named by its
+    term in `_EQUATIONS`.
 
     Intercepts default to zero; disable them at calibration time for a
     literal intercept-free fit.
@@ -54,65 +47,6 @@ class StructuralCoefficients:
                 raise ValueError(f"{spec.name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ExpectationDynamicsParams:
-    """Weights of the expectation recursion plus the optional nonlinear
-    correction eta(pi, E) used by the star operation (default: identically 0).
-    """
-
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    eta: Callable[[float, float], float] | None = None
-
-    def __post_init__(self) -> None:
-        for value in (self.a, self.b, self.c):
-            if not math.isfinite(value):
-                raise ValueError("recursion weights must be finite")
-
-
-@dataclass(frozen=True)
-class ToyDemandParams:
-    A: float = 1.0
-    B: float = 5.0
-    k: float = 2.0
-    C: float = 1.0
-
-
-TOY_DEFAULTS = ToyDemandParams()
-
-
-def demand_ars(
-    y: float, i_ars: float, pi_exp: float, c: StructuralCoefficients
-) -> float:
-    return y * c.alpha1 + i_ars * c.alpha2 - pi_exp * c.alpha3 + c.ars_intercept
-
-
-def demand_usd(
-    y: float, i_usd: float, pi_usa_exp: float, c: StructuralCoefficients
-) -> float:
-    return y * c.beta1 + i_usd * c.beta2 - pi_usa_exp * c.beta3 + c.usd_intercept
-
-
-def relative_demand(
-    l_ars: float,
-    l_usd: float,
-    i_ars: float = 0.0,
-    i_usd: float = 0.0,
-    exponential: bool = False,
-) -> float:
-    """Peso/dollar demand ratio, optionally tilted by exp(i_ars - i_usd) to
-    express the rate-differential attraction of holding pesos.
-
-    Accepts scalars or aligned arrays."""
-    if np.any(l_usd == 0.0):
-        raise DivisionByZero(None, "relative demand denominator")
-    ratio = l_ars / l_usd
-    if exponential:
-        ratio = ratio * np.exp(i_ars - i_usd)
-    return ratio
-
-
 def devaluation_expectation(
     pi_arg: float,
     pi_usa: float,
@@ -128,58 +62,7 @@ def devaluation_expectation(
     return pi_arg - pi_usa + i_arg_short - i_usa_short - embi / 100.0
 
 
-def inflation_forecast(pi_exp: float, m: float, c: StructuralCoefficients) -> float:
-    return pi_exp * c.gamma1 + m * c.gamma2 + c.inflation_intercept
-
-
-def income(
-    m_ars: float, lending_borrowing: float, c: StructuralCoefficients
-) -> float:
-    return m_ars * c.delta1 + lending_borrowing * c.delta2 + c.income_intercept
-
-
-def expectation_step(
-    pi_t: float,
-    i_real_t: float,
-    delta_e_t: float,
-    p: ExpectationDynamicsParams,
-    noise: float = 0.0,
-) -> float:
-    """One step of the expectation recursion:
-    pi(t+1) = a*pi(t) + b*i_real(t) + c*dE(t) + noise."""
-    return p.a * pi_t + p.b * i_real_t + p.c * delta_e_t + noise
-
-
-def expectation_star(
-    pi: float, e: float, p: ExpectationDynamicsParams | None = None
-) -> float:
-    """Group operation pi * E = pi + E + eta(pi, E); plain addition when the
-    correction term is absent, making 0 the neutral element."""
-    eta = p.eta if p is not None else None
-    correction = eta(pi, e) if eta is not None else 0.0
-    return pi + e + correction
-
-
-def toy_demand_pesos(
-    y: float, i_p: float, pi_e: float, p: ToyDemandParams = TOY_DEFAULTS
-) -> float:
-    """Y / ((1 + i_P) * exp(C * pi_e)); strictly decreasing in both the peso
-    rate and expected inflation for positive income."""
-    if i_p <= -1.0:
-        raise ValueError("peso rate must exceed -1")
-    return y / ((1.0 + i_p) * math.exp(p.C * pi_e))
-
-
-def toy_demand_usd(
-    pi_e: float, i_d: float, p: ToyDemandParams = TOY_DEFAULTS
-) -> float:
-    """A * (1 + B * pi_e**k) / (1 + i_D)."""
-    if i_d <= -1.0:
-        raise ValueError("dollar rate must exceed -1")
-    return p.A * (1.0 + p.B * pi_e**p.k) / (1.0 + i_d)
-
-
-# -- calibration ---------------------------------------------------------------
+# -- calibration and simulation ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -232,32 +115,46 @@ def _fit_equation(
     return fit.beta, r_squared(y, fit.residuals)
 
 
-#: The equations calibrate fits, in order: the ProxyMap field of the target,
-#: the terms (regressor field -> coefficient), and the intercept coefficient.
-#: A leading "-" marks a term the equation subtracts, whose fitted slope is
-#: reported negated as the positive-sign sensitivity. Each target field also
-#: names the equation's R².
+#: The four model equations, in order: the simulated column, the ProxyMap
+#: field of the target, the terms (regressor field -> coefficient), and the
+#: intercept coefficient. A leading "-" marks a term the equation subtracts,
+#: whose fitted slope is reported negated as the positive-sign sensitivity;
+#: no equation subtracts its first term. Each target field also names the
+#: equation's R².
 _EQUATIONS = (
     (
+        "model_L_ars",
         "peso_demand",
         {"income": "alpha1", "peso_rate": "alpha2", "peso_inflation_exp": "-alpha3"},
         "ars_intercept",
     ),
     (
+        "model_L_usd",
         "dollar_demand",
         {"income": "beta1", "dollar_rate": "beta2", "dollar_inflation_exp": "-beta3"},
         "usd_intercept",
     ),
     (
+        "model_pi",
         "inflation",
         {"peso_inflation_exp": "gamma1", "money_supply": "gamma2"},
         "inflation_intercept",
     ),
     (
+        "model_Y",
         "income",
         {"money_supply": "delta1", "lending_borrowing": "delta2"},
         "income_intercept",
     ),
+)
+
+#: The ProxyMap fields that devaluation_expectation reads, in its order.
+_PARITY = (
+    "peso_inflation_exp",
+    "dollar_inflation_exp",
+    "peso_short_rate",
+    "dollar_short_rate",
+    "risk_spread",
 )
 
 
@@ -273,7 +170,7 @@ def calibrate(
     """
     values: dict[str, float] = {}
     r2: dict[str, float] = {}
-    for target, terms, intercept in _EQUATIONS:
+    for _, target, terms, intercept in _EQUATIONS:
         regressors = [getattr(proxies, field) for field in terms]
         beta, r2[target] = _fit_equation(
             panel, getattr(proxies, target), regressors, include_intercepts
@@ -285,6 +182,22 @@ def calibrate(
     return CalibrationResult(StructuralCoefficients(**values), r2)
 
 
+def _evaluate(
+    x: dict[str, np.ndarray],
+    c: StructuralCoefficients,
+    terms: dict[str, str],
+    intercept: str,
+) -> np.ndarray:
+    """One equation on the proxy columns ``x``: its terms added in table
+    order, a "-" term subtracted, then the intercept added."""
+    (field, name), *rest = terms.items()
+    value = x[field] * getattr(c, name)
+    for field, name in rest:
+        term = x[field] * getattr(c, name.lstrip("-"))
+        value = value - term if name[0] == "-" else value + term
+    return value + getattr(c, intercept)
+
+
 def simulate(
     panel: Panel,
     c: StructuralCoefficients,
@@ -294,34 +207,31 @@ def simulate(
     prefixed ``model_``, for real-vs-forecast comparison.
 
     Computes peso/dollar demand, relative demand, the devaluation
-    expectation, the inflation forecast and income per date.
+    expectation, the inflation forecast and income per date, on the dates
+    where every proxy they read is present.
     """
-    px = proxies
-    inputs = panel.to_matrix(
-        [
-            px.income, px.peso_rate, px.dollar_rate, px.peso_inflation_exp,
-            px.dollar_inflation_exp, px.peso_short_rate, px.dollar_short_rate,
-            px.risk_spread, px.money_supply, px.lending_borrowing,
-        ]
+    used = dict.fromkeys(
+        [*(field for _, _, terms, _ in _EQUATIONS for field in terms), *_PARITY]
     )
+    inputs = panel.to_matrix([getattr(proxies, field) for field in used])
     present = ~np.isnan(inputs).any(axis=1)
-    (
-        y, i_ars, i_usd, pi_ars, pi_usd, short_ars, short_usd, embi, m2, lending
-    ) = inputs[present].T
-    l_ars = demand_ars(y, i_ars, pi_ars, c)
-    l_usd = demand_usd(y, i_usd, pi_usd, c)
+    x = dict(zip(used, inputs[present].T))
+    equations = {
+        column: _evaluate(x, c, terms, intercept)
+        for column, _, terms, intercept in _EQUATIONS
+    }
+    l_ars, l_usd = equations["model_L_ars"], equations["model_L_usd"]
     if (l_usd == 0.0).any():
         first = np.flatnonzero(present)[np.argmax(l_usd == 0.0)]
         raise DivisionByZero(panel.dates[first], "model dollar demand")
+    # unpacked last, the equations keep the demands in the first places and
+    # put the inflation and income forecasts after model_E
     model = {
         "model_L_ars": l_ars,
         "model_L_usd": l_usd,
-        "model_relative_demand": relative_demand(l_ars, l_usd),
-        "model_E": devaluation_expectation(
-            pi_ars, pi_usd, short_ars, short_usd, embi
-        ),
-        "model_pi": inflation_forecast(pi_ars, m2, c),
-        "model_Y": income(m2, lending, c),
+        "model_relative_demand": l_ars / l_usd,
+        "model_E": devaluation_expectation(*(x[field] for field in _PARITY)),
+        **equations,
     }
     columns = {}
     for name, values in model.items():

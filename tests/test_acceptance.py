@@ -35,13 +35,14 @@ from bimonetary.equilibrium import (
     penalty,
 )
 from bimonetary.panel import Panel, Series, write_csv
-from bimonetary.scenarios import CategorySpec, adjunction_roundtrip_check
-from bimonetary.structural import (
-    devaluation_expectation,
+from bimonetary.structural import devaluation_expectation
+from tests.conftest import SEED, daily_dates, make_canonical_panel, var_model
+from tests.paper import (
+    CategorySpec,
+    adjunction_roundtrip_check,
     toy_demand_pesos,
     toy_demand_usd,
 )
-from tests.conftest import SEED, daily_dates, make_canonical_panel, var_model
 
 
 @contextmanager

@@ -2,7 +2,8 @@
 every field of a record class (a dataclass or NamedTuple) has a reader.
 
 A name that only tests read belongs in `tests/` (an oracle goes to
-`tests/reference.py`), so the package holds what the program runs. A
+`tests/reference.py`, a paper equation no command runs to `tests/paper.py`),
+so the package holds what the program runs. A
 function counts as called when its name appears in `src/` outside its own
 definition, as a name or an attribute; a method only as an attribute. A
 field counts as read when `src/` reads an attribute of its name. The match
@@ -20,18 +21,16 @@ UNCALLED = {
     "equilibrium.nelder_mead_1d": "oracle of the closed form; bench/tracer.py wraps it",
     "panel.Series.of": "public constructor from a list with None for missing",
     "econometrics.GrangerResult.at": "public lookup of one lag's test",
-    "scenarios.adjunction_roundtrip_check": "the paper's enrich-then-forget round trip",
     "scenarios.dual_model_compare": "the paper's domestic-vs-enriched comparison",
-    "structural.expectation_step": "the paper's expectation dynamics equation",
-    "structural.expectation_star": "the paper's group operation pi * E",
-    "structural.toy_demand_pesos": "the paper's peso demand equation",
-    "structural.toy_demand_usd": "the paper's dollar demand equation",
 }
 
 
 #: Record classes whose fields are read whole, not one attribute at a time.
 READ_WHOLE = {
     "structural.ProxyMap": "read by getattr with the names in structural._EQUATIONS",
+    "structural.StructuralCoefficients": (
+        "read by getattr with the names in _EQUATIONS; written by asdict"
+    ),
     "category.PathPairCheck": "written to commutation.json by asdict",
     "category.FunctorLawCheck": "written to commutation.json by asdict",
     "category.EconObject": "read and written by typed_json",

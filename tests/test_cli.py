@@ -39,7 +39,7 @@ from bimonetary.panel import (
     write_csv,
     write_rows,
 )
-from bimonetary.scenarios import CategorySpec, Shock, run_sensitivity
+from bimonetary.scenarios import Shock, run_sensitivity
 from bimonetary.typed_json import dump, parse
 from tests.conftest import SEED, daily_dates, functor_document, make_canonical_panel
 
@@ -371,14 +371,18 @@ def test_bad_invocation_fails_before_any_stage_writes(
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
+    "section, key, value, named",
     [
-        ("sensitivity", "max_lags", -1),
-        ("colimit", "corr_window", 0),
-        ("colimit", "smooth_window", 0),
-        ("colimit", "corr_min_periods", 0),
-        ("colimit", "corr_min_periods", 181),      # above the default corr_window
-        ("sensitivity", "window", ["2018-06-01", "2018-03-01"]),
+        ("sensitivity", "max_lags", -1, "max_lags"),
+        ("colimit", "corr_window", 0, "corr_window"),
+        ("colimit", "smooth_window", 0, "smooth_window"),
+        ("colimit", "corr_min_periods", 0, "corr_min_periods"),
+        # above the default corr_window
+        ("colimit", "corr_min_periods", 181, "corr_min_periods"),
+        ("sensitivity", "window", ["2018-06-01", "2018-03-01"], "window"),
+        ("sensitivity", "target", "E", "target"),
+        # the default target is then outside the list
+        ("sensitivity", "model_variables", [], "target"),
     ],
     ids=[
         "sensitivity-max-lags-negative",
@@ -387,10 +391,12 @@ def test_bad_invocation_fails_before_any_stage_writes(
         "corr-min-periods-zero",
         "corr-min-periods-above-window",
         "sensitivity-window-reversed",
+        "sensitivity-target-unknown",
+        "sensitivity-model-variables-empty",
     ],
 )
 def test_config_range_is_checked_before_any_stage_writes(
-    canonical_csv, tmp_path, capsys, section, key, value
+    canonical_csv, tmp_path, capsys, section, key, value, named
 ):
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
@@ -408,7 +414,7 @@ def test_config_range_is_checked_before_any_stage_writes(
     (line,) = capsys.readouterr().err.strip().splitlines()
     doc = json.loads(line)
     assert doc["error"] == "InputError"
-    assert doc["message"].startswith(f"config.{section}: {key} must")
+    assert doc["message"].startswith(f"config.{section}: {named} must")
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -978,7 +984,7 @@ class TestScenarioCommand:
             load_csv(csv_path).clean(),
             section.target,
             [(name, [Shock(**shock, magnitude=m)]) for name, m in magnitudes.items()],
-            CategorySpec("model", section.model_variables),
+            section.model_variables,
             section.max_lags,
         )
         baseline = comparisons[0].baseline.array

@@ -42,7 +42,7 @@ from bimonetary.panel import (
     write_csv,
     write_rows,
 )
-from bimonetary.scenarios import CategorySpec, Shock, apply_scenario, learning_enrich
+from bimonetary.scenarios import Shock, apply_scenario
 from tests import reference
 from tests.conftest import SEED, daily_dates, make_canonical_panel
 
@@ -802,7 +802,6 @@ class TestPanel:
         clean.drop_leading_rows(2)
         clean.restrict_dates(date(2018, 1, 2), None)
         apply_scenario(clean, [Shock("x", "additive", 1.0)])
-        learning_enrich(clean, CategorySpec("b", ("x",)), None, lags=2)
         assert checked == []
         Panel(clean.dates, {})
         assert checked == [clean.dates]

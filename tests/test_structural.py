@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,23 +9,25 @@ from hypothesis import strategies as st
 from bimonetary.errors import InsufficientRows, RankDeficient
 from bimonetary.panel import CANONICAL_VARIABLES, Panel, Series
 from bimonetary.structural import (
-    ExpectationDynamicsParams,
     StructuralCoefficients,
-    ToyDemandParams,
     calibrate,
+    devaluation_expectation,
+    simulate,
+)
+from tests.conftest import SEED, daily_dates
+from tests.paper import (
+    ExpectationDynamicsParams,
+    ToyDemandParams,
     demand_ars,
     demand_usd,
-    devaluation_expectation,
     expectation_star,
     expectation_step,
     income,
     inflation_forecast,
     relative_demand,
-    simulate,
     toy_demand_pesos,
     toy_demand_usd,
 )
-from tests.conftest import SEED, daily_dates
 
 finite = st.floats(min_value=-1e3, max_value=1e3)
 
@@ -329,6 +332,42 @@ class TestSimulate:
                 panel.column("Embi+ARG")[t],
             )
             assert out.column("model_E")[t] == pytest.approx(expected)
+
+    def test_columns_are_the_paper_equations_bit_for_bit(self):
+        rng = np.random.default_rng(SEED)
+        n_rows = 12
+        data = rng.uniform(-5, 5, (n_rows, len(CANONICAL_VARIABLES)))
+        data[0] = 0.0
+        # a row of -0.0 keeps the sign of zero only when the first term
+        # starts the sum and the intercept ends it
+        data[1] = -0.0
+        data[2, ::2] = 0.0
+        panel = Panel(
+            daily_dates(n_rows),
+            {name: Series(data[:, j]) for j, name in enumerate(CANONICAL_VARIABLES)},
+        )
+        c = replace(TRUE, alpha1=-0.0, ars_intercept=-0.0, inflation_intercept=-0.0)
+        col = {name: panel.column(name).to_array() for name in panel.variables}
+        l_ars = demand_ars(col["Gdp_argentina"], col["Long Interest"], col["Pi Exp"], c)
+        l_usd = demand_usd(
+            col["Gdp_argentina"], col["Long Term Usd Rate"], col["Usa Pi Exp"], c
+        )
+        expected = {
+            "model_L_ars": l_ars,
+            "model_L_usd": l_usd,
+            "model_relative_demand": relative_demand(l_ars, l_usd),
+            "model_E": devaluation_expectation(
+                col["Pi Exp"], col["Usa Pi Exp"], col["Short Interest"],
+                col["Short Term Usd Rate"], col["Embi+ARG"],
+            ),
+            "model_pi": inflation_forecast(col["Pi Exp"], col["M2"], c),
+            "model_Y": income(col["M2"], col["Argentina Net Lending Borrowing"], c),
+        }
+        out = simulate(panel, c)
+        assert out.variables == panel.variables + tuple(expected)
+        for name, want in expected.items():
+            got = out.column(name).to_array()
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 class TestValidation:
