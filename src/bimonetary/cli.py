@@ -213,9 +213,7 @@ def cmd_validate(args) -> int:
 
 def _stage_core(panel: Panel, out: Path, config: Config) -> None:
     variables = config.cholesky_order or config.variables or panel.variables
-    working = panel.select(variables)
-
-    transformed, adf = econ.stationarity_pipeline(working)
+    matrix, adf = econ.stationarity_pipeline(panel.to_matrix(variables), variables)
     _write_json(
         out / "stationarity.json",
         {
@@ -230,7 +228,6 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
         },
     )
 
-    matrix = transformed.to_matrix()
     K, dims = matrix.shape[1], econ.JOHANSEN_DIMENSIONS
     if K in dims:
         joh = econ.johansen_trace(matrix, config.johansen_k_ar_diff)
@@ -251,25 +248,21 @@ def _stage_core(panel: Panel, out: Path, config: Config) -> None:
             {"skipped": f"K={K} outside the tabulated range {dims[0]}..{dims[-1]}"},
         )
 
-    names = np.array(transformed.variables, dtype=object)
-    tests = [
-        (names[cause], names[effect], entry.lag, entry.f_stat, entry.p_value)
-        for (cause, effect), result in econ.granger_matrix(
-            matrix, config.granger_max_lag
-        ).items()
-        for entry in result.per_lag
-    ]
-    causes, effects, lags, f_stats, p_values = zip(*tests) if tests else [()] * 5
+    names = np.array(variables, dtype=object)
+    f_stat, p_value = econ.granger_matrix(matrix, config.granger_max_lag)
+    # one row per tested cell, cause-major: the diagonal holds no test
+    cells = np.indices(f_stat.shape).reshape(3, -1)
+    cause, effect, lag = cell = tuple(cells[:, cells[0] != cells[1]])
     _write_csv(
         out / "granger_matrix.csv",
         ["cause", "effect", "lag", "f_stat", "p_value"],
-        text_rows(causes, effects, lags, np.array(f_stats), np.array(p_values)),
+        text_rows(names[cause], names[effect], lag + 1, f_stat[cell], p_value[cell]),
     )
 
     T = matrix.shape[0]
     cap = max(1, (T - 2) // (K + 1))
     max_lags = min(config.max_lags, cap)
-    model = econ.fit_var(matrix, max_lags, config.criterion, transformed.variables)
+    model = econ.fit_var(matrix, max_lags, config.criterion, variables)
     summary = econ.var_summary_json(model)
     (out / "var_summary.txt").write_text(
         econ.var_summary_text(summary), encoding="utf-8"
@@ -360,14 +353,14 @@ def _stage_colimit(panel: Panel, out: Path, config: Config) -> None:
         text_rows(panel.dates, *(s.array for s in columns)),
     )
     _write_json(out / "colimit_weights.json", indicator.dynamic_weights)
-    causality, prediction = colimit.validate_and_forecast(
+    (f_stat, p_value), prediction = colimit.validate_and_forecast(
         panel, indicator, cfg.reference
     )
     _write_json(
         out / "colimit_granger.json",
         {
-            str(entry.lag): {"f_stat": entry.f_stat, "p_value": entry.p_value}
-            for entry in causality.per_lag
+            str(lag): {"f_stat": float(f), "p_value": float(p)}
+            for lag, (f, p) in enumerate(zip(f_stat, p_value), 1)
         },
     )
     _write_csv(

@@ -185,10 +185,11 @@ def build_indicator(panel: Panel, config: ColimitConfig = ColimitConfig()) -> Co
 
 def validate_and_forecast(
     panel: Panel, indicator: ColimitIndicator, reference: str = ColimitConfig.reference
-) -> tuple[econ.GrangerResult, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Granger-test the smoothed index against the reference at lags
-    1..MAX_LAG and forecast [index, reference, risk spread] FORECAST_STEPS
-    ahead jointly with an AIC-selected VAR."""
+    1..MAX_LAG, as :func:`econometrics.granger`'s ``(f_stat, p_value)``, and
+    forecast [index, reference, risk spread] FORECAST_STEPS ahead jointly
+    with an AIC-selected VAR."""
     if len(indicator.smoothed) != panel.n_rows:
         raise ShapeMismatch("indicator is not aligned with the panel")
     ref = panel.column(reference).array

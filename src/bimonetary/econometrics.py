@@ -36,7 +36,6 @@ from .errors import (
     ShapeMismatch,
     SingularMomentMatrix,
 )
-from .panel import Panel, difference
 
 __all__ = [
     "AdfResult",
@@ -44,8 +43,6 @@ __all__ = [
     "JohansenResult",
     "JOHANSEN_DIMENSIONS",
     "johansen_trace",
-    "GrangerLag",
-    "GrangerResult",
     "granger",
     "granger_matrix",
     "VarModel",
@@ -322,26 +319,13 @@ def johansen_trace(data, k_ar_diff: int = 1) -> JohansenResult:
 # -- Granger causality ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrangerLag:
-    lag: int
-    f_stat: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class GrangerResult:
-    per_lag: tuple[GrangerLag, ...]
-
-    def at(self, lag: int) -> GrangerLag:
-        return self.per_lag[lag - 1]
-
-
 def _granger_pairs(
     data, max_lag: int, pairs: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], GrangerResult]:
-    """The Granger tests of the ordered (cause, effect) column pairs of the
-    checked float matrix ``data``, from one tall factorization.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(f_stat, p_value)`` of the Granger tests of the ordered (cause,
+    effect) column pairs of the checked float matrix ``data``, from one tall
+    factorization: each (K, K, max_lag), indexed ``[cause, effect, lag -
+    1]``, NaN for a pair not tested.
 
     ``Z`` is the VAR(max_lag) design ``[X | Y]`` of :func:`_lagged`, factored
     block by block without a pivot test (it may be wide). At lag L a pair's
@@ -354,15 +338,15 @@ def _granger_pairs(
     T, K = data.shape
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
+    f_stat, p_value = np.full((2, K, K, max_lag), np.nan)
     if not pairs:
-        return {}
+        return f_stat, p_value
     if T <= 3 * max_lag + 3:
         raise InsufficientObservations(
             f"need more than {3 * max_lag + 3} observations, got {T}"
         )
     k = 1 + K * max_lag
     r, norms = factor(leaf_factors(_rows(data, max_lag, max_lag), T - max_lag), k)
-    entries: dict[tuple[int, int], list[GrangerLag]] = {pair: [] for pair in pairs}
     for lag in range(1, max_lag + 1):
         end = 1 + K * lag
         lead = _lagged(data, lag, lag, max_lag)
@@ -376,17 +360,17 @@ def _granger_pairs(
             ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
             if ssr_u <= 0.0:
                 raise RankDeficient("unrestricted regression fits exactly")
-            f_stat = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
-            entries[cause, effect].append(
-                GrangerLag(lag, f_stat, f_sf(f_stat, lag, df_den))
-            )
-    return {pair: GrangerResult(tuple(lags)) for pair, lags in entries.items()}
+            f = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
+            f_stat[cause, effect, lag - 1] = f
+            p_value[cause, effect, lag - 1] = f_sf(f, lag, df_den)
+    return f_stat, p_value
 
 
-def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
+def granger_matrix(data, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`granger` for every ordered pair of distinct columns of a
-    (T, K) matrix, keyed ``(cause, effect)`` by column index in cause-major
-    order, from one tall QR in place of ``K (K-1) max_lag``.
+    (T, K) matrix, from one tall QR in place of ``K (K-1) max_lag``:
+    ``(f_stat, p_value)``, each (K, K, max_lag) and indexed ``[cause,
+    effect, lag - 1]``, NaN on the diagonal.
 
     The errors are :func:`granger`'s; a zero regressor column raises
     ``RankDeficient`` before anything is divided by it.
@@ -397,8 +381,9 @@ def granger_matrix(data, max_lag: int) -> dict[tuple[int, int], GrangerResult]:
     return _granger_pairs(data, max_lag, pairs)
 
 
-def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
-    """SSR-based F test of "x Granger-causes y" for each lag 1..max_lag.
+def granger(x_cause, y_effect, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """SSR-based F test of "x Granger-causes y" for each lag 1..max_lag:
+    ``(f_stat, p_value)``, each (max_lag,) with lag L at index L - 1.
 
     The restricted model regresses y on its own lags (plus constant), the
     unrestricted one adds the lags of x;
@@ -409,7 +394,8 @@ def granger(x_cause, y_effect, max_lag: int) -> GrangerResult:
     y = _finite(y_effect, 1)
     if len(x) != len(y):
         raise ShapeMismatch("series lengths differ")
-    return _granger_pairs(np.column_stack([x, y]), max_lag, [(0, 1)])[0, 1]
+    f_stat, p_value = _granger_pairs(np.column_stack([x, y]), max_lag, [(0, 1)])
+    return f_stat[0, 1], p_value[0, 1]
 
 
 # -- VAR estimation --------------------------------------------------------------
@@ -504,9 +490,16 @@ def fit_var_order(
 CRITERIA = ("aic", "bic", "hqic", "fpe")
 
 
+def _fpe_ratio(p: int, K: int, T: int) -> float:
+    return (T + K * p + 1) / (T - K * p - 1)
+
+
 def _criterion_value(
     sigma_ml: np.ndarray, p: int, K: int, T: int, criterion: str
 ) -> float:
+    """The criterion of a VAR(p), FPE as its logarithm: ``det(sigma_ml)``
+    over- or underflows at data scales whose ``log det`` is finite, where
+    the logarithm ranks the orders alike."""
     sign, logdet = np.linalg.slogdet(sigma_ml)
     if sign <= 0:
         return math.inf
@@ -518,9 +511,13 @@ def _criterion_value(
     if criterion == "hqic":
         return logdet + 2.0 * math.log(math.log(T)) * free / T
     if criterion == "fpe":
-        ratio = (T + K * p + 1) / (T - K * p - 1)
-        return math.exp(logdet) * ratio**K
+        return logdet + K * math.log(_fpe_ratio(p, K, T))
     raise ValueError(f"unknown criterion {criterion!r}")
+
+
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) where it is not finite."""
+    return value if math.isfinite(value) else None
 
 
 def fit_var(
@@ -658,22 +655,22 @@ def forecast(model: VarModel, last_observations, steps: int) -> np.ndarray:
 # -- column-wise stationarity pipeline --------------------------------------------
 
 
-def stationarity_pipeline(panel: Panel) -> tuple[Panel, dict[str, AdfResult]]:
-    """ADF-test every column and first-difference the nonstationary ones;
-    returns the panel and each column's test, in panel order.
+def stationarity_pipeline(data, names) -> tuple[np.ndarray, dict[str, AdfResult]]:
+    """ADF-test every column of the (T, K) matrix ``data`` and
+    first-difference the nonstationary ones; returns the matrix and each
+    column's test, keyed by ``names`` in column order.
 
     Differencing shifts a column forward one row, so when any column is
-    differenced the first row of the whole panel is dropped to keep the
-    dates aligned.
+    differenced every other column loses its first row too, keeping the
+    rows aligned; when none is, ``data`` comes back as it is.
     """
-    tests = {name: adf_test(panel.column(name).array) for name in panel.variables}
-    differenced = {
-        name: difference(panel.column(name))
-        for name, result in tests.items()
-        if not result.is_stationary
-    }
-    out = panel.drop_leading_rows(1).with_columns(differenced) if differenced else panel
-    return out, tests
+    data = _finite(data, 2)
+    tests = {name: adf_test(column) for name, column in zip(names, data.T)}
+    kept = [result.is_stationary for result in tests.values()]
+    if all(kept):
+        return data, tests
+    columns = [c[1:] if keep else np.diff(c) for c, keep in zip(data.T, kept)]
+    return np.column_stack(columns), tests
 
 
 # -- summaries ---------------------------------------------------------------------
@@ -686,6 +683,16 @@ def var_summary_json(model: VarModel) -> dict:
     sigma_ml = model.residuals.T @ model.residuals / T
     sign, logdet = np.linalg.slogdet(sigma_ml)
     log_likelihood = -0.5 * T * (K * math.log(2.0 * math.pi) + logdet + K)
+    criteria = {
+        name: _criterion_value(sigma_ml, model.p, K, T, name) for name in CRITERIA
+    }
+    if sign > 0:  # the FPE itself, not the logarithm the lag search ranks
+        try:
+            criteria["fpe"] = math.exp(logdet) * _fpe_ratio(model.p, K, T) ** K
+        except OverflowError:
+            criteria["fpe"] = math.inf
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(sigma_ml))
     t_stats = model.coef / model.stderr
     labels = ["const"] + [
         f"L{s}.{name}"
@@ -710,21 +717,23 @@ def var_summary_json(model: VarModel) -> dict:
         "n_equations": K,
         "nobs": T,
         "variables": list(model.variable_order),
-        "log_likelihood": log_likelihood if sign > 0 else math.nan,
-        "criteria": {
-            name: _criterion_value(sigma_ml, model.p, K, T, name)
-            for name in CRITERIA
-        },
-        "det_omega_mle": float(np.linalg.det(sigma_ml)),
+        "log_likelihood": _finite_or_none(log_likelihood if sign > 0 else math.nan),
+        "criteria": {name: _finite_or_none(v) for name, v in criteria.items()},
+        "det_omega_mle": _finite_or_none(det),
         "sigma": model.sigma.tolist(),
         "equations": equations,
     }
 
 
+def _nan_if_none(value: float | None) -> float:
+    return math.nan if value is None else value
+
+
 def var_summary_text(doc: dict) -> str:
     """The :func:`var_summary_json` document as an aligned plain-text table
-    in the familiar regression-summary layout."""
+    in the familiar regression-summary layout, ``nan`` for a null."""
     width = 34
+    criteria = {name: _nan_if_none(v) for name, v in doc["criteria"].items()}
     lines = [
         "Summary of Regression Results".center(width),
         "=" * width,
@@ -733,12 +742,12 @@ def var_summary_text(doc: dict) -> str:
         "-" * width,
         f"No. of Equations:{doc['n_equations']:>{width - 17}}",
         f"Nobs:{doc['nobs']:>{width - 5}}",
-        f"Log likelihood:{doc['log_likelihood']:>{width - 15}.3f}",
-        f"AIC:{doc['criteria']['aic']:>{width - 4}.6g}",
-        f"BIC:{doc['criteria']['bic']:>{width - 4}.6g}",
-        f"HQIC:{doc['criteria']['hqic']:>{width - 5}.6g}",
-        f"FPE:{doc['criteria']['fpe']:>{width - 4}.6g}",
-        f"Det(Omega_mle):{doc['det_omega_mle']:>{width - 15}.6g}",
+        f"Log likelihood:{_nan_if_none(doc['log_likelihood']):>{width - 15}.3f}",
+        f"AIC:{criteria['aic']:>{width - 4}.6g}",
+        f"BIC:{criteria['bic']:>{width - 4}.6g}",
+        f"HQIC:{criteria['hqic']:>{width - 5}.6g}",
+        f"FPE:{criteria['fpe']:>{width - 4}.6g}",
+        f"Det(Omega_mle):{_nan_if_none(doc['det_omega_mle']):>{width - 15}.6g}",
         "-" * width,
     ]
     label_width = max(

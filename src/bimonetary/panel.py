@@ -29,7 +29,6 @@ from .errors import (
     LeadingOrTrailingGap,
     MalformedRecord,
     MissingColumn,
-    SeriesTooShort,
     UnknownVariable,
     UnparseableValue,
 )
@@ -62,8 +61,9 @@ class Series:
     """A column aligned to a panel's dates: one float64 array, NaN for a
     missing slot.
 
-    The constructor copies its input and turns the copy's write flag off, so
-    panels can share a column without any holder being able to change it.
+    The constructor copies its input (a ``None`` in a list reads as NaN) and
+    turns the copy's write flag off, so panels can share a column without
+    any holder being able to change it.
     """
 
     array: np.ndarray
@@ -74,11 +74,6 @@ class Series:
             raise ValueError("a series is one-dimensional")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
-
-    @staticmethod
-    def of(values: Iterable[float | None]) -> "Series":
-        """Series from plain numbers; ``None`` marks a missing slot."""
-        return Series(list(values))
 
     @property
     def values(self) -> tuple[float | None, ...]:
@@ -153,11 +148,6 @@ class Panel:
         except KeyError:
             raise UnknownVariable(name) from None
 
-    def select(self, names: Sequence[str]) -> "Panel":
-        return Panel._on_checked_dates(
-            self.dates, {n: self.column(n) for n in names}
-        )
-
     def with_columns(self, extra: Mapping[str, Series]) -> "Panel":
         merged = dict(self.columns)
         merged.update(extra)
@@ -169,17 +159,12 @@ class Panel:
         hi = self.n_rows if end is None else bisect_right(self.dates, end)
         return slice(lo, hi)
 
-    def _rows(self, rows: slice) -> "Panel":
+    def restrict_dates(self, start: Date | None, end: Date | None) -> "Panel":
+        rows = self.rows_between(start, end)
         return Panel._on_checked_dates(
             self.dates[rows],
             {n: Series(s.array[rows]) for n, s in self.columns.items()},
         )
-
-    def drop_leading_rows(self, k: int) -> "Panel":
-        return self._rows(slice(k, None))
-
-    def restrict_dates(self, start: Date | None, end: Date | None) -> "Panel":
-        return self._rows(self.rows_between(start, end))
 
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack columns into a (T, K) float matrix; missing becomes NaN."""
@@ -478,13 +463,6 @@ def linear_interpolate(series: Series) -> Series:
     known = np.flatnonzero(~gaps)
     arr[gaps] = np.interp(np.flatnonzero(gaps), known, arr[known])
     return Series(arr)
-
-
-def difference(series: Series) -> Series:
-    """The first difference; the series shrinks by one entry."""
-    if len(series) < 2:
-        raise SeriesTooShort(f"need at least 2 observations, have {len(series)}")
-    return Series(np.diff(series.array))
 
 
 # A trailing window ending at slot t is a suffix of the block before t's

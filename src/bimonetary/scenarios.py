@@ -57,15 +57,13 @@ class ScenarioComparison:
 def apply_scenario(panel: Panel, shocks: list[Shock] | tuple[Shock, ...]) -> Panel:
     """Copy of the panel with every shock applied pointwise inside its
     window, in list order."""
-    columns = dict(panel.columns)
+    shocked: dict[str, Series] = {}
     for shock in shocks:
-        if shock.variable not in columns:
-            raise UnknownVariable(shock.variable)
-        values = columns[shock.variable].to_array()
+        values = shocked.get(shock.variable, panel.column(shock.variable)).to_array()
         rows = panel.rows_between(*shock.window)
         values[rows] = shock.apply(values[rows])
-        columns[shock.variable] = Series(values)
-    return Panel._on_checked_dates(panel.dates, columns)
+        shocked[shock.variable] = Series(values)
+    return panel.with_columns(shocked)
 
 
 def _fitted_target(model: econ.VarModel, matrix: np.ndarray, idx: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._regression import qr_least_squares, r_squared
-from .errors import DivisionByZero, InsufficientRows
+from .errors import DivisionByZero, InsufficientRows, NonFiniteValue
 from .panel import Panel, Series
 
 
@@ -215,24 +215,31 @@ def simulate(
     )
     inputs = panel.to_matrix([getattr(proxies, field) for field in used])
     present = ~np.isnan(inputs).any(axis=1)
+    rows = np.flatnonzero(present)
     x = dict(zip(used, inputs[present].T))
-    equations = {
-        column: _evaluate(x, c, terms, intercept)
-        for column, _, terms, intercept in _EQUATIONS
-    }
-    l_ars, l_usd = equations["model_L_ars"], equations["model_L_usd"]
-    if (l_usd == 0.0).any():
-        first = np.flatnonzero(present)[np.argmax(l_usd == 0.0)]
-        raise DivisionByZero(panel.dates[first], "model dollar demand")
-    # unpacked last, the equations keep the demands in the first places and
-    # put the inflation and income forecasts after model_E
-    model = {
-        "model_L_ars": l_ars,
-        "model_L_usd": l_usd,
-        "model_relative_demand": l_ars / l_usd,
-        "model_E": devaluation_expectation(*(x[field] for field in _PARITY)),
-        **equations,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # then raised by date
+        equations = {
+            column: _evaluate(x, c, terms, intercept)
+            for column, _, terms, intercept in _EQUATIONS
+        }
+        l_ars, l_usd = equations["model_L_ars"], equations["model_L_usd"]
+        if (l_usd == 0.0).any():
+            first = rows[np.argmax(l_usd == 0.0)]
+            raise DivisionByZero(panel.dates[first], "model dollar demand")
+        # unpacked last, the equations keep the demands in the first places
+        # and put the inflation and income forecasts after model_E
+        model = {
+            "model_L_ars": l_ars,
+            "model_L_usd": l_usd,
+            "model_relative_demand": l_ars / l_usd,
+            "model_E": devaluation_expectation(*(x[field] for field in _PARITY)),
+            **equations,
+        }
+    # the first date with a non-finite model value, and its first such column
+    bad = ~np.isfinite(np.column_stack(list(model.values())))
+    if bad.any():
+        row, column = divmod(int(np.argmax(bad)), len(model))
+        raise NonFiniteValue(panel.dates[rows[row]], list(model)[column])
     columns = {}
     for name, values in model.items():
         full = np.full(panel.n_rows, np.nan)

@@ -43,7 +43,10 @@ def _number(text: str) -> float | _NonFinite:
 
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_NonFinite, parse_float=_number)
+        try:
+            return json.load(fh, parse_constant=_NonFinite, parse_float=_number)
+        except RecursionError:
+            raise InputError(f"{path}: nested deeper than the JSON reader goes") from None
 
 
 def reject_repeats(key: str, names) -> None:
@@ -123,7 +126,10 @@ def parse(tp, doc, where: str):
                 pass
         raise _wrong(where, "an ISO date string", doc)
     if tp is float and type(doc) is int:
-        return float(doc)
+        try:
+            return float(doc)
+        except OverflowError:  # an integer literal past the float range
+            raise _wrong(where, "a number", doc) from None
     if type(doc) is not tp:
         raise _wrong(where, _KINDS[tp], doc)
     return doc

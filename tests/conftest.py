@@ -78,7 +78,7 @@ def make_canonical_panel(n_rows: int = 400, seed: int = SEED) -> Panel:
     assert set(data) == set(CANONICAL_VARIABLES)
     return Panel(
         daily_dates(n_rows),
-        {name: Series.of(data[name]) for name in CANONICAL_VARIABLES},
+        {name: Series(data[name]) for name in CANONICAL_VARIABLES},
     )
 
 

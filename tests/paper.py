@@ -157,7 +157,7 @@ class CategorySpec:
 
 def forgetful_project(panel: Panel, spec: CategorySpec) -> Panel:
     """Sub-panel keeping only the selected variables; dates unchanged."""
-    return panel.select(spec.variables)
+    return Panel(panel.dates, {v: panel.column(v) for v in spec.variables})
 
 
 def learning_enrich(

@@ -19,8 +19,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bimonetary"
 
 UNCALLED = {
     "equilibrium.nelder_mead_1d": "oracle of the closed form; bench/tracer.py wraps it",
-    "panel.Series.of": "public constructor from a list with None for missing",
-    "econometrics.GrangerResult.at": "public lookup of one lag's test",
     "scenarios.dual_model_compare": "the paper's domestic-vs-enriched comparison",
 }
 

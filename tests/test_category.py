@@ -42,7 +42,7 @@ Y = EconObject("Y", "real income")
 def small_panel(**columns):
     n = len(next(iter(columns.values())))
     return Panel(
-        daily_dates(n), {k: Series.of(v) for k, v in columns.items()}
+        daily_dates(n), {k: Series(v) for k, v in columns.items()}
     )
 
 
@@ -114,7 +114,7 @@ class TestEvaluate:
             evaluate(m, panel)
 
     def test_missing_propagates(self):
-        panel = Panel(daily_dates(2), {"Y": Series.of([1.0, None])})
+        panel = Panel(daily_dates(2), {"Y": Series([1.0, None])})
         out = evaluate(MorphismSpec(Affine(2, 0), "Y", "Y"), panel)
         assert out.values == (2.0, None)
 
@@ -366,7 +366,7 @@ def random_affine_suite(n=50):
             MorphismSpec(Affine(coeff, shift), objects[a].id, objects[b].id)
         )
     columns = {
-        obj.id: Series.of(rng.uniform(-10, 10, size=20)) for obj in objects
+        obj.id: Series(rng.uniform(-10, 10, size=20)) for obj in objects
     }
     return morphisms, Panel(daily_dates(20), columns)
 

@@ -33,6 +33,7 @@ from bimonetary.category import (
 from bimonetary.cli import SensitivitySection, _sha256, main
 from bimonetary.panel import (
     CANONICAL_VARIABLES,
+    Panel,
     Series,
     load_csv,
     text_rows,
@@ -62,7 +63,7 @@ def synthetic_csv(tmp_path, n_rows=300, k=3, name="small.csv"):
 
     rng = np.random.default_rng(SEED)
     columns = {
-        f"v{i}": Series.of(np.cumsum(rng.standard_normal(n_rows)) * 0.1 + 5)
+        f"v{i}": Series(np.cumsum(rng.standard_normal(n_rows)) * 0.1 + 5)
         for i in range(k)
     }
     path = tmp_path / name
@@ -583,6 +584,7 @@ def test_malformed_input_file_is_one_input_error_line(
 
 
 _INF = float("inf")
+_HUGE = "1" + "0" * 400  # an integer literal past the float range
 
 
 @pytest.mark.parametrize(
@@ -601,10 +603,27 @@ _INF = float("inf")
             "scenarios[0].shocks[0].magnitude must be a number: 1e400",
         ),
         (
+            "scenarios",
+            '[{"name": "s", "shocks": '
+            f'[{{"variable": "M2", "kind": "additive", "magnitude": {_HUGE}}}]}}]',
+            f"scenarios[0].shocks[0].magnitude must be a number: {_HUGE}",
+        ),
+        (
             "coefficients",
             '{"alpha1": -Infinity}',
             "coefficients.alpha1 must be a number: -Infinity",
         ),
+        (
+            "coefficients",
+            f'{{"alpha1": {_HUGE}}}',
+            f"coefficients.alpha1 must be a number: {_HUGE}",
+        ),
+        (
+            "diagram",
+            json.dumps(_diagram(edges=[_edge(a=int(_HUGE), b=1.0)])),
+            f"diagram.edges[0].kind.a must be a number: {_HUGE}",
+        ),
+        ("config", "[" * 100_000, "{path}: nested deeper than the JSON reader goes"),
         (
             "diagram",
             json.dumps(_diagram(edges=[_edge(a=_INF, b=1.0)])),
@@ -624,14 +643,18 @@ _INF = float("inf")
     ],
     ids=[
         "config-nan", "shock-infinity", "shock-overflowing-literal",
-        "coefficient-minus-infinity", "affine-infinity", "functor-affine-infinity",
+        "shock-overflowing-integer", "coefficient-minus-infinity",
+        "coefficient-overflowing-integer", "affine-overflowing-integer",
+        "config-nested-too-deep", "affine-infinity", "functor-affine-infinity",
     ],
 )
 def test_non_finite_json_number_is_one_input_error_line(
     canonical_csv, tmp_path, capsys, kind, text, message
 ):
-    """RFC 8259 has no NaN or infinite number: each is an input error naming
-    its key, raised before the out dir is made."""
+    """RFC 8259 has no NaN or infinite number, and a float field cannot hold
+    an integer past the float range, nor Python's reader a file nested
+    100,000 deep: each is an input error naming its key or file, raised
+    before the out dir is made."""
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
     config_file = tmp_path / "cfg.json"
@@ -651,14 +674,14 @@ def test_non_finite_json_number_is_one_input_error_line(
     assert main([*argv, "--input", str(canonical_csv), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     error = json.loads(line)
-    assert (error["error"], error["message"]) == ("InputError", message)
+    assert (error["error"], error["message"]) == ("InputError", message.format(path=path))
     assert not out.exists()
 
 
-def core_stage_child(tmp_path, column: np.ndarray) -> subprocess.CompletedProcess:
-    """`pipeline --stages core`, in a child process, on a canonical panel
-    whose first column is ``column``."""
-    panel = make_canonical_panel(len(column))
+def core_stage_child(tmp_path, column: np.ndarray, panel=None) -> subprocess.CompletedProcess:
+    """`pipeline --stages core`, in a child process, on ``panel`` (by
+    default a canonical panel) whose first column is ``column``."""
+    panel = make_canonical_panel(len(column)) if panel is None else panel
     path = tmp_path / "panel.csv"
     write_csv(panel.with_columns({panel.variables[0]: Series(column)}), path)
     env = dict(os.environ)
@@ -695,6 +718,28 @@ class TestPipeline:
         (line,) = child.stderr.strip().splitlines()
         doc = json.loads(line)
         assert (doc["error"], doc["stage"]) == ("NonFiniteFactor", "core")
+
+    def test_extreme_scale_summary_is_strict_json(self, tmp_path):
+        """Random walks scaled by 1e17 have a finite log determinant, but the
+        determinant and the FPE overflow: exit 0, nothing on stderr, and
+        every JSON artifact holds null, not Infinity, where a value is not
+        finite."""
+        rng = np.random.default_rng(SEED)
+        walks = np.cumsum(rng.standard_normal((400, 10)), axis=0) * 1e17
+        panel = Panel(daily_dates(400), {f"v{i}": Series(w) for i, w in enumerate(walks.T)})
+        child = core_stage_child(tmp_path, walks[:, 0], panel)
+        assert (child.returncode, child.stderr) == (0, "")
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        for path in sorted((tmp_path / "out").glob("*.json")):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        summary = json.loads((tmp_path / "out" / "var_summary.json").read_text())
+        assert summary["criteria"]["fpe"] is None
+        assert summary["det_omega_mle"] is None
+        text = (tmp_path / "out" / "var_summary.txt").read_text()
+        assert "FPE:" in text and text.split("FPE:")[1].split()[0] == "nan"
 
     def test_core_artifacts_on_synthetic_panel(self, tmp_path):
         csv_path = synthetic_csv(tmp_path)
@@ -740,7 +785,7 @@ class TestPipeline:
         rng = np.random.default_rng(SEED)
         names = ('spread, "EMBI"', "v1", "v2")
         columns = {
-            name: Series.of(np.cumsum(rng.standard_normal(300)) * 0.1 + 5)
+            name: Series(np.cumsum(rng.standard_normal(300)) * 0.1 + 5)
             for name in names
         }
         csv_path = tmp_path / "quoted.csv"
@@ -811,8 +856,8 @@ class TestPipeline:
             Panel(
                 daily_dates(60),
                 {
-                    "a": Series.of(rng.standard_normal(60)),
-                    "b": Series.of([3.0] * 60),
+                    "a": Series(rng.standard_normal(60)),
+                    "b": Series([3.0] * 60),
                 },
             ),
             path,
@@ -1106,6 +1151,31 @@ class TestOtherCommands:
         )
         header = (out_s / "forecast_panel.csv").read_text().splitlines()[0]
         assert "model_L_ars" in header and "model_E" in header
+
+    def test_overflowing_model_value_is_one_numerical_error_line(
+        self, canonical_csv, tmp_path, capsys
+    ):
+        """A finite coefficient whose product with its proxy overflows: exit
+        2 with one line naming the first such date and column, no numpy
+        warning and no forecast_panel.csv."""
+        coefficients = tmp_path / "coefficients.json"
+        coefficients.write_text(json.dumps({"alpha1": 1e300, "beta1": 1.0}))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"coefficients": str(coefficients)}))
+        out = tmp_path / "sim"
+        argv = ["simulate", "--input", str(canonical_csv), "--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        first = load_csv(canonical_csv).dates[0]
+        assert error == {
+            "error": "NonFiniteValue",
+            "stage": "simulate",
+            "message": f"non-finite value at {first} while evaluating model_L_ars",
+        }
+        assert not (out / "forecast_panel.csv").exists()
 
     def test_functor_check_on_commuting_diagram(self, canonical_csv, tmp_path):
         m2 = EconObject("M2")

@@ -168,7 +168,7 @@ class TestSolvePanel:
         values = list(panel.column(column).values)
         values[3] = value
         with pytest.raises(error):
-            solve_panel(panel.with_columns({column: Series.of(values)}))
+            solve_panel(panel.with_columns({column: Series(values)}))
 
     def test_constructed_fixed_point_has_zero_gap(self):
         # all three targets equal the observed rate
@@ -176,11 +176,11 @@ class TestSolvePanel:
         panel = Panel(
             daily_dates(3),
             {
-                "Gdp_usa": Series.of([rate * 5.0] * 3),
-                "Gdp_argentina": Series.of([5.0] * 3),
-                "Embi+ARG": Series.of([1.0] * 3),
-                "Historical Ars Usd": Series.of([rate] * 3),
-                "Long Term Usd Rate": Series.of([rate] * 3),
+                "Gdp_usa": Series([rate * 5.0] * 3),
+                "Gdp_argentina": Series([5.0] * 3),
+                "Embi+ARG": Series([1.0] * 3),
+                "Historical Ars Usd": Series([rate] * 3),
+                "Long Term Usd Rate": Series([rate] * 3),
             },
         )
         result = solve_panel(panel)
@@ -197,7 +197,7 @@ class TestSolvePanel:
         panel = make_canonical_panel(5)
         values = list(panel.column("Embi+ARG").values)
         values[2] = None
-        broken = panel.with_columns({"Embi+ARG": Series.of(values)})
+        broken = panel.with_columns({"Embi+ARG": Series(values)})
         result = solve_panel(broken)
         assert len(result.dates) == 4
         assert result.skipped_dates == (panel.dates[2],)

@@ -27,3 +27,32 @@ def test_program_imports_only_the_standard_library_and_numpy():
     assert files
     outside = {p.name: top_modules(p.read_text("utf-8")) - ALLOWED for p in files}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def package_modules(source: str) -> set[str]:
+    """The `bimonetary` modules that ``source`` imports, relatively or by
+    absolute name; ``from . import x`` names the module ``x``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            base = node.module or ""
+            paths = [f"bimonetary.{base or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names.update(
+            path.split(".")[1] for path in paths if path.startswith("bimonetary.")
+        )
+    return names
+
+
+def test_estimators_import_only_the_estimators_and_errors():
+    """The estimators stay array-in, array-out: no panel, file or CLI code
+    behind them."""
+    allowed = {"_dist", "_regression", "errors"}
+    for name in ("econometrics", "_regression", "_dist"):
+        imported = package_modules((PACKAGE / f"{name}.py").read_text("utf-8"))
+        assert imported <= allowed, (name, sorted(imported - allowed))

@@ -24,14 +24,12 @@ from bimonetary.errors import (
     LeadingOrTrailingGap,
     MalformedRecord,
     MissingColumn,
-    SeriesTooShort,
     UnparseableValue,
 )
 from bimonetary.panel import (
     CANONICAL_VARIABLES,
     Panel,
     Series,
-    difference,
     linear_interpolate,
     load_csv,
     minmax_rescale,
@@ -253,7 +251,7 @@ class TestLoadCsv:
         name = 'spread, "EMBI" basis'
         panel = Panel(
             daily_dates(3),
-            {name: Series.of([1.5, None, -0.0]), "x": Series.of([1, 2, 3])},
+            {name: Series([1.5, None, -0.0]), "x": Series([1, 2, 3])},
         )
         path = tmp_path / "quoted.csv"
         write_csv(panel, path)
@@ -636,7 +634,7 @@ class TestSeriesStorage:
     def test_column_array_is_read_only(self):
         source = np.array([1.0, 2.0, 3.0])
         panel = Panel(daily_dates(3), {"x": Series(source)})
-        shared = panel.select(["x"]).with_columns({"y": Series.of([0, 0, 0])})
+        shared = panel.with_columns({"y": Series([0, 0, 0])})
         assert shared.column("x") is panel.column("x")
         with pytest.raises(ValueError):
             shared.column("x").array[0] = 9.0
@@ -647,64 +645,43 @@ class TestSeriesStorage:
 
 class TestLinearInterpolate:
     def test_midpoint(self):
-        out = linear_interpolate(Series.of([1, None, 3]))
+        out = linear_interpolate(Series([1, None, 3]))
         assert out.values == (1.0, 2.0, 3.0)
 
     def test_equal_spacing(self):
-        out = linear_interpolate(Series.of([0, None, None, 3]))
+        out = linear_interpolate(Series([0, None, None, 3]))
         assert out.values == (0.0, 1.0, 2.0, 3.0)
 
     def test_leading_gap(self):
         with pytest.raises(LeadingOrTrailingGap):
-            linear_interpolate(Series.of([None, 2, 3]))
+            linear_interpolate(Series([None, 2, 3]))
 
     def test_trailing_gap(self):
         with pytest.raises(LeadingOrTrailingGap):
-            linear_interpolate(Series.of([1, 2, None]))
-
-
-class TestDifference:
-    def test_first_difference(self):
-        assert difference(Series.of([1, 3, 6])).values == (2.0, 3.0)
-
-    def test_second_difference(self):
-        assert difference(difference(Series.of([1, 3, 6]))).values == (1.0,)
-
-    def test_constant_series_goes_to_zero(self):
-        assert difference(Series.of([5, 5, 5, 5])).values == (0.0, 0.0, 0.0)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            difference(difference(Series.of([1, 2])))
-
-    def test_difference_of_cumsum_recovers_tail(self, rng):
-        values = rng.standard_normal(40)
-        cumulative = Series.of(np.cumsum(values))
-        recovered = difference(cumulative)
-        assert np.allclose(recovered.to_array(), values[1:], rtol=0, atol=1e-12)
+            linear_interpolate(Series([1, 2, None]))
 
 
 class TestRollingMean:
     def test_hand_example(self):
-        out = rolling_mean(Series.of([1, 2, 3]), window=2, min_periods=1)
+        out = rolling_mean(Series([1, 2, 3]), window=2, min_periods=1)
         assert out.values == (1.0, 1.5, 2.5)
 
     def test_constant(self):
-        out = rolling_mean(Series.of([5, 5, 5]), window=3, min_periods=1)
+        out = rolling_mean(Series([5, 5, 5]), window=3, min_periods=1)
         assert out.values == (5.0, 5.0, 5.0)
 
     def test_insufficient_periods(self):
-        out = rolling_mean(Series.of([1, 2]), window=3, min_periods=3)
+        out = rolling_mean(Series([1, 2]), window=3, min_periods=3)
         assert out.values == (None, None)
 
     def test_min_periods_larger_than_window(self):
         with pytest.raises(ValueError):
-            rolling_mean(Series.of([1]), window=2, min_periods=3)
+            rolling_mean(Series([1]), window=2, min_periods=3)
 
 
 class TestRollingCorr:
     def test_self_correlation(self, rng):
-        x = Series.of(rng.standard_normal(30))
+        x = Series(rng.standard_normal(30))
         out = rolling_corr(x, x, window=10, min_periods=2)
         for v in out.values[2:]:
             assert v == pytest.approx(1.0, abs=1e-12)
@@ -712,38 +689,38 @@ class TestRollingCorr:
     def test_anti_correlation(self, rng):
         values = rng.standard_normal(30)
         out = rolling_corr(
-            Series.of(values), Series.of(-values), window=10, min_periods=2
+            Series(values), Series(-values), window=10, min_periods=2
         )
         for v in out.values[2:]:
             assert v == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_window_is_missing(self):
-        y = Series.of([1, 2, 3, 4])
+        y = Series([1, 2, 3, 4])
         for level in (1.0, 0.1):
-            out = rolling_corr(Series.of([level] * 4), y, window=3, min_periods=1)
+            out = rolling_corr(Series([level] * 4), y, window=3, min_periods=1)
             assert out.values == (None,) * 4
 
     def test_full_window_matches_full_sample_pearson(self, rng):
         x = rng.standard_normal(60)
         y = 0.3 * x + rng.standard_normal(60)
-        out = rolling_corr(Series.of(x), Series.of(y), window=60, min_periods=60)
+        out = rolling_corr(Series(x), Series(y), window=60, min_periods=60)
         expected = np.corrcoef(x, y)[0, 1]
         assert out.values[-1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestMinmaxRescale:
     def test_affine_endpoints(self):
-        out = minmax_rescale(Series.of([0, 5, 10]), Series.of([2, 4]))
+        out = minmax_rescale(Series([0, 5, 10]), Series([2, 4]))
         assert out.values == (2.0, 3.0, 4.0)
 
     def test_identity_onto_itself(self):
-        values = Series.of([1.5, -2.0, 7.25, 0.5])
+        values = Series([1.5, -2.0, 7.25, 0.5])
         out = minmax_rescale(values, values)
         assert np.allclose(out.to_array(), values.to_array(), rtol=1e-12)
 
     def test_degenerate_source(self):
         with pytest.raises(DegenerateRange):
-            minmax_rescale(Series.of([3, 3, 3]), Series.of([0, 1]))
+            minmax_rescale(Series([3, 3, 3]), Series([0, 1]))
 
     @given(
         st.lists(
@@ -761,7 +738,7 @@ class TestMinmaxRescale:
     def test_attains_target_extremes_exactly(self, source, target):
         if max(source) <= min(source):
             return
-        out = minmax_rescale(Series.of(source), Series.of(target))
+        out = minmax_rescale(Series(source), Series(target))
         present = [v for v in out.values if v is not None]
         assert max(present) == max(target)
         assert min(present) == min(target)
@@ -771,7 +748,7 @@ class TestPanel:
     def test_clean_removes_all_gaps(self):
         panel = Panel(
             daily_dates(4),
-            {"x": Series.of([1, None, None, 4]), "y": Series.of([0, 1, None, 3])},
+            {"x": Series([1, None, None, 4]), "y": Series([0, 1, None, 3])},
         )
         cleaned = panel.clean()
         assert cleaned.column("x").values == (1.0, 2.0, 3.0, 4.0)
@@ -783,7 +760,7 @@ class TestPanel:
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Panel(daily_dates(3), {"x": Series.of([1.0])})
+            Panel(daily_dates(3), {"x": Series([1.0])})
 
     def test_unsorted_dates_rejected(self):
         with pytest.raises(ValueError, match="not increasing"):
@@ -792,14 +769,12 @@ class TestPanel:
     def test_derived_panels_reuse_the_date_check(self, monkeypatch):
         panel = Panel(
             daily_dates(6),
-            {"x": Series.of([1, None, 3, 4, 5, 6]), "y": Series.of(range(6))},
+            {"x": Series([1, None, 3, 4, 5, 6]), "y": Series(range(6))},
         )
         checked = []
         monkeypatch.setattr(panel_module, "_check_dates", checked.append)
         clean = panel.clean()
-        clean.select(["y"])
-        clean.with_columns({"z": Series.of(range(6))})
-        clean.drop_leading_rows(2)
+        clean.with_columns({"z": Series(range(6))})
         clean.restrict_dates(date(2018, 1, 2), None)
         apply_scenario(clean, [Shock("x", "additive", 1.0)])
         assert checked == []
@@ -807,9 +782,9 @@ class TestPanel:
         assert checked == [clean.dates]
 
     def test_derived_panel_still_checks_column_lengths(self):
-        panel = Panel(daily_dates(3), {"x": Series.of([1, 2, 3])})
+        panel = Panel(daily_dates(3), {"x": Series([1, 2, 3])})
         with pytest.raises(ValueError):
-            panel.with_columns({"y": Series.of([1.0])})
+            panel.with_columns({"y": Series([1.0])})
 
 
 class TestRollingOracle:
@@ -831,11 +806,11 @@ class TestRollingOracle:
 
 class TestRollingWithGaps:
     def test_rolling_mean_skips_missing_cells(self):
-        out = rolling_mean(Series.of([1.0, None, 3.0]), window=3, min_periods=2)
+        out = rolling_mean(Series([1.0, None, 3.0]), window=3, min_periods=2)
         assert out.values == (None, None, 2.0)
 
     def test_rolling_corr_uses_pairwise_complete_points(self):
-        x = Series.of([1.0, 2.0, None, 4.0, 5.0])
-        y = Series.of([2.0, 4.0, 0.0, 8.0, 10.0])
+        x = Series([1.0, 2.0, None, 4.0, 5.0])
+        y = Series([2.0, 4.0, 0.0, 8.0, 10.0])
         out = rolling_corr(x, y, window=5, min_periods=3)
         assert out.values[-1] == pytest.approx(1.0, abs=1e-12)

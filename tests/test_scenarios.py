@@ -30,7 +30,7 @@ def toy_panel(n=8, k=3, seed=SEED):
     rng = np.random.default_rng(seed)
     return Panel(
         daily_dates(n),
-        {f"v{i}": Series.of(rng.uniform(-5, 5, n)) for i in range(k)},
+        {f"v{i}": Series(rng.uniform(-5, 5, n)) for i in range(k)},
     )
 
 
@@ -73,7 +73,7 @@ class TestLearningEnrich:
         assert len(out.variables) == 3 * 4
 
     def test_hand_alignment(self):
-        panel = Panel(daily_dates(4), {"v": Series.of([1, 2, 3, 4])})
+        panel = Panel(daily_dates(4), {"v": Series([1, 2, 3, 4])})
         out = learning_enrich(panel, CategorySpec("b", ("v",)), None, lags=1)
         assert out.dates == panel.dates[1:]
         assert out.column("v").values == (2.0, 3.0, 4.0)
@@ -116,13 +116,13 @@ class TestAdjunctionRoundTrip:
 
 class TestApplyScenario:
     def test_multiplicative(self):
-        panel = Panel(daily_dates(2), {"x": Series.of([2, 4])})
+        panel = Panel(daily_dates(2), {"x": Series([2, 4])})
         out = apply_scenario(panel, [Shock("x", "multiplicative", 1.5)])
         assert out.column("x").values == (3.0, 6.0)
 
     def test_additive_on_first_long_interest_value(self):
         # 40.31 + 5.00, the combined-scenario arithmetic on the first row
-        panel = Panel(daily_dates(1), {"Long Interest": Series.of([40.31])})
+        panel = Panel(daily_dates(1), {"Long Interest": Series([40.31])})
         out = apply_scenario(panel, [Shock("Long Interest", "additive", 5.0)])
         assert out.column("Long Interest").values == (45.31,)
 
@@ -135,7 +135,7 @@ class TestApplyScenario:
         assert out == panel
 
     def test_window_limits_application(self):
-        panel = Panel(daily_dates(3), {"x": Series.of([1, 1, 1])})
+        panel = Panel(daily_dates(3), {"x": Series([1, 1, 1])})
         shock = Shock(
             "x", "additive", 1.0, (date(2018, 1, 2), date(2018, 1, 2))
         )

@@ -250,7 +250,7 @@ def exact_panel(n_rows=60, c=TRUE, seed=SEED):
     )
     return Panel(
         daily_dates(n_rows),
-        {name: Series.of(filler[name]) for name in CANONICAL_VARIABLES},
+        {name: Series(filler[name]) for name in CANONICAL_VARIABLES},
     )
 
 
@@ -280,7 +280,7 @@ class TestCalibrate:
     def test_too_few_rows(self):
         panel = exact_panel(n_rows=3)
         with pytest.raises(InsufficientRows):
-            calibrate(panel.drop_leading_rows(1))
+            calibrate(panel.restrict_dates(panel.dates[1], None))
 
 
 class TestSimulate:
