@@ -57,21 +57,28 @@ class LeastSquaresFit:
 
 
 def qr_r(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """``np.linalg.qr(a, mode="r")`` bit for bit: one LAPACK ``dgeqrf`` call
-    with the workspace numpy takes. With ``overwrite`` a column-major float
-    ``a`` is factored in place; any other input is copied once. A non-finite
-    R (the design overflowed) raises NonFiniteFactor."""
-    m, n = a.shape
-    # a.T in C order is a in the column-major order LAPACK reads
-    owned = overwrite and a.dtype == np.float64 and a.flags.f_contiguous
-    at = a.T if owned else np.array(a.T, dtype=float, order="C")
+    """``np.linalg.qr(a, mode="r")`` bit for bit, of one matrix or of each
+    matrix of a ``(..., m, n)`` stack: one LAPACK ``dgeqrf`` call per matrix
+    with the workspace numpy takes. With ``overwrite`` a float ``a`` whose
+    matrices are column-major is factored in place; any other input is
+    copied once. A non-finite R (a design overflowed) raises
+    NonFiniteFactor."""
+    *_, m, n = a.shape
+    # each matrix's transpose in C order is the matrix in the column-major
+    # order LAPACK reads
+    at = np.swapaxes(a, -1, -2)
+    if not (overwrite and a.dtype == np.float64 and at.flags.c_contiguous):
+        at = np.array(at, dtype=float, order="C")
     tau, work = np.empty(min(m, n)), np.empty(1)
-    lapack_lite.dgeqrf(m, n, at, max(1, m), tau, work, -1, 0)
+    matrices, lda = at.reshape(-1, n, m), max(1, m)
+    lapack_lite.dgeqrf(m, n, matrices[0], lda, tau, work, -1, 0)
     work = np.empty(max(1, n, int(work[0])))
-    info = lapack_lite.dgeqrf(m, n, at, max(1, m), tau, work, len(work), 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
-    r = np.triu(at[:, : min(m, n)].T.copy())   # row-major, as numpy's R is
+    for matrix in matrices:
+        info = lapack_lite.dgeqrf(m, n, matrix, lda, tau, work, len(work), 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    # row-major, as numpy's R is
+    r = np.triu(np.swapaxes(at[..., : min(m, n)], -1, -2).copy())
     if not np.isfinite(r).all():
         raise NonFiniteFactor("the design overflows: its R factor is not finite")
     return r
@@ -127,9 +134,22 @@ def factor(leaves: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([r[:, :k] / norms, r[:, k:]]), norms
 
 
-def _check_pivots(r: np.ndarray, k: int) -> None:
-    pivots = np.abs(np.diag(r)[:k])
-    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
+def pivot_failures(r: np.ndarray, k: int) -> np.ndarray:
+    """Whether the R factor ``r``, or each of a stack of them, fails the
+    pivot test on its first k columns: some |R_ii| below PIVOT_RTOL times
+    the largest."""
+    if not k:
+        return np.zeros(r.shape[:-2], dtype=bool)
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1)[..., :k])
+    return pivots.min(axis=-1) < PIVOT_RTOL * pivots.max(axis=-1)
+
+
+def check_pivots(r: np.ndarray, k: int) -> None:
+    """Raises RankDeficient for the first R factor of the stack ``r`` (or
+    for the one R) that fails :func:`pivot_failures`, in C order."""
+    failed = np.flatnonzero(pivot_failures(r, k))
+    if failed.size:
+        pivots = np.abs(np.diag(r.reshape(-1, *r.shape[-2:])[failed[0]])[:k])
         raise RankDeficient(
             f"relative pivot {pivots.min() / pivots.max():.3e} below threshold"
         )
@@ -150,7 +170,7 @@ def factor_design(rows, n: int, k: int, leaves=None) -> tuple[np.ndarray, np.nda
     if n < k:
         raise InsufficientRows(f"{n} rows for {k} coefficients")
     r, norms = factor(leaf_factors(rows, n) if leaves is None else leaves, k)
-    _check_pivots(r, k)
+    check_pivots(r, k)
     return r, norms
 
 
@@ -192,36 +212,40 @@ def qr_least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
 def cross_products(r: np.ndarray, k: int) -> np.ndarray:
     """``E_j' E_j = R12[j:]' R12[j:] + R22' R22`` of Y regressed on
     ``X[:, :j]`` for ``j = 0..k``, shape ``(k+1, m, m)``, from the R factor
-    of ``[X / norms | Y]``: a sum of positive semidefinite terms, so nothing
-    cancels against ``||Y||^2``.
+    of ``[X / norms | Y]``, or ``(..., k+1, m, m)`` from a stack of them: a
+    sum of positive semidefinite terms, so nothing cancels against
+    ``||Y||^2``.
 
     :func:`factor_design`'s pivot test on the full X decides every prefix:
     each scaled column has unit norm, so ``|R_11| = 1 >= |R_jj|``, a prefix's
     ratio test is ``min |R_jj| < PIVOT_RTOL`` over its own pivots, and the
     full design fails exactly when some prefix does.
     """
-    tail = r[:, k:]                     # rows of R12, then of R22
+    tail = r[..., k:]                   # rows of R12, then of R22
     # a zero row stands for R22 when n == k (the full design fits exactly)
-    tail = np.vstack([tail, np.zeros((1, tail.shape[1]))])
-    outer = np.einsum("ij,ik->ijk", tail, tail)
-    return np.cumsum(outer[::-1], axis=0)[::-1][: k + 1]
+    zero = np.zeros((*tail.shape[:-2], 1, tail.shape[-1]))
+    tail = np.concatenate([tail, zero], axis=-2)
+    outer = np.einsum("...ij,...ik->...ijk", tail, tail)
+    return np.flip(np.cumsum(np.flip(outer, -3), axis=-3), -3)[..., : k + 1, :, :]
 
 
-def subset_factor(r: np.ndarray, columns, k: int, rows: np.ndarray) -> np.ndarray:
+def subset_factor(r: np.ndarray, columns, rows: np.ndarray) -> np.ndarray:
     """R factor of a design read from one that is already factored.
 
     ``r`` is the R factor of an equilibrated design Z (see :func:`factor`);
-    ``columns`` picks ``k`` regressor columns of Z, then response columns;
+    ``columns`` picks regressor columns of Z, then response columns;
     ``rows`` holds the rows the design has and Z lacks, in the order of
     ``columns``, regressors divided by Z's norms (it may have no rows).
     Since ``Z[:, columns] = Q r[:, columns]``, the design's R factor is that
     of ``rows`` stacked on ``r[:, columns]``, a QR of at most ``len(r) +
-    len(rows)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5). The
-    pivot test runs on the design's own pivots.
+    len(rows)`` rows however tall Z is (Golub & Van Loan, 5.3 and 6.5).
+
+    A ``(..., w)`` stack of ``columns`` with a ``(..., n, w)`` stack of
+    ``rows`` gives the stack of their R factors from one :func:`qr_r` call.
+    The pivot test is left to the caller (:func:`check_pivots`).
     """
-    sub = qr_r(np.vstack([rows, r[:, columns]]))
-    _check_pivots(sub, k)
-    return sub
+    picked = np.moveaxis(r[:, columns], 0, -2)
+    return qr_r(np.concatenate([rows, picked], axis=-2))
 
 
 def r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

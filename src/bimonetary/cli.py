@@ -24,7 +24,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from . import __version__, category, colimit, econometrics as econ, equilibrium
+from . import __version__, colimit, econometrics as econ, equilibrium
 from . import scenarios as scen
 from . import structural
 from .colimit import ColimitConfig
@@ -426,6 +426,8 @@ def _stage_functor_check(
     """Exits 1 when a check fails, after writing its report. ``image`` is
     the functor's image of the diagram (None without a functor), and ``tol``
     applies to every check, None meaning ``1e-9 * max(1, |values|)``."""
+    from . import category  # only this command reads it
+
     report = category.check_commutes(panel=panel, d=diagram, tol=tol)
     payload = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
     all_passed = report.passed
@@ -487,6 +489,8 @@ def _plan(args, config: Config) -> dict[str, tuple]:
     if "functor-check" in inputs:
         if args.tol is not None and not 0.0 <= args.tol < math.inf:
             raise InputError(f"--tol must be a finite number >= 0: {args.tol}")
+        from . import category  # only this command reads it
+
         diagram = parse(category.Diagram, read_json(args.diagram), "diagram")
         functor = image = None
         if args.functor:

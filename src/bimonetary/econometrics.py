@@ -19,10 +19,12 @@ from ._dist import chi2_sf, f_sf, normal_cdf
 from ._regression import (
     PIVOT_RTOL,
     LeastSquaresFit,
+    check_pivots,
     cross_products,
     factor,
     factor_design,
     leaf_factors,
+    pivot_failures,
     qr_least_squares,  # noqa: F401  bench/tracer.py wraps this name here
     qr_r,
     read_fit,
@@ -129,7 +131,8 @@ def _lag_search(
     k = k_max - K * (max_p - best_p)
     lead = _lagged(data, best_p, best_p, max_p, exog)
     lead[:, :k] /= norms[:k]
-    sub = subset_factor(r, np.r_[:k, k_max : r.shape[1]], k, lead)
+    sub = subset_factor(r, np.r_[:k, k_max : r.shape[1]], lead)
+    check_pivots(sub, k)
     fit = read_fit(sub, norms[:k], _rows(data, best_p, best_p, exog), T - best_p)
     return best_p, fit
 
@@ -333,7 +336,11 @@ def _granger_pairs(
     columns of Z plus the ``max_lag - L`` rows Z lacks, so the pair reads
     SSR_r and SSR_u from a small QR of those rows, scaled by Z's norms,
     stacked on its columns of R (:func:`subset_factor`), with its own pivot
-    test.
+    test. Every pair of one lag is one stack: one QR call and one pivot test;
+    one F tail serves every pair and lag. The first failing pair in
+    ``pairs``, lag by lag, raises its error, its pivot test before an exact
+    fit; a pair whose small R overflows raises NonFiniteFactor for its
+    whole lag.
     """
     T, K = data.shape
     if max_lag < 1:
@@ -347,22 +354,30 @@ def _granger_pairs(
         )
     k = 1 + K * max_lag
     r, norms = factor(leaf_factors(_rows(data, max_lag, max_lag), T - max_lag), k)
+    cause, effect = np.array(pairs).T
     for lag in range(1, max_lag + 1):
-        end = 1 + K * lag
+        end, width = 1 + K * lag, 1 + 2 * lag
         lead = _lagged(data, lag, lag, max_lag)
         lead[:, :end] /= norms[:end]
         r_lag = r[:, np.r_[:end, k : r.shape[1]]]     # lead's columns of R
         df_den = (T - lag) - 2 * lag - 1
-        for cause, effect in pairs:
-            columns = np.r_[0, 1 + effect : end : K, 1 + cause : end : K, end + effect]
-            sub = subset_factor(r_lag, columns, 1 + 2 * lag, lead[:, columns])
-            ssrs = cross_products(sub, 1 + 2 * lag)[:, 0, 0]
-            ssr_r, ssr_u = float(ssrs[1 + lag]), float(ssrs[1 + 2 * lag])
-            if ssr_u <= 0.0:
-                raise RankDeficient("unrestricted regression fits exactly")
-            f = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
-            f_stat[cause, effect, lag - 1] = f
-            p_value[cause, effect, lag - 1] = f_sf(f, lag, df_den)
+        own = 1 + K * np.arange(lag)            # lags 1..L of column 0
+        columns = np.column_stack([
+            np.zeros_like(cause), effect[:, None] + own, cause[:, None] + own,
+            end + effect,
+        ])
+        sub = subset_factor(r_lag, columns, np.moveaxis(lead[:, columns], 0, -2))
+        ssrs = cross_products(sub, width)[..., 0, 0]
+        ssr_r, ssr_u = ssrs[:, 1 + lag], ssrs[:, width]
+        failed = np.flatnonzero(pivot_failures(sub, width) | (ssr_u <= 0.0))
+        if failed.size:
+            check_pivots(sub[failed[0]], width)
+            raise RankDeficient("unrestricted regression fits exactly")
+        f_stat[cause, effect, lag - 1] = ((ssr_r - ssr_u) / lag) / (ssr_u / df_den)
+    # one F tail for every test, as its loop costs about as much for 1 value
+    # as for 450
+    lags = np.arange(1, max_lag + 1)
+    p_value[cause, effect] = f_sf(f_stat[cause, effect], lags, T - 3 * lags - 1)
     return f_stat, p_value
 
 

@@ -4,7 +4,8 @@ on scipy, for use as test oracles where statsmodels is absent.
 Nothing here is shared with the package: every candidate model is its own
 ``scipy.linalg.lstsq`` fit on a design assembled column by column, standard
 errors come from an SVD, and tail probabilities come from ``scipy.stats``.
-:func:`format_cell` is the CSV writer's cell rule, one value at a time.
+:func:`format_cell` is the CSV writer's cell rule, one value at a time, and
+:func:`f_sf` the package's F tail, one value at a time.
 """
 
 from __future__ import annotations
@@ -297,3 +298,69 @@ def trailing_windows(
         dx, dy = vx - vx.mean(), vy - vy.mean()
         corrs[t] = (dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy))
     return means, corrs
+
+
+# -- the F tail one value at a time -------------------------------------------
+# The package's scalar Lentz loop as it stood before its F tail took arrays,
+# kept as the bit-for-bit oracle of that array code: same constants, same
+# operations in the same order, Python floats and libm throughout.
+
+_LENTZ_MAX_ITER = 500
+_LENTZ_EPS = 3e-16
+_LENTZ_TINY = 1e-300
+
+
+def _lentz_nonzero(v: float) -> float:
+    return _LENTZ_TINY if abs(v) < _LENTZ_TINY else v
+
+
+def _beta_contfrac(a: float, b: float, x: float) -> float:
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 / _lentz_nonzero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _LENTZ_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _lentz_nonzero(1.0 + aa * d)
+        c = _lentz_nonzero(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _lentz_nonzero(1.0 + aa * d)
+        c = _lentz_nonzero(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:
+            break
+    return h
+
+
+def beta_inc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) of one argument."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("shape parameters must be positive")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("argument must lie in [0, 1]")
+    if x == 0.0 or x == 1.0:
+        return x
+    front = math.exp(
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_contfrac(a, b, x) / a
+    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+
+
+def f_sf(x: float, df_num: float, df_den: float) -> float:
+    """F survival function of one statistic by :func:`beta_inc`."""
+    if df_num <= 0 or df_den <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    if x <= 0.0:
+        return 1.0
+    return beta_inc(df_den / 2.0, df_num / 2.0, df_den / (df_den + df_num * x))

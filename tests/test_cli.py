@@ -871,6 +871,22 @@ class TestPipeline:
         assert doc["error"]
 
 
+    def test_a_failed_stage_leaves_no_manifest(self, tmp_path, capsys):
+        """The default config (all 16 columns) on 2,500 canonical rows fails
+        the core stage's VAR fit after its first three files: exit 2, one
+        JSON error line, and no run_manifest.json, which only a complete
+        run writes."""
+        path = tmp_path / "panel.csv"
+        write_csv(make_canonical_panel(2500), path)
+        out = tmp_path / "partial"
+        assert main(["pipeline", "--input", str(path), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["stage"]) == ("RankDeficient", "core")
+        assert error["message"].startswith("relative pivot")
+        written = {p.name for p in out.iterdir()}
+        assert written == {"stationarity.json", "johansen.json", "granger_matrix.csv"}
+
     def test_cholesky_order_reorders_variables(self, tmp_path):
         csv_path = synthetic_csv(tmp_path)
         config = tmp_path / "cfg.json"

@@ -354,6 +354,19 @@ def _granger_panel(T, K, scales=None):
     return data if scales is None else data * scales
 
 
+#: Small integers with y_t = x_{t-1} (columns 0 and 1), so the unrestricted
+#: lag-1 model of x causing y leaves a residual of exactly 0; column 2 is
+#: noise and column 3 = 2 * column 2.
+_EXACT_FIT = np.array(
+    [
+        [0, 0, 0], [0, 0, 1], [0, 0, 1], [-1, 0, -1], [2, -1, 1], [-1, 2, 1],
+        [1, -1, 0], [-1, 1, -2], [0, -1, 1], [2, 0, -2], [-2, 2, 2], [1, -2, 2],
+    ],
+    dtype=float,
+)
+_EXACT_FIT = np.column_stack([_EXACT_FIT, 2.0 * _EXACT_FIT[:, 2]])
+
+
 class TestGrangerMatrix:
     """Every (cause, effect, lag) entry against the naive per-pair oracle
     of ``tests/reference.py``."""
@@ -399,6 +412,34 @@ class TestGrangerMatrix:
     def test_too_few_observations(self):
         with pytest.raises(InsufficientObservations):
             econ.granger_matrix(_granger_panel(18, 3), 5)
+
+    def test_a_collinear_pair_fails_its_pivot_test(self):
+        data = np.random.default_rng(SEED).standard_normal((200, 5))
+        data[:, 3] = 2.0 * data[:, 1]
+        with pytest.raises(RankDeficient, match=r"^relative pivot 2\.600e-16 below"):
+            econ.granger_matrix(data, 3)
+
+    @pytest.mark.parametrize(
+        "columns, max_lag, message",
+        [
+            ([0, 1, 2], 1, "unrestricted regression fits exactly"),
+            ([0, 1, 2], 2, r"relative pivot 3\.667e-17 below"),
+            # pair (0, 1) fits exactly before pair (2, 3) fails its pivot test
+            ([0, 1, 2, 3], 1, "unrestricted regression fits exactly"),
+            # and the other way round: pair (0, 1) is collinear
+            ([2, 3, 0, 1], 1, r"relative pivot 1\.134e-16 below"),
+        ],
+        ids=["exact", "exact-at-lag-1-of-2", "exact-first", "collinear-first"],
+    )
+    def test_the_first_failing_pair_raises(self, columns, max_lag, message):
+        """Lag by lag, cause-major, and within a pair the pivot test before
+        the exact fit: the messages the pair-by-pair loop gave."""
+        with pytest.raises(RankDeficient, match=f"^{message}"):
+            econ.granger_matrix(_EXACT_FIT[:, columns], max_lag)
+
+    def test_the_one_pair_test_raises_on_an_exact_fit(self):
+        with pytest.raises(RankDeficient, match="^unrestricted regression fits exactly$"):
+            econ.granger(_EXACT_FIT[:, 0], _EXACT_FIT[:, 1], 1)
 
 
 def _selected(monkeypatch, data, max_lags: int, criterion: str):

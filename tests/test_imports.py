@@ -4,6 +4,8 @@ scipy is installed for the oracle tests, so a stray `import scipy` in the
 program would pass every other test and fail only where scipy is absent."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,3 +58,18 @@ def test_estimators_import_only_the_estimators_and_errors():
     for name in ("econometrics", "_regression", "_dist"):
         imported = package_modules((PACKAGE / f"{name}.py").read_text("utf-8"))
         assert imported <= allowed, (name, sorted(imported - allowed))
+
+
+def test_cli_loads_category_only_for_functor_check():
+    """Every command but `functor-check` starts without the category
+    module's dataclasses."""
+    code = "import sys, bimonetary.cli; print('bimonetary.category' in sys.modules)"
+    src = str(PACKAGE.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

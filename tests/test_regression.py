@@ -68,6 +68,18 @@ class TestQrR:
         np.testing.assert_array_equal(qr_r(a, overwrite=True), want)
         np.testing.assert_array_equal(np.triu(a[:7]), want)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_stack_is_numpys_r_of_each_matrix(self, order):
+        rng = np.random.default_rng(SEED)
+        stack = rng.standard_normal((4, 30, 7)) * np.logspace(-3, 5, 7)
+        if order == "F":  # each matrix column-major, factored in place
+            stack = np.swapaxes(np.ascontiguousarray(np.swapaxes(stack, 1, 2)), 1, 2)
+        want = np.stack([np.linalg.qr(a, mode="r") for a in stack])
+        np.testing.assert_array_equal(qr_r(stack, overwrite=True), want)
+        np.testing.assert_array_equal(
+            cross_products(want, 5), np.stack([cross_products(r, 5) for r in want])
+        )
+
     def test_a_lapack_error_raises(self, monkeypatch):
         def illegal_argument(m, n, a, lda, tau, work, lwork, info):
             work[0] = 1.0
@@ -222,8 +234,10 @@ class TestFactorizationCount:
         data = np.random.default_rng(SEED).standard_normal((9000, 10))
         econ.granger_matrix(data, max_lag=5)
         small = self._blocked(qr_calls, 9000 - 5)
-        assert len(small) == 90 * 5
-        assert all(rows <= 1 + 10 * 5 + 10 + 5 for rows, *_ in small)
+        # then one call per lag L on the stack of all K (K-1) = 90 pairs: R's
+        # 1 + K max_lag + K rows plus the max_lag - L rows R lacks, by the
+        # pair's 2L + 2 columns
+        assert small == [(90, 1 + 10 * 5 + 10 + 5 - L, 2 * L + 2) for L in range(1, 6)]
 
     def test_every_factorization_forms_r_only(self, qr_calls, monkeypatch):
         """Every factorization goes through the kernel's R-only QR function,
